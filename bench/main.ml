@@ -333,7 +333,9 @@ let run_protocol ?codec ?drop_rate ?reliability ?checker_cache_capacity ~mode
   let net = Net.create ?drop_rate ?reliability ~seed:17L () in
   let sender = Peer.create ?codec ~mode ~net "sender" in
   let receiver =
-    Peer.create ?codec ~mode ~net ?checker_cache_capacity "receiver"
+    Peer.create ?codec ~mode ~net
+      ~shared:(Peer.create_shared ?checker_cache_capacity ())
+      "receiver"
   in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
@@ -514,7 +516,11 @@ let rec e5 () =
 and run_ramp ~rounds ~checker_cache_capacity () =
   let net = Net.create ~seed:23L () in
   let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net ~checker_cache_capacity "receiver" in
+  let receiver =
+    Peer.create ~net
+      ~shared:(Peer.create_shared ~checker_cache_capacity ())
+      "receiver"
+  in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());

@@ -380,14 +380,14 @@ let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
     ?(handles = false) ?batch_bytes ?(tdesc_binary = false)
     ?tdesc_cache_capacity ?checker_cache_capacity () =
   let net = Net.create ~seed:17L ~metrics () in
-  let sender =
+  let peer addr =
     Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
-      ?tdesc_cache_capacity ?checker_cache_capacity "sender"
+      ~shared:
+        (Peer.create_shared ?tdesc_cache_capacity ?checker_cache_capacity ())
+      addr
   in
-  let receiver =
-    Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
-      ?tdesc_cache_capacity ?checker_cache_capacity "receiver"
-  in
+  let sender = peer "sender" in
+  let receiver = peer "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -1801,9 +1801,10 @@ let explore_cmd =
   let fanout_bug =
     Arg.(value & flag
          & info [ "fanout-bug" ]
-             ~doc:"Create the receiver without the shared in-flight \
-                   fetch guards — the historical fan-out bug — so the \
-                   explorer has a known violation to find.")
+             ~doc:"Duplicate every frame on the receiver's request \
+                   link, the wire pattern of the historical fetch \
+                   fan-out bug, so the explorer has a known violation \
+                   to find.")
   in
   let cas_bug =
     Arg.(value & flag

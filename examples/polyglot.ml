@@ -41,7 +41,9 @@ let () =
   (* Receiver B: Levenshtein threshold 1 (§4.2's "one could be more
      general" knob). *)
   let relaxed =
-    Peer.create ~net ~config:(Config.relaxed ~distance:1) "relaxed-receiver"
+    Peer.create ~net
+      ~shared:(Peer.create_shared ~config:(Config.relaxed ~distance:1) ())
+      "relaxed-receiver"
   in
   Peer.publish_assembly relaxed (Demo.news_assembly ());
   Peer.register_interest relaxed ~interest:Demo.news_person

@@ -10,8 +10,8 @@ type t = {
 
 let create ?mode ?codec ?metrics ?(factor = 2) ?(seed = 7L)
     ?request_timeout_ms ?fetch_retries ?fetch_backoff_ms ?probe_timeout_ms
-    ?handles ?batch_bytes ?tdesc_binary ?handle_table_capacity
-    ?piggyback_interval_ms ?net ?transport addrs =
+    ?handles ?batch_bytes ?tdesc_binary ?piggyback_interval_ms ?net
+    ?transport addrs =
   if addrs = [] then invalid_arg "Cluster.create: no addresses";
   let tr =
     match (net, transport) with
@@ -27,7 +27,7 @@ let create ?mode ?codec ?metrics ?(factor = 2) ?(seed = 7L)
         let peer =
           Peer.create ?mode ?codec ?metrics ?request_timeout_ms
             ?fetch_retries ?fetch_backoff_ms ?handles ?batch_bytes
-            ?tdesc_binary ?handle_table_capacity ~transport:tr addr
+            ?tdesc_binary ~transport:tr addr
         in
         (* Distinct deterministic streams per node: same cluster seed,
            different partner choices. *)

@@ -14,7 +14,7 @@ val create : ?mode:Pti_core.Peer.mode -> ?codec:Pti_serial.Envelope.codec ->
   ?request_timeout_ms:float -> ?fetch_retries:int ->
   ?fetch_backoff_ms:float -> ?probe_timeout_ms:float ->
   ?handles:bool -> ?batch_bytes:int -> ?tdesc_binary:bool ->
-  ?handle_table_capacity:int -> ?piggyback_interval_ms:float ->
+  ?piggyback_interval_ms:float ->
   ?net:Pti_core.Message.t Pti_net.Net.t ->
   ?transport:Pti_core.Message.t Pti_transport.Transport.t ->
   string list -> t

@@ -26,7 +26,8 @@ let no_tabs what s =
 (* A flipped byte in a gossip body must not smuggle a mangled member
    address or download path into cluster state (a later probe of a
    never-registered address is a hard failure), so the body is guarded
-   by a leading checksum line. Bodies without one are still accepted. *)
+   by a leading checksum line, which [encode] always writes and
+   [decode] requires. *)
 let sum_tag = "sum"
 
 let encode m =
@@ -76,7 +77,7 @@ let checked_body s =
       let body = String.sub s (i + 1) (String.length s - i - 1) in
       if String.equal declared (Pti_util.Fnv.hash_hex body) then Ok body
       else Error "digest: checksum mismatch"
-  | _ -> Ok s
+  | _ -> Error "digest: missing checksum line"
 
 let decode s =
   match checked_body s with

@@ -35,5 +35,5 @@ val encode : msg -> string
 
 val decode : string -> (msg, string) result
 (** Total: malformed or corrupt input yields [Error];
-    [decode (encode m) = Ok m]. Bodies without a checksum line are
-    accepted unverified. *)
+    [decode (encode m) = Ok m]. A body without its checksum line is
+    rejected. *)

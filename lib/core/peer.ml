@@ -179,9 +179,6 @@ type t = {
   tdesc_inflight : (string, (Td.t option -> unit) list ref) Hashtbl.t;
   asm_inflight :
     (string, ((string * Assembly.t) option -> unit) list ref) Hashtbl.t;
-  (* Regression flag: [false] reintroduces the fan-out bug the guards
-     above fixed, for the model checker's known-bug test. *)
-  share_inflight : bool;
   event_log : event Ring.t;
   metrics : Metrics.t;
   evt_ctrs : event_counters;
@@ -213,17 +210,9 @@ type t = {
 let address t = t.addr
 let registry t = t.sh.sh_reg
 let checker t = t.sl.sl_checker
-let proxy_context t = t.sl.sl_px
 let mode t = t.peer_mode
 let transport t = t.tr
 let now_ms t = Transport.now_ms t.tr
-
-let net t =
-  match Transport.sim_net t.tr with
-  | Some n -> n
-  | None ->
-      invalid_arg
-        "Peer.net: peer runs on a socket transport, not the simulated network"
 
 let endpoint t =
   match t.ep with Some e -> e | None -> assert false
@@ -235,9 +224,7 @@ let metrics t = t.metrics
 let events t = Ring.to_list t.event_log
 let clear_events t = Ring.clear t.event_log
 let events_dropped t = Ring.dropped t.event_log
-let tdesc_cache_size t = Lru.Str.length t.sl.sl_tdesc_cache
 let tdesc_cache_counters t = Lru.Str.counters t.sl.sl_tdesc_cache
-let exported_count t = Hashtbl.length t.exported
 let repository t = t.sh.sh_repo
 let fetch_attempts t = Metrics.counter_value t.evt_ctrs.mc_fetch_attempts
 let fetch_retries t = Metrics.counter_value t.evt_ctrs.mc_fetch_retries
@@ -412,8 +399,6 @@ let request_tdesc ?retries ?(version = 0) t ~from name k =
    until the (possibly retried) exchange resolves, so corrupt-reply
    re-requests keep absorbing new callers too. *)
 let request_tdesc_shared ?(version = 0) t ~from name k =
-  if not t.share_inflight then request_tdesc ~version t ~from name k
-  else
   let key =
     from ^ "|" ^ lc name
     ^ if version > 0 then Printf.sprintf "@v%d" version else ""
@@ -520,36 +505,36 @@ let fetch_candidates t ~asm_name ~advertised =
    actually came from. *)
 let fetch_assembly_uncached t ~asm_name ~advertised k =
   let candidates = fetch_candidates t ~asm_name ~advertised in
-      let rec try_candidate ~first = function
-        | [] -> k None
-        | path :: rest ->
-            if not first then Metrics.incr t.evt_ctrs.mc_fetch_failovers;
-            let host =
-              match Repository.parse_path path with
-              | Some (host, _) -> host
-              | None -> (* malformed path: the sender-side convention *) t.addr
-            in
-            let rec attempt n =
-              Metrics.incr t.evt_ctrs.mc_fetch_attempts;
-              request_assembly t ~host ~path (function
-                | Some asm ->
-                    Lru.Str.put t.sl.sl_known_paths (lc asm_name) path;
-                    k (Some (path, asm))
-                | None ->
-                    if n < t.fetch_retries then begin
-                      Metrics.incr t.evt_ctrs.mc_fetch_retries;
-                      let delay =
-                        t.fetch_backoff_ms *. (2. ** float_of_int n)
-                      in
-                      Transport.timer t.tr ~owner:t.addr
-                        ~info:("fetch-backoff " ^ asm_name) ~delay_ms:delay
-                        (fun () -> attempt (n + 1))
-                    end
-                    else try_candidate ~first:false rest)
-            in
-            attempt 0
-      in
-      try_candidate ~first:true candidates
+  let rec try_candidate ~first = function
+    | [] -> k None
+    | path :: rest ->
+        if not first then Metrics.incr t.evt_ctrs.mc_fetch_failovers;
+        let host =
+          match Repository.parse_path path with
+          | Some (host, _) -> host
+          | None -> (* malformed path: the sender-side convention *) t.addr
+        in
+        let rec attempt n =
+          Metrics.incr t.evt_ctrs.mc_fetch_attempts;
+          request_assembly t ~host ~path (function
+            | Some asm ->
+                Lru.Str.put t.sl.sl_known_paths (lc asm_name) path;
+                k (Some (path, asm))
+            | None ->
+                if n < t.fetch_retries then begin
+                  Metrics.incr t.evt_ctrs.mc_fetch_retries;
+                  let delay =
+                    t.fetch_backoff_ms *. (2. ** float_of_int n)
+                  in
+                  Transport.timer t.tr ~owner:t.addr
+                    ~info:("fetch-backoff " ^ asm_name) ~delay_ms:delay
+                    (fun () -> attempt (n + 1))
+                end
+                else try_candidate ~first:false rest)
+        in
+        attempt 0
+  in
+  try_candidate ~first:true candidates
 
 (* The failover pipeline behind an in-flight guard: a local mirror copy
    short-circuits the network entirely, and concurrent fetches of the
@@ -575,8 +560,6 @@ let fetch_assembly_failover t ~asm_name ~advertised k =
   in
   match local with
   | Some (path, asm) -> k (Some (path, asm))
-  | None when not t.share_inflight ->
-      fetch_assembly_uncached t ~asm_name ~advertised k
   | None -> (
       let key =
         lc asm_name
@@ -1251,12 +1234,15 @@ let bind_wire_metrics m ~addr =
     mc_batch_bytes_saved = Metrics.counter m (p "bytes_saved");
   }
 
-(* Build one flyweight block. A classic peer calls this privately from
-   [create]; the scale driver calls it once and hands the block to every
-   session it spawns. *)
+(* The advertised download-path cache has one size for every block. *)
+let known_paths_capacity = 512
+
+(* Build one flyweight block: the only place cache sizes and conformance
+   rules are set. A peer built without [~shared] calls this privately
+   from [create]; the scale driver calls it once and hands the block to
+   every session it spawns. *)
 let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
-    ?(known_paths_capacity = 512) ?checker_cache_capacity
-    ?(handle_table_capacity = 512) ?(shards = 1) () =
+    ?checker_cache_capacity ?(handle_table_capacity = 512) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Peer.create_shared: shards must be >= 1";
   let reg = Registry.create () in
   (* Capacity-aware per-shard sizing: the block-wide cache budget is
@@ -1318,9 +1304,6 @@ let shard_index sh addr =
 
 let slot_of sh addr = sh.sh_slots.(shard_index sh addr)
 let shared t = t.sh
-let shared_registry sh = sh.sh_reg
-let shared_repository sh = sh.sh_repo
-let shared_checker sh = sh.sh_slots.(0).sl_checker
 
 let shared_tdesc_cache_counters sh =
   Array.fold_left
@@ -1342,11 +1325,6 @@ let shared_tdesc_cache_counters sh =
     }
     sh.sh_slots
 
-let shared_tdesc_cache_size sh =
-  Array.fold_left
-    (fun n sl -> n + Lru.Str.length sl.sl_tdesc_cache)
-    0 sh.sh_slots
-
 let shared_pool_size sh =
   Array.fold_left (fun n sl -> n + Queue.length sl.sl_ht_pool) 0 sh.sh_slots
 
@@ -1363,14 +1341,11 @@ let shared_reuse_rate sh =
   in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
 
-let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
-    ?(config = Config.strict) ?metrics:m
-    ?(tdesc_cache_capacity = 512) ?(known_paths_capacity = 512)
-    ?(event_log_capacity = 4096) ?checker_cache_capacity
+let create ?(mode = Optimistic) ?(codec = Envelope.Binary) ?metrics:m
+    ?(event_log_capacity = 4096)
     ?(request_timeout_ms = default_request_timeout_ms)
     ?(fetch_retries = 0) ?(fetch_backoff_ms = 250.) ?(handles = false)
-    ?batch_bytes ?(tdesc_binary = false) ?(handle_table_capacity = 512)
-    ?(share_inflight = true) ?shared ?net:network ?transport addr =
+    ?batch_bytes ?(tdesc_binary = false) ?shared ?net:network ?transport addr =
   (* Exactly one of [~net] (the historical simulated-network form, kept
      so the deterministic suites construct peers unchanged) or
      [~transport] (any backend). *)
@@ -1382,13 +1357,7 @@ let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
         invalid_arg "Peer.create: pass either ~net or ~transport, not both"
     | None, None -> invalid_arg "Peer.create: a ~net or ~transport is required"
   in
-  let sh =
-    match shared with
-    | Some sh -> sh
-    | None ->
-        create_shared ~config ~tdesc_cache_capacity ~known_paths_capacity
-          ?checker_cache_capacity ~handle_table_capacity ()
-  in
+  let sh = match shared with Some sh -> sh | None -> create_shared () in
   let sl = slot_of sh addr in
   let event_log = Ring.create ~capacity:event_log_capacity () in
   let m = match m with Some m -> m | None -> Metrics.create () in
@@ -1416,7 +1385,6 @@ let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
       invoke_conts = Hashtbl.create 8;
       tdesc_inflight = Hashtbl.create 16;
       asm_inflight = Hashtbl.create 8;
-      share_inflight;
       event_log;
       metrics = m;
       evt_ctrs;
@@ -1575,14 +1543,6 @@ let flush_batch t ~dst =
           Metrics.incr ~by:saved t.wire_ctrs.mc_batch_bytes_saved;
         send t ~dst msg
       end
-
-let flush_batches t =
-  (* Sorted: flush order decides wire order, and Hashtbl iteration order
-     would make that depend on hashing (schedule replay needs it to be a
-     pure function of peer state). *)
-  Hashtbl.fold (fun dst _ acc -> dst :: acc) t.batches []
-  |> List.sort String.compare
-  |> List.iter (fun dst -> flush_batch t ~dst)
 
 (* ---------------------------------------------------------------- *)
 (* State fingerprint (model-checker hash pruning)                     *)

@@ -52,8 +52,8 @@ type shared
 (** The flyweight block: the type/code side of a peer — class registry,
     served-assembly repository, type-description cache, conformance
     checker (with its verdict cache), advertised-path cache, proxy
-    context and the receiver handle-table pool. A classic {!create}
-    allocates a private block (historical behavior, bit-identical); the
+    context and the receiver handle-table pool. A {!create} without
+    [~shared] allocates a private [create_shared ()] block; the
     scale driver ([pti_scale]) allocates {e one} block and threads it
     through 10^5–10^6 lightweight sessions so this state is paid for
     once per process. Conversation state (interests, pending exchanges,
@@ -72,23 +72,22 @@ type shared
     layout. *)
 
 val create_shared : ?config:Pti_conformance.Config.t ->
-  ?tdesc_cache_capacity:int -> ?known_paths_capacity:int ->
-  ?checker_cache_capacity:int -> ?handle_table_capacity:int ->
-  ?shards:int -> unit -> shared
-(** Same defaults as {!create}'s corresponding optional arguments.
+  ?tdesc_cache_capacity:int -> ?checker_cache_capacity:int ->
+  ?handle_table_capacity:int -> ?shards:int -> unit -> shared
+(** The one place a peer's conformance rules and cache sizes are set;
+    build a block here and pass it to {!create} as [~shared].
+    [config] (default {!Pti_conformance.Config.strict}) is the
+    conformance rule set. [tdesc_cache_capacity] (default 512) bounds
+    the type-description cache, [checker_cache_capacity]
+    ({!Pti_conformance.Checker.create}'s default) the verdict cache, and
+    [handle_table_capacity] (default 512) each per-link receiver handle
+    table; the advertised download-path cache holds 512 entries.
     [shards] (default 1) must be >= 1; the cache capacities are
     block-wide budgets split evenly across shards (ceiling division,
     floor 1 entry), so raising [shards] never raises the block's total
     cache cost. @raise Invalid_argument when [shards < 1]. *)
 
 val shared : t -> shared
-val shared_registry : shared -> Registry.t
-val shared_repository : shared -> Repository.t
-
-val shared_checker : shared -> Pti_conformance.Checker.t
-(** Shard 0's checker — the whole block's checker when [shards = 1].
-    For block-wide verdict-reuse accounting across every shard use
-    {!shared_reuse_rate}. *)
 
 val shard_count : shared -> int
 
@@ -100,9 +99,6 @@ val shared_tdesc_cache_counters : shared -> Pti_obs.Lru.counters
 (** Hit/miss/eviction accounting of the shared description cache,
     summed across shards — the cache-reuse curve the scale bench
     reports. *)
-
-val shared_tdesc_cache_size : shared -> int
-(** Entries across all shards. *)
 
 val shared_pool_size : shared -> int
 (** Receiver handle tables currently parked for reuse, across all
@@ -124,13 +120,10 @@ val release_handle_tables : t -> unit
     correspondent draws a table from the pool again. *)
 
 val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
-  ?config:Pti_conformance.Config.t -> ?metrics:Pti_obs.Metrics.t ->
-  ?tdesc_cache_capacity:int -> ?known_paths_capacity:int ->
-  ?event_log_capacity:int -> ?checker_cache_capacity:int ->
+  ?metrics:Pti_obs.Metrics.t -> ?event_log_capacity:int ->
   ?request_timeout_ms:float -> ?fetch_retries:int ->
   ?fetch_backoff_ms:float -> ?handles:bool -> ?batch_bytes:int ->
-  ?tdesc_binary:bool -> ?handle_table_capacity:int ->
-  ?share_inflight:bool -> ?shared:shared ->
+  ?tdesc_binary:bool -> ?shared:shared ->
   ?net:Message.t Pti_net.Net.t ->
   ?transport:Message.t Pti_transport.Transport.t -> string -> t
 (** [create ~net address] (or [create ~transport address]) registers the
@@ -139,14 +132,14 @@ val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
     in a sim {!Pti_transport.Transport.t}, bit-identical behavior);
     [~transport] accepts any backend — the same peer then runs over the
     simulator, Unix-domain sockets or TCP unchanged. Defaults:
-    optimistic mode, binary payload codec, strict conformance rules.
+    optimistic mode, binary payload codec.
 
-    Every cache the peer keeps is bounded and observable: the type
-    description cache (default 512 entries), the advertised
-    download-path cache (512), the event log (ring of 4096) and the
-    conformance verdict cache ({!Pti_conformance.Checker.create}'s
-    default). The peer reports through [metrics] (fresh registry when
-    omitted) under [peer.<address>.*] names.
+    [shared] threads an existing flyweight block (conformance rules and
+    cache sizes, see {!create_shared}) through this peer; without it the
+    peer gets a private [create_shared ()] block. The event log is a
+    ring of [event_log_capacity] (default 4096). The peer reports
+    through [metrics] (fresh registry when omitted) under
+    [peer.<address>.*] names.
 
     [request_timeout_ms] (default 10000) bounds how long a tdesc or
     assembly subprotocol request waits for its reply before the pipeline
@@ -161,30 +154,12 @@ val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
     same-destination object sends within one simulation instant into
     {!Message.Obj_batch} frames of roughly that many payload bytes;
     [tdesc_binary] requests the compact binary type-description codec
-    in {!Message.Tdesc_request}s; [handle_table_capacity] (default 512)
-    bounds each per-link receiver handle table.
-
-    [share_inflight:false] disables the in-flight fetch dedup guards —
-    reintroducing the historical fan-out bug (one tdesc probe and one
-    code download {e per envelope} of a same-typed burst) so the model
-    checker's known-bug regression can assert it finds them. Leave it
-    at the default [true] everywhere else.
-
-    [shared] threads an existing flyweight block through this peer
-    instead of allocating a private one; the block-shaping arguments
-    ([config], [tdesc_cache_capacity], [known_paths_capacity],
-    [checker_cache_capacity], [handle_table_capacity]) are then ignored
-    — the block was already shaped by {!create_shared}. *)
+    in {!Message.Tdesc_request}s. *)
 
 val address : t -> string
 val registry : t -> Registry.t
 val checker : t -> Pti_conformance.Checker.t
-val proxy_context : t -> Pti_proxy.Dynamic_proxy.context
 val mode : t -> mode
-
-val net : t -> Message.t Pti_net.Net.t
-(** The wrapped simulated network.
-    @raise Invalid_argument on a socket-backed peer — use {!transport}. *)
 
 val transport : t -> Message.t Pti_transport.Transport.t
 (** The transport fabric the peer drives (any backend). *)
@@ -229,8 +204,6 @@ val serve_assembly : t -> ?path:string -> Assembly.t -> unit
 
 val repository : t -> Repository.t
 (** The assemblies this host serves. *)
-
-val download_path : t -> assembly:string -> string
 
 (** {1 Cluster hooks}
 
@@ -329,9 +302,7 @@ val events_dropped : t -> int
 val metrics : t -> Pti_obs.Metrics.t
 (** The registry this peer reports through ([peer.<address>.*]). *)
 
-val tdesc_cache_size : t -> int
 val tdesc_cache_counters : t -> Pti_obs.Lru.counters
-val exported_count : t -> int
 
 val fetch_attempts : t -> int
 (** Assembly download requests put on the wire (all paths, all tries). *)
@@ -377,11 +348,6 @@ val drop_handle_tables : t -> unit
 (** Forget every learned (receiver-side) handle binding — simulates a
     restart/eviction; subsequent handle refs NAK and renegotiate. The
     chaos harness uses this to prove degradation never mis-types. *)
-
-val flush_batches : t -> unit
-(** Ship every open batch immediately (normally the delay-0 flush event
-    does this); useful at simulation shutdown. Batches flush in sorted
-    destination order (deterministic wire order). *)
 
 val fingerprint : t -> int64
 (** FNV-1a digest of the peer's observable state: loaded code, served

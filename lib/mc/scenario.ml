@@ -194,21 +194,37 @@ let combine_fingerprints fps =
   List.iter (fun fp -> Buffer.add_string buf (Printf.sprintf "%Lx " fp)) fps;
   Fnv.hash64 (Buffer.contents buf)
 
+(* The historical fetch fan-out, replayed on the wire: without the
+   in-flight dedup guards a same-typed burst sent one tdesc probe and
+   one code download per envelope. Duplicating every frame on the
+   receiver's request link ([bob -> alice] carries only tdesc and
+   assembly requests here) puts exactly that extra traffic on the
+   wire, with no bug switch in [Peer]. *)
+let fanout_shim net =
+  Net.set_fault_hooks net
+    (Some
+       {
+         Net.no_faults with
+         Net.fh_duplicates =
+           (fun ~now:_ ~src ~dst ->
+             if String.equal src "bob" && String.equal dst "alice" then 1
+             else 0);
+       })
+
 (* Two peers, classic wire. All sends are issued at setup, so the
    initial enabled set is the burst of concurrent object deliveries —
    the exact situation the in-flight fetch guards exist for. With
-   [s_fanout_bug] the receiver is created without those guards. *)
+   [s_fanout_bug] the receiver's requests fan out as if unguarded. *)
 let make_two_peer ~wire spec =
   let net = Net.create ~jitter_ms:0. () in
   let trace = Trace.attach net in
+  if spec.s_fanout_bug then fanout_shim net;
   let handles = wire in
   let batch_bytes = if wire then Some 4096 else None in
   let tdesc_binary = wire in
-  let mk addr ~share_inflight =
-    Peer.create ~handles ?batch_bytes ~tdesc_binary ~share_inflight ~net addr
-  in
-  let alice = mk "alice" ~share_inflight:true in
-  let bob = mk "bob" ~share_inflight:(not spec.s_fanout_bug) in
+  let mk addr = Peer.create ~handles ?batch_bytes ~tdesc_binary ~net addr in
+  let alice = mk "alice" in
+  let bob = mk "bob" in
   let objects = spec.s_objects in
   let sim = Net.sim net in
   let send i v =

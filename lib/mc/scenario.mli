@@ -38,8 +38,10 @@ type spec = {
   s_peers : int;  (** Cluster size (cluster scenario only); min 2. *)
   s_objects : int;  (** Objects sent; min 1. *)
   s_fanout_bug : bool;
-      (** Create the receiver with [share_inflight:false] — the
-          historical fetch fan-out bug — for the known-bug regression. *)
+      (** Two-peer scenarios: duplicate every frame on the receiver's
+          request link, the wire pattern of the historical fetch
+          fan-out bug (one tdesc probe and one code download per
+          envelope) — for the known-bug regression. *)
   s_cas_bug : bool;
       (** Evolution scenario: publish v2 by advancing the chain head
           directly instead of through the atomic CAS + registry upgrade

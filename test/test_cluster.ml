@@ -57,7 +57,25 @@ let test_digest_decode_total () =
     (fun junk ->
       match Digest.decode junk with
       | Ok _ | Error _ -> ())
-    [ "garbage"; "token\tnope"; "desc\t-3\n"; "desc\t100000\nshort"; "\t\t\t" ]
+    [ "garbage"; "token\tnope"; "desc\t-3\n"; "desc\t100000\nshort"; "\t\t\t" ];
+  (* Every encoded digest carries its checksum line: a body without one
+     is rejected, while the encoded form still round-trips. *)
+  let wire =
+    Digest.encode
+      { Digest.empty with
+        g_token = 7; g_types = [ ("A.Person", "guid-1") ];
+        g_members = [ "n1" ] }
+  in
+  (match Digest.decode wire with
+  | Ok m -> Alcotest.(check int) "encoded digest round-trips" 7 m.Digest.g_token
+  | Error e -> Alcotest.failf "encoded digest rejected: %s" e);
+  let stripped =
+    let i = String.index wire '\n' in
+    String.sub wire (i + 1) (String.length wire - i - 1)
+  in
+  match Digest.decode stripped with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "digest without its checksum line accepted"
 
 (* ---------------------------------------------------------------- *)
 (* Membership                                                         *)

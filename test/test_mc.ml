@@ -1,7 +1,7 @@
 (* Tests for the interleaving model checker: the schedule codec, the
-   seeded fan-out regression (found + shrunk), DPOR/hash soundness and
-   pruning power, strategy agreement, and the iteration-order
-   determinism the explorer's replays depend on. *)
+   seeded fan-out and torn-CAS regressions (found + shrunk), DPOR/hash
+   soundness and pruning power, strategy agreement, and the
+   iteration-order determinism the explorer's replays depend on. *)
 
 module Net = Pti_net.Net
 module Sim = Pti_net.Sim
@@ -93,11 +93,34 @@ let test_finds_fanout_bug () =
         (Explore.run_schedule mk minimal <> [])
 
 let test_bug_off_means_green () =
-  (* The same world with the in-flight guards on must exhaust green —
-     the regression really is the [share_inflight] flag. *)
+  (* The same world without the duplicated requests must exhaust green —
+     the regression really is the fan-out shim. *)
   let r = exhaust (mk Scenario.Protocol ~fanout_bug:false) in
   Alcotest.(check bool) "guarded world green" true
     (r.Explore.violation = None && r.Explore.exhausted)
+
+(* The torn CAS publish: the chain head flips before the registry
+   upgrade, so a send can negotiate v2 while the publisher still builds
+   v1 payloads. *)
+let test_finds_torn_cas () =
+  let mk () =
+    Scenario.make (Scenario.spec ~objects:3 ~cas_bug:true Scenario.Evolution)
+  in
+  let r =
+    Explore.run
+      ~config:{ Explore.default_config with depth = 8; budget = 500 }
+      mk
+  in
+  match r.Explore.violation with
+  | None -> Alcotest.fail "torn CAS publish not found within budget"
+  | Some (sched, vs) ->
+      Alcotest.(check bool) "upgrade-safety fired" true
+        (List.exists
+           (fun v -> v.Pti_fault.Invariant.inv = "upgrade-safety")
+           vs);
+      let minimal = Explore.shrink mk sched in
+      Alcotest.(check bool) "minimal schedule still violates" true
+        (Explore.run_schedule mk minimal <> [])
 
 (* ---------------------------------------------------------------- *)
 (* Pruning: sound (same verdict) and >= 5x cheaper                    *)
@@ -209,6 +232,8 @@ let () =
             test_finds_fanout_bug;
           Alcotest.test_case "guards on means green" `Quick
             test_bug_off_means_green;
+          Alcotest.test_case "finds and shrinks the torn CAS publish" `Quick
+            test_finds_torn_cas;
         ] );
       ( "pruning",
         [

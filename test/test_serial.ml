@@ -590,35 +590,64 @@ let test_handle_drifted_binding_rejected () =
   | Ok _ -> Alcotest.fail "drifted bindings delivered a mis-typed envelope"
   | Error e -> Alcotest.failf "expected Corrupt, got %a" Env.pp_error e
 
-(* The XML handle form stays accepted on decode: the interop fallback
-   for peers that do not speak the compact PTIE binary frame. *)
-let test_handle_xml_fallback_accepted () =
+(* The classic receive path: a non-PTIE document goes through
+   [of_string] unchanged and yields no bindings. Pinned for intact
+   envelopes and for every single-byte flip of one (a zero mask leaves
+   the document intact), with the same error constructor on failure. *)
+let of_string_h_classic s = Env.of_string_h ~resolve:(fun _ -> None) s
+
+let prop_classic_receive_is_of_string =
   let r = reg () in
-  let v = sample_person r in
-  let env = mk_env r v in
-  let stab = Ht.create_sender () in
-  let form e =
-    match Ht.obtain stab e with `Fresh h -> `Bind h | `Known h -> `Ref h
+  let original = Demo.make_news_person r ~name:"Ada Lovelace" ~age:36 in
+  let wire codec =
+    Env.to_string
+      (Env.make r ~codec ~download_path:(fun ~assembly -> assembly) original)
   in
-  let xml_bind = Env.to_string_h_xml env ~form in
-  let xml_ref = Env.to_string_h_xml env ~form in
-  Alcotest.(check bool) "binary ref beats the xml fallback on the wire" true
-    (String.length (Env.to_string_h env ~form)
-    < String.length xml_ref);
-  let rtab = Ht.create_receiver ~capacity:8 in
-  (match Env.of_string_h ~resolve:(Ht.resolve rtab) xml_bind with
-  | Ok (env', binds) ->
-      List.iter (fun (h, e) -> Ht.install rtab h e) binds;
-      Alcotest.(check (list string)) "xml bind parses" (type_names env)
-        (type_names env')
-  | Error e -> Alcotest.failf "xml bind parse: %a" Env.pp_error e);
-  Alcotest.(check bool) "xml wire_ok" true (Env.wire_ok xml_ref);
-  match Env.of_string_h ~resolve:(Ht.resolve rtab) xml_ref with
-  | Ok (env', binds) ->
-      Alcotest.(check int) "xml refs carry no bindings" 0 (List.length binds);
-      Alcotest.(check (list string)) "xml refs resolve" (type_names env)
-        (type_names env')
-  | Error e -> Alcotest.failf "xml ref parse: %a" Env.pp_error e
+  let soap_wire = wire Env.Soap in
+  let bin_wire = wire Env.Binary in
+  QCheck.Test.make ~count:600
+    ~name:"classic envelope: of_string_h agrees with of_string"
+    QCheck.(triple bool (int_bound 99999) (0 -- 255))
+    (fun (use_soap, pos, x) ->
+      let wire = if use_soap then soap_wire else bin_wire in
+      let pos = pos mod String.length wire in
+      let b = Bytes.of_string wire in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x));
+      let s = Bytes.to_string b in
+      of_string_h_classic s = Result.map (fun e -> (e, [])) (Env.of_string s))
+
+(* Handle refs travel only in PTIE frames. An XML envelope whose second
+   type entry became a handle ref must fail to decode, never come back
+   with a shorter type list. *)
+let test_classic_handle_ref_rejected () =
+  let r = reg () in
+  let env = mk_env r (sample_person r) in
+  Alcotest.(check int) "two type entries" 2 (List.length env.Env.env_types);
+  let xml =
+    match Env.to_xml env with
+    | Pti_xml.Xml.Element (tag, attrs, children) ->
+        let seen = ref 0 in
+        Pti_xml.Xml.Element
+          ( tag,
+            attrs,
+            List.map
+              (fun c ->
+                match c with
+                | Pti_xml.Xml.Element ("type", _, _) ->
+                    incr seen;
+                    if !seen = 2 then
+                      Pti_xml.Xml.elt "typeref" ~attrs:[ ("handle", "1") ] []
+                    else c
+                | c -> c)
+              children )
+    | x -> x
+  in
+  match of_string_h_classic (Pti_xml.Xml.to_string xml) with
+  | Error _ -> ()
+  | Ok (env', _) ->
+      Alcotest.failf "decoded with %d of %d type entries"
+        (List.length env'.Env.env_types)
+        (List.length env.Env.env_types)
 
 (* The PTIE frame is checksummed end to end: no single byte flip can
    parse — not even by falling back to the XML path on a damaged
@@ -921,8 +950,9 @@ let () =
           Alcotest.test_case "bind then ref" `Quick test_handle_bind_then_ref;
           Alcotest.test_case "drifted binding rejected" `Quick
             test_handle_drifted_binding_rejected;
-          Alcotest.test_case "xml fallback accepted" `Quick
-            test_handle_xml_fallback_accepted;
+          Alcotest.test_case "handle ref in classic xml rejected" `Quick
+            test_classic_handle_ref_rejected;
+          QCheck_alcotest.to_alcotest prop_classic_receive_is_of_string;
           QCheck_alcotest.to_alcotest prop_binary_envelope_flip_always_detected;
           QCheck_alcotest.to_alcotest prop_handle_negotiation_state_machine;
         ] );
