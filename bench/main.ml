@@ -884,7 +884,8 @@ let run_cluster ~mode ~peers ~factor ~rounds ~objects ~distinct ~via_relay
   let addrs = List.init peers (fun i -> Printf.sprintf "c%d" (i + 1)) in
   let c =
     Cluster.create ~mode ~factor ~request_timeout_ms:500.
-      ~probe_timeout_ms:250. ~net addrs
+      ~probe_timeout_ms:250. ~transport:(Pti_transport.Transport.of_net net)
+      addrs
   in
   let origin = List.hd addrs in
   let origin_node = Cluster.node c origin in
@@ -1092,8 +1093,8 @@ let e10_run ~arq ~cluster ~loss_p ~corrupt_p ~objects ~seed =
     if cluster then begin
       let cl =
         Cluster.create ~factor:2 ~seed:cluster_seed ~request_timeout_ms:800.
-          ~fetch_retries:3 ~fetch_backoff_ms:150. ~probe_timeout_ms:300. ~net
-          hosts
+          ~fetch_retries:3 ~fetch_backoff_ms:150. ~probe_timeout_ms:300.
+          ~transport:(Pti_transport.Transport.of_net net) hosts
       in
       (Some cl, Cluster.peer cl "n0", Cluster.peer cl "n3",
        List.map (Cluster.peer cl) hosts)

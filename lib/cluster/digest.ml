@@ -70,7 +70,7 @@ let encode m =
   Printf.sprintf "%s\t%s\n%s" sum_tag (Pti_util.Fnv.hash_hex body) body
 
 (* Peel and verify the checksum line before the scanner sees the body. *)
-let checked_body s =
+let verified_body s =
   match String.index_opt s '\n' with
   | Some i when i > 4 && String.sub s 0 4 = sum_tag ^ "\t" ->
       let declared = String.sub s 4 (i - 4) in
@@ -80,7 +80,7 @@ let checked_body s =
   | _ -> Error "digest: missing checksum line"
 
 let decode s =
-  match checked_body s with
+  match verified_body s with
   | Error _ as e -> e
   | Ok s ->
   let len = String.length s in

@@ -161,15 +161,14 @@ type t = {
   exported : (int, Value.value) Hashtbl.t;
   mutable next_export : int;
   mutable next_token : int;
-  (* Continuation, timeout-cancel thunk, remaining corrupt-reply
-     re-requests for this pending subprotocol exchange. Description
-     requests also remember the chain version they were pinned to (0 =
-     latest) so a corrupt-reply re-request re-asks for the same
-     revision. *)
+  (* Continuation and timeout-cancel thunk of each pending subprotocol
+     exchange. Description requests also keep their remaining
+     corrupt-reply re-requests and the chain version they were pinned to
+     (0 = latest), so a re-request asks for the same revision. *)
   tdesc_conts :
     (int, (Td.t option -> unit) * (unit -> unit) * (int * int)) Hashtbl.t;
   asm_conts :
-    (int, (Assembly.t option -> unit) * (unit -> unit) * int) Hashtbl.t;
+    (int, (Assembly.t option -> unit) * (unit -> unit) * unit) Hashtbl.t;
   invoke_conts : (int, (Value.value, string) result -> unit) Hashtbl.t;
   (* In-flight fetch dedup: concurrent requests for the same type
      description (keyed host|name) or assembly (keyed by name) join the
@@ -363,7 +362,10 @@ let send t ~dst msg =
    instead of stalling forever. *)
 let default_request_timeout_ms = 10_000.
 
-let arm_timeout t conts token =
+(* Register a pending exchange under a fresh token: its continuation,
+   the cancel thunk of its timeout, and exchange-specific state. *)
+let pending t conts k extra =
+  let token = fresh_token t in
   let cancel =
     Transport.timer_cancellable t.tr ~owner:t.addr
       ~info:(Printf.sprintf "request-timeout#%d" token)
@@ -375,48 +377,86 @@ let arm_timeout t conts token =
             Hashtbl.remove conts token;
             k None)
   in
-  (* Fill in the cancel thunk next to the continuation. *)
+  Hashtbl.replace conts token (k, cancel, extra);
+  token
+
+(* The reply to a pending exchange: retire it, cancel its timeout and
+   parse what arrived. A negative reply continues with [None]; bytes
+   that do not parse are wire damage, logged and handed to
+   [on_corrupt]. *)
+let complete t conts ~token ~from ~what ~parse reply ~on_corrupt =
   match Hashtbl.find_opt conts token with
-  | Some (k, _, retries) -> Hashtbl.replace conts token (k, cancel, retries)
   | None -> ()
+  | Some (k, cancel_timeout, extra) -> (
+      Hashtbl.remove conts token;
+      cancel_timeout ();
+      match Option.map parse reply with
+      | None -> k None
+      | Some (Ok v) -> k (Some v)
+      | Some (Error reason) ->
+          log_event t (Corrupt_rejected { from; what; reason });
+          on_corrupt k extra)
+
+(* Concurrent requests for one [key] share one wire exchange: the first
+   caller starts it, later callers wait on it, and the reply fans out
+   in registration order. The entry stays until the (possibly retried)
+   exchange resolves, so re-requests keep absorbing new callers too. *)
+let join inflight key k start =
+  match Hashtbl.find_opt inflight key with
+  | Some waiters -> waiters := k :: !waiters
+  | None ->
+      let waiters = ref [ k ] in
+      Hashtbl.add inflight key waiters;
+      start (fun resp ->
+          Hashtbl.remove inflight key;
+          List.iter (fun k -> k resp) (List.rev !waiters))
 
 (* [retries] is the corrupt-reply budget: a reply that arrives but fails
    to parse is treated as wire damage and re-requested that many times
    before the continuation degrades to [None]. Fresh requests start from
    the peer's [fetch_retries] knob. *)
 let request_tdesc ?retries ?(version = 0) t ~from name k =
-  let token = fresh_token t in
   let retries = Option.value ~default:t.fetch_retries retries in
-  Hashtbl.replace t.tdesc_conts token (k, (fun () -> ()), (retries, version));
-  arm_timeout t t.tdesc_conts token;
+  let token = pending t t.tdesc_conts k (retries, version) in
   send t ~dst:from
     (Message.Tdesc_request
        { type_name = name; token; binary_ok = t.tdesc_binary; version })
 
-(* Like [request_tdesc], but concurrent requests for the same name from
-   the same host share one wire exchange: later callers just enqueue
-   their continuation on the outstanding one. The inflight entry stays
-   until the (possibly retried) exchange resolves, so corrupt-reply
-   re-requests keep absorbing new callers too. *)
+(* [request_tdesc] behind the in-flight join, keyed host|name[@vN]. *)
 let request_tdesc_shared ?(version = 0) t ~from name k =
   let key =
     from ^ "|" ^ lc name
     ^ if version > 0 then Printf.sprintf "@v%d" version else ""
   in
-  match Hashtbl.find_opt t.tdesc_inflight key with
-  | Some waiters -> waiters := k :: !waiters
-  | None ->
-      let waiters = ref [ k ] in
-      Hashtbl.add t.tdesc_inflight key waiters;
-      request_tdesc ~version t ~from name (fun resp ->
-          Hashtbl.remove t.tdesc_inflight key;
-          List.iter (fun k -> k resp) (List.rev !waiters))
+  join t.tdesc_inflight key k (request_tdesc ~version t ~from name)
 
 let request_assembly t ~host ~path k =
-  let token = fresh_token t in
-  Hashtbl.replace t.asm_conts token (k, (fun () -> ()), 0);
-  arm_timeout t t.asm_conts token;
+  let token = pending t t.asm_conts k () in
   send t ~dst:host (Message.Asm_request { path; token })
+
+(* Outstanding-count join over a set of asynchronous steps: [fi_k] runs
+   exactly once, at the first [settle] that finds no step outstanding —
+   the caller settles after starting every step it knows of, and each
+   step settles as it finishes (so a step that finishes synchronously
+   can fire it before the caller has started the rest). *)
+type fan_in = {
+  mutable fi_outstanding : int;
+  mutable fi_fired : bool;
+  fi_k : unit -> unit;
+}
+
+let fan_in k = { fi_outstanding = 0; fi_fired = false; fi_k = k }
+let step_started f = f.fi_outstanding <- f.fi_outstanding + 1
+
+let settle f =
+  if f.fi_outstanding = 0 && not f.fi_fired then begin
+    f.fi_fired <- true;
+    f.fi_k ()
+  end
+
+let step_finished f =
+  f.fi_outstanding <- f.fi_outstanding - 1;
+  settle f
 
 (* Fetch the transitive closure of descriptions for [names] from [from],
    then continue with [k]. Names already resolvable locally are free.
@@ -425,9 +465,7 @@ let request_assembly t ~host ~path k =
    to that exact description, and is otherwise fetched version-pinned, so
    a concurrent upgrade can never substitute a different revision. *)
 let ensure_descs ?(pins = []) t ~from names k =
-  let outstanding = ref 0 in
   let visited = Hashtbl.create 16 in
-  let finished = ref false in
   let pin_of key = List.assoc_opt key pins in
   let local key name =
     match pin_of key with
@@ -447,6 +485,7 @@ let ensure_descs ?(pins = []) t ~from names k =
                 | _ -> None)))
     | _ -> local_desc t name
   in
+  let steps = fan_in k in
   let rec need name =
     let key = lc name in
     if not (Hashtbl.mem visited key) then begin
@@ -454,7 +493,7 @@ let ensure_descs ?(pins = []) t ~from names k =
       match local key name with
       | Some d -> List.iter need (refs_of_desc d)
       | None ->
-          incr outstanding;
+          step_started steps;
           let version = match pin_of key with Some (v, _) -> v | None -> 0 in
           request_tdesc_shared ~version t ~from name (fun resp ->
               (match resp with
@@ -462,17 +501,11 @@ let ensure_descs ?(pins = []) t ~from names k =
                   cache_desc ~version t d;
                   List.iter need (refs_of_desc d)
               | None -> ());
-              decr outstanding;
-              check_done ())
-    end
-  and check_done () =
-    if !outstanding = 0 && not !finished then begin
-      finished := true;
-      k ()
+              step_finished steps)
     end
   in
   List.iter need names;
-  check_done ()
+  settle steps
 
 (* Candidate download paths for an assembly: the cluster's mirror
    provider when installed (it ranks by liveness and observed latency,
@@ -560,21 +593,13 @@ let fetch_assembly_failover t ~asm_name ~advertised k =
   in
   match local with
   | Some (path, asm) -> k (Some (path, asm))
-  | None -> (
+  | None ->
       let key =
         lc asm_name
         ^ match pin with Some v -> Printf.sprintf "@v%d" v | None -> ""
       in
-      match Hashtbl.find_opt t.asm_inflight key with
-      | Some waiters -> waiters := k :: !waiters
-      | None ->
-          let waiters = ref [ k ] in
-          Hashtbl.add t.asm_inflight key waiters;
-          fetch_assembly_uncached t ~asm_name ~advertised (fun resp ->
-              Hashtbl.remove t.asm_inflight key;
-              List.iter (fun k -> k resp) (List.rev !waiters)))
-
-exception Load_error of string * string  (* assembly, reason *)
+      join t.asm_inflight key k
+        (fetch_assembly_uncached t ~asm_name ~advertised)
 
 (* Promote an assembly to the live revision: names rebind, old GUIDs stay
    reachable, and the checker drops exactly the verdicts bound to the
@@ -596,22 +621,30 @@ let upgrade_assembly_local t asm =
 let load_assembly t asm =
   let key = lc asm.Assembly.asm_name in
   let v = asm.Assembly.asm_version in
-  try
-    match Hashtbl.find_opt t.sh.sh_loaded_versions key with
-    | None ->
-        Assembly.load t.sh.sh_reg asm;
-        Hashtbl.replace t.sh.sh_loaded_versions key v
-    | Some prev when v > prev ->
-        upgrade_assembly_local t asm;
-        Hashtbl.replace t.sh.sh_loaded_versions key v
-    | Some prev when v < prev -> Assembly.shadow t.sh.sh_reg asm
-    | Some _ -> Assembly.load t.sh.sh_reg asm
-  with Registry.Duplicate name ->
-    raise
-      (Load_error
-         ( asm.Assembly.asm_name,
-           Printf.sprintf "type %s collides with an existing definition" name
-         ))
+  match Hashtbl.find_opt t.sh.sh_loaded_versions key with
+  | None ->
+      Assembly.load t.sh.sh_reg asm;
+      Hashtbl.replace t.sh.sh_loaded_versions key v
+  | Some prev when v > prev ->
+      upgrade_assembly_local t asm;
+      Hashtbl.replace t.sh.sh_loaded_versions key v
+  | Some prev when v < prev -> Assembly.shadow t.sh.sh_reg asm
+  | Some _ -> Assembly.load t.sh.sh_reg asm
+
+(* Load fetched or shipped code; a failure is logged and its reason
+   returned. A rejected definition names the assembly it came in; any
+   other failure is logged under [name]. *)
+let try_load t ~name asm =
+  let failed assembly reason =
+    log_event t (Load_failed { assembly; reason });
+    Some reason
+  in
+  match load_assembly t asm with
+  | () -> None
+  | exception Registry.Duplicate dup ->
+      failed asm.Assembly.asm_name
+        (Printf.sprintf "type %s collides with an existing definition" dup)
+  | exception Invalid_argument reason -> failed name reason
 
 (* Download and load every assembly needed by the envelope's type entries
    whose GUIDs are not yet loaded. [k] receives [Ok ()] or a reason. *)
@@ -630,38 +663,31 @@ let ensure_assemblies t (env : Envelope.t) k =
            (e.Envelope.te_assembly, e.Envelope.te_download_path))
     |> List.sort_uniq compare
   in
-  let outstanding = ref 0 in
-  let failed = ref None in
-  let finished = ref false in
-  let check_done () =
-    if !outstanding = 0 && not !finished then begin
-      finished := true;
-      match !failed with None -> k (Ok ()) | Some reason -> k (Error reason)
-    end
-  in
-  let fetch (asm_name, path) =
-    incr outstanding;
-    fetch_assembly_failover t ~asm_name ~advertised:path (fun resp ->
-        (match resp with
-        | Some (_, asm) -> (
-            try load_assembly t asm with
-            | Load_error (a, reason) ->
-                log_event t (Load_failed { assembly = a; reason });
-                if !failed = None then failed := Some reason
-            | Invalid_argument reason ->
+  (* Nothing to fetch is the common case (every invocation comes here):
+     answer at once, without the join's bookkeeping. *)
+  if needed = [] then k (Ok ())
+  else
+    let failed = ref None in
+    let fail reason = if !failed = None then failed := Some reason in
+    let steps =
+      fan_in (fun () ->
+          k (match !failed with None -> Ok () | Some reason -> Error reason))
+    in
+    List.iter
+      (fun (asm_name, path) ->
+        step_started steps;
+        fetch_assembly_failover t ~asm_name ~advertised:path (fun resp ->
+            (match resp with
+            | Some (_, asm) -> Option.iter fail (try_load t ~name:asm_name asm)
+            | None ->
+                let reason =
+                  Printf.sprintf "assembly %s not available at %s" asm_name path
+                in
                 log_event t (Load_failed { assembly = asm_name; reason });
-                if !failed = None then failed := Some reason)
-        | None ->
-            let reason =
-              Printf.sprintf "assembly %s not available at %s" asm_name path
-            in
-            log_event t (Load_failed { assembly = asm_name; reason });
-            if !failed = None then failed := Some reason);
-        decr outstanding;
-        check_done ())
-  in
-  List.iter fetch needed;
-  check_done ()
+                fail reason);
+            step_finished steps))
+      needed;
+    settle steps
 
 (* ---------------------------------------------------------------- *)
 (* Pass-by-value reception (Figure 1)                                 *)
@@ -674,30 +700,45 @@ let deliver_primitive t ~from value =
       log_event t
         (Delivered { interest = "(sink)"; from; value })
 
-(* Which interests accept the root type, and with what mapping? *)
-let matching_interests t (root : Td.t) =
-  List.filter_map
-    (fun (_, interest, cb) ->
-      match local_desc t interest with
-      | None -> None
-      | Some interest_d -> (
-          match Checker.check t.sl.sl_checker ~actual:root ~interest:interest_d with
-          | Checker.Conformant m -> Some (interest, cb, m)
-          | Checker.Not_conformant _ -> None))
-    t.interests
+(* One interest's verdict on [root]: its mapping, or why it does not
+   conform. *)
+let verdict t (root : Td.t) (_, interest, cb) =
+  match local_desc t interest with
+  | None -> Error (Printf.sprintf "interest %s not loaded locally" interest)
+  | Some interest_d -> (
+      match Checker.check t.sl.sl_checker ~actual:root ~interest:interest_d with
+      | Checker.Conformant m -> Ok (interest, cb, m)
+      | Checker.Not_conformant [] -> Error "not conformant"
+      | Checker.Not_conformant (f :: _) -> Error f.Checker.message)
 
-let first_failure t (root : Td.t) =
-  (* For the rejection log: report the first interest's failure detail. *)
+(* The conformance decision for one delivery, made once: every
+   registered interest is checked against [root], in registration
+   order. [Ok] carries the conformant ones with their mappings; [Error]
+   the first interest's failure, which words the rejection. *)
+let conform t root =
   match t.interests with
-  | [] -> "no registered interest"
-  | (_, interest, _) :: _ -> (
-      match local_desc t interest with
-      | None -> Printf.sprintf "interest %s not loaded locally" interest
-      | Some interest_d -> (
-          match Checker.check t.sl.sl_checker ~actual:root ~interest:interest_d with
-          | Checker.Conformant _ -> "conformant (race)"
-          | Checker.Not_conformant [] -> "not conformant"
-          | Checker.Not_conformant (f :: _) -> f.Checker.message))
+  | [] -> Error "no registered interest"
+  | first :: rest -> (
+      let v = verdict t root first in
+      let others =
+        List.filter_map (fun i -> Result.to_option (verdict t root i)) rest
+      in
+      match (v, others) with
+      | Ok m, _ -> Ok (m :: others)
+      | Error _, _ :: _ -> Ok others
+      | Error reason, [] -> Error reason)
+
+let reject t ~from root_name reason =
+  log_event t (Rejected { type_name = root_name; from; reason })
+
+(* A payload or envelope that does not decode: a checksum or digest
+   failure is wire damage, anything else a decode failure. *)
+let log_decode_error t ~from ~what = function
+  | Envelope.Corrupt reason ->
+      log_event t (Corrupt_rejected { from; what; reason })
+  | e ->
+      let reason = Format.asprintf "%a" Envelope.pp_error e in
+      log_event t (Decode_failed { from; reason })
 
 (* Root description pinned to the sender's actual revision: the envelope
    entry names the GUID the sender serialized against, so conformance is
@@ -722,35 +763,31 @@ let env_desc t (env : Envelope.t) name =
           in
           match versioned with Some d -> Some d | None -> local_desc t name))
 
+(* Decode and deliver to every conformant interest. Conformance is
+   re-checked here even after a slow-path check: an interest
+   unregistered during the assembly download must not receive. *)
 let decode_and_deliver t ~from (env : Envelope.t) root_name =
   match Envelope.decode_payload t.sh.sh_reg env with
-  | Error (Envelope.Corrupt reason) ->
-      log_event t (Corrupt_rejected { from; what = "payload"; reason })
-  | Error e ->
-      log_event t
-        (Decode_failed { from; reason = Format.asprintf "%a" Envelope.pp_error e })
+  | Error e -> log_decode_error t ~from ~what:"payload" e
   | Ok value -> (
       match env_desc t env root_name with
       | None ->
           log_event t
             (Decode_failed
                { from; reason = "root type vanished after decode" })
-      | Some root ->
-          let matches = matching_interests t root in
-          if matches = [] then
-            log_event t
-              (Rejected
-                 { type_name = root_name; from; reason = first_failure t root })
-          else
-            List.iter
-              (fun (interest, cb, m) ->
-                let delivered =
-                  if m.Mapping.identity then value
-                  else Proxy.wrap t.sl.sl_px ~interest ~mapping:m value
-                in
-                log_event t (Delivered { interest; from; value = delivered });
-                cb ~from delivered)
-              matches)
+      | Some root -> (
+          match conform t root with
+          | Error reason -> reject t ~from root_name reason
+          | Ok matches ->
+              List.iter
+                (fun (interest, cb, m) ->
+                  let delivered =
+                    if m.Mapping.identity then value
+                    else Proxy.wrap t.sl.sl_px ~interest ~mapping:m value
+                  in
+                  log_event t (Delivered { interest; from; value = delivered });
+                  cb ~from delivered)
+                matches))
 
 (* Per-link handle tables, created lazily per correspondent. *)
 let sender_table t dst =
@@ -808,90 +845,60 @@ let park_envelope t ~from ~budget msg_env tdescs assemblies =
   lst := pk :: !lst
 
 let process_envelope t ~from (env : Envelope.t) tdescs assemblies =
-  (
-      (* Eager extras: load whatever was shipped inline. *)
-      List.iter
-        (fun s -> match Td.of_wire_string s with
-          | Ok d -> cache_desc t d
-          | Error _ -> ())
-        tdescs;
-      List.iter
-        (fun s ->
-          match Assembly_xml.of_string s with
-          | Ok asm -> (
-              try load_assembly t asm with
-              | Load_error (a, reason) ->
-                  log_event t (Load_failed { assembly = a; reason })
-              | Invalid_argument reason ->
-                  log_event t (Load_failed { assembly = "?"; reason }))
-          | Error reason -> log_event t (Load_failed { assembly = "?"; reason }))
-        assemblies;
-      match env.Envelope.env_types with
-      | [] -> (
-          (* No objects in the graph: nothing to conform, just decode. *)
-          match Envelope.decode_payload t.sh.sh_reg env with
-          | Ok v -> deliver_primitive t ~from v
-          | Error (Envelope.Corrupt reason) ->
-              log_event t (Corrupt_rejected { from; what = "payload"; reason })
-          | Error e ->
-              log_event t
-                (Decode_failed
-                   { from; reason = Format.asprintf "%a" Envelope.pp_error e }))
-      | root_entry :: _ ->
-          let root_name = root_entry.Envelope.te_name in
-          let all_names =
-            List.map (fun (e : Envelope.type_entry) -> e.Envelope.te_name)
-              env.Envelope.env_types
-          in
-          let all_known_by_guid =
-            List.for_all
-              (fun (e : Envelope.type_entry) ->
-                Registry.mem_guid t.sh.sh_reg e.Envelope.te_guid)
-              env.Envelope.env_types
-          in
-          if all_known_by_guid then
-            (* Optimistic fast path: everything already loaded. *)
-            decode_and_deliver t ~from env root_name
-          else
-            (* Step 2-3: pull type information, check the rules. Entries
-               stamped with a chain version pin the fetch to that exact
-               revision. *)
-            let pins =
-              List.filter_map
-                (fun (e : Envelope.type_entry) ->
-                  if e.Envelope.te_version > 0 then
-                    Some
-                      ( lc e.Envelope.te_name,
-                        (e.Envelope.te_version, e.Envelope.te_guid) )
-                  else None)
-                env.Envelope.env_types
-            in
-            ensure_descs ~pins t ~from all_names (fun () ->
-                match env_desc t env root_name with
-                | None ->
-                    log_event t
-                      (Rejected
-                         {
-                           type_name = root_name;
-                           from;
-                           reason = "type description unavailable";
-                         })
-                | Some root ->
-                    let matches = matching_interests t root in
-                    if matches = [] then
-                      log_event t
-                        (Rejected
-                           {
-                             type_name = root_name;
-                             from;
-                             reason = first_failure t root;
-                           })
-                    else
-                      (* Step 4-5: conformant — download the code. *)
-                      ensure_assemblies t env (function
-                        | Ok () -> decode_and_deliver t ~from env root_name
-                        | Error reason ->
-                            log_event t (Decode_failed { from; reason }))))
+  (* Eager extras: load whatever was shipped inline. *)
+  List.iter
+    (fun s ->
+      match Td.of_wire_string s with Ok d -> cache_desc t d | Error _ -> ())
+    tdescs;
+  List.iter
+    (fun s ->
+      match Assembly_xml.of_string s with
+      | Ok asm -> ignore (try_load t ~name:"?" asm)
+      | Error reason -> log_event t (Load_failed { assembly = "?"; reason }))
+    assemblies;
+  match env.Envelope.env_types with
+  | [] -> (
+      (* No objects in the graph: nothing to conform, just decode. *)
+      match Envelope.decode_payload t.sh.sh_reg env with
+      | Ok v -> deliver_primitive t ~from v
+      | Error e -> log_decode_error t ~from ~what:"payload" e)
+  | root_entry :: _ ->
+      let root_name = root_entry.Envelope.te_name in
+      let all_known_by_guid =
+        List.for_all
+          (fun (e : Envelope.type_entry) ->
+            Registry.mem_guid t.sh.sh_reg e.Envelope.te_guid)
+          env.Envelope.env_types
+      in
+      if all_known_by_guid then
+        (* Optimistic fast path: everything already loaded. *)
+        decode_and_deliver t ~from env root_name
+      else
+        (* Step 2-3: pull type information, check the rules. Entries
+           stamped with a chain version pin the fetch to that exact
+           revision. *)
+        let pins =
+          List.filter_map
+            (fun (e : Envelope.type_entry) ->
+              if e.Envelope.te_version > 0 then
+                Some
+                  ( lc e.Envelope.te_name,
+                    (e.Envelope.te_version, e.Envelope.te_guid) )
+              else None)
+            env.Envelope.env_types
+        in
+        ensure_descs ~pins t ~from (Envelope.required_classes env) (fun () ->
+            match env_desc t env root_name with
+            | None -> reject t ~from root_name "type description unavailable"
+            | Some root -> (
+                match conform t root with
+                | Error reason -> reject t ~from root_name reason
+                | Ok _ ->
+                    (* Step 4-5: conformant — download the code. *)
+                    ensure_assemblies t env (function
+                      | Ok () -> decode_and_deliver t ~from env root_name
+                      | Error reason ->
+                          log_event t (Decode_failed { from; reason }))))
 
 (* Parse an incoming object envelope — classic or handle-encoded — and
    run it through the reception pipeline. Unknown handles are NAKed and
@@ -904,12 +911,6 @@ let handle_envelope ?renego_budget t ~from (msg_env : string) tdescs
   in
   let rtab = recv_table t from in
   match Envelope.of_string_h ~resolve:(fun h -> Ht.resolve rtab h) msg_env with
-  | Error (Envelope.Corrupt reason) ->
-      (* The digest caught wire damage before any value was built. There
-         is no resend protocol for object messages at this layer —
-         frame-level integrity + ARQ (Net.set_integrity) is what turns
-         this into a retransmission. *)
-      log_event t (Corrupt_rejected { from; what = "envelope"; reason })
   | Error (Envelope.Unknown_handles handles) ->
       if budget <= 0 then
         log_event t
@@ -924,8 +925,11 @@ let handle_envelope ?renego_budget t ~from (msg_env : string) tdescs
         send t ~dst:from (Message.Handle_nak { handles })
       end
   | Error e ->
-      log_event t
-        (Decode_failed { from; reason = Format.asprintf "%a" Envelope.pp_error e })
+      (* A digest or checksum failure is wire damage caught before any
+         value was built. There is no resend protocol for object
+         messages at this layer — frame-level integrity + ARQ
+         (Net.set_integrity) is what turns it into a retransmission. *)
+      log_decode_error t ~from ~what:"envelope" e
   | Ok (env, bindings) ->
       List.iter (fun (h, e) -> Ht.install rtab h e) bindings;
       process_envelope t ~from env tdescs assemblies
@@ -947,11 +951,13 @@ let assembly_version t ~assembly =
   | Some ve -> ve.Repository.ve_version
   | None -> 0
 
-let make_args_envelope t args =
+(* Every envelope this peer sends: its codec, its chain versions, and
+   the download paths it knows. *)
+let make_envelope t value =
   Envelope.make t.sh.sh_reg ~codec:t.codec
     ~version_of:(fun ~assembly -> assembly_version t ~assembly)
     ~download_path:(fun ~assembly -> download_path t ~assembly)
-    (Value.Varr { Value.elem_ty = Ty.Named "object"; items = Array.of_list args })
+    value
 
 (* Receive a value envelope outside the interest pipeline (invocation
    arguments and results): fetch missing assemblies, decode, continue. *)
@@ -979,14 +985,7 @@ let handle_invoke t ~from ~target ~meth ~args_xml ~token =
                 let args = Array.to_list a.Value.items in
                 match Eval.call t.sh.sh_reg recv meth args with
                 | result ->
-                    let renv =
-                      Envelope.make t.sh.sh_reg ~codec:t.codec
-                        ~version_of:(fun ~assembly ->
-                          assembly_version t ~assembly)
-                        ~download_path:(fun ~assembly ->
-                          download_path t ~assembly)
-                        result
-                    in
+                    let renv = make_envelope t result in
                     reply (Some (Envelope.to_string renv)) None
                 | exception Eval.Runtime_error msg -> reply None (Some msg))
             | Ok _ -> reply None (Some "malformed argument payload")))
@@ -1093,55 +1092,29 @@ let handle t ~src msg =
           resolved
       in
       send t ~dst:src (Message.Tdesc_reply { type_name; desc; token })
-  | Message.Tdesc_reply { type_name; desc; token } -> (
-      match Hashtbl.find_opt t.tdesc_conts token with
-      | None -> ()
-      | Some (k, cancel_timeout, (retries, version)) -> (
-          Hashtbl.remove t.tdesc_conts token;
-          cancel_timeout ();
-          match desc with
-          | None -> k None
-          | Some s -> (
-              match Td.of_wire_string s with
-              | Ok d -> k (Some d)
-              | Error reason ->
-                  (* The sender had the description but what arrived does
-                     not parse: wire corruption. Re-ask within budget. *)
-                  log_event t
-                    (Corrupt_rejected { from = src; what = "tdesc"; reason });
-                  if retries > 0 then
-                    (* Back off before re-asking so the re-request can
-                       outlive a corruption burst. *)
-                    Transport.timer t.tr ~owner:t.addr
-                      ~info:("tdesc-reask " ^ type_name)
-                      ~delay_ms:t.fetch_backoff_ms
-                      (fun () ->
-                        request_tdesc ~retries:(retries - 1) ~version t
-                          ~from:src type_name k)
-                  else k None)))
+  | Message.Tdesc_reply { type_name; desc; token } ->
+      (* A description the sender had but that does not parse is wire
+         corruption: re-ask within budget, after a backoff so the
+         re-request can outlive a corruption burst. *)
+      complete t t.tdesc_conts ~token ~from:src ~what:"tdesc"
+        ~parse:Td.of_wire_string desc ~on_corrupt:(fun k (retries, version) ->
+          if retries > 0 then
+            Transport.timer t.tr ~owner:t.addr
+              ~info:("tdesc-reask " ^ type_name) ~delay_ms:t.fetch_backoff_ms
+              (fun () ->
+                request_tdesc ~retries:(retries - 1) ~version t ~from:src
+                  type_name k)
+          else k None)
   | Message.Asm_request { path; token } ->
       let assembly =
         Option.map Assembly_xml.to_string (Repository.find t.sh.sh_repo ~path)
       in
       send t ~dst:src (Message.Asm_reply { path; assembly; token })
-  | Message.Asm_reply { assembly; token; _ } -> (
-      match Hashtbl.find_opt t.asm_conts token with
-      | None -> ()
-      | Some (k, cancel_timeout, _) -> (
-          Hashtbl.remove t.asm_conts token;
-          cancel_timeout ();
-          match assembly with
-          | None -> k None
-          | Some s -> (
-              match Assembly_xml.of_string s with
-              | Ok a -> k (Some a)
-              | Error reason ->
-                  (* Corrupt assembly bytes: reject and let the failover
-                     pipeline retry this path / move to the next mirror. *)
-                  log_event t
-                    (Corrupt_rejected
-                       { from = src; what = "assembly"; reason });
-                  k None)))
+  | Message.Asm_reply { assembly; token; _ } ->
+      (* Corrupt assembly bytes: reject and let the failover pipeline
+         retry this path / move to the next mirror. *)
+      complete t t.asm_conts ~token ~from:src ~what:"assembly"
+        ~parse:Assembly_xml.of_string assembly ~on_corrupt:(fun k () -> k None)
   | Message.Invoke_request { target; meth; args; token } ->
       handle_invoke t ~from:src ~target ~meth ~args_xml:args ~token
   | Message.Invoke_reply { token; result; error } -> (
@@ -1637,12 +1610,7 @@ let enqueue_part t ~dst ~budget envelope tdescs assemblies =
   end
 
 let send_value t ~dst value =
-  let env =
-    Envelope.make t.sh.sh_reg ~codec:t.codec
-      ~version_of:(fun ~assembly -> assembly_version t ~assembly)
-      ~download_path:(fun ~assembly -> download_path t ~assembly)
-      value
-  in
+  let env = make_envelope t value in
   let envelope = encode_envelope t ~dst env in
   let tdescs, assemblies =
     match t.peer_mode with
@@ -1722,7 +1690,11 @@ let export t value =
 
 (* Synchronous remote invocation used by remote proxies. *)
 let remote_invoke t ~host ~target ~meth args =
-  let env = make_args_envelope t args in
+  let env =
+    make_envelope t
+      (Value.Varr
+         { Value.elem_ty = Ty.Named "object"; items = Array.of_list args })
+  in
   let token = fresh_token t in
   let outcome = ref None in
   Hashtbl.replace t.invoke_conts token (fun r -> outcome := Some r);

@@ -33,6 +33,9 @@ type mode = Optimistic | Eager
 type event =
   | Delivered of { interest : string; from : string; value : Value.value }
   | Rejected of { type_name : string; from : string; reason : string }
+      (** No registered interest conforms. [reason] is the first
+          interest's failure, taken from the same checks that decided
+          the rejection. *)
   | Decode_failed of { from : string; reason : string }
   | Load_failed of { assembly : string; reason : string }
   | Corrupt_rejected of { from : string; what : string; reason : string }

@@ -1,4 +1,5 @@
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Sim = Pti_net.Sim
 module Stats = Pti_net.Stats
 module Trace = Pti_net.Trace
@@ -267,7 +268,9 @@ let make_cluster spec =
   let net = Net.create ~jitter_ms:0. () in
   let trace = Trace.attach net in
   let hosts = List.init spec.s_peers (Printf.sprintf "n%d") in
-  let cl = Cl.create ~factor:2 ~seed:17L ~net hosts in
+  let cl =
+    Cl.create ~factor:2 ~seed:17L ~transport:(Transport.of_net net) hosts
+  in
   let sender = Cl.peer cl (List.hd hosts) in
   let receiver_addr = List.nth hosts (List.length hosts - 1) in
   let receiver = Cl.peer cl receiver_addr in

@@ -5,11 +5,10 @@
    per-message framing and ARQ/ack overhead. Each part is a complete
    [Obj_msg] worth of content (envelope plus any eager extras); gossip
    digests can ride along as opportunistic piggyback. The frame is
-   checksummed (magic, 8-byte FNV-1a of the body, body) so wire damage
-   is detected at the frame boundary and handled by retransmission,
-   exactly like the binary payload codec. *)
+   sealed ([Bytes_io.seal], magic [PTIF]) so wire damage is detected at
+   the frame boundary and handled by retransmission, exactly like the
+   binary payload codec. *)
 
-module Fnv = Pti_util.Fnv
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
@@ -25,7 +24,6 @@ type t = {
 }
 
 let magic = "PTIF\x01"
-let header_len = String.length magic + 8
 
 let encode t =
   let w = W.create () in
@@ -42,25 +40,15 @@ let encode t =
       W.string w kind;
       W.string w body)
     t.piggyback;
-  let body = W.contents w in
-  magic ^ Fnv.hash_bytes body ^ body
-
-let checked_body s =
-  if String.length s < header_len then Error "truncated batch frame"
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error "bad batch-frame magic"
-  else
-    let sum = String.sub s (String.length magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Fnv.hash_bytes body)) then
-      Error "batch-frame checksum mismatch"
-    else Ok body
+  Bytes_io.seal ~magic (W.contents w)
 
 let read_list = Framing.read_list
 
 let decode s =
-  match checked_body s with
-  | Error _ as e -> e
+  match Bytes_io.unseal ~magic s with
+  | Error `Short -> Error "truncated batch frame"
+  | Error `Bad_magic -> Error "bad batch-frame magic"
+  | Error `Bad_checksum -> Error "batch-frame checksum mismatch"
   | Ok body -> (
       try
         let r = R.create body in
@@ -83,4 +71,4 @@ let decode s =
       | R.Underflow m -> Error m
       | Failure m -> Error m)
 
-let intact s = Result.is_ok (checked_body s)
+let intact s = Result.is_ok (Bytes_io.unseal ~magic s)

@@ -11,21 +11,13 @@ let pp_error ppf = function
 
 let magic = "PTIB\x02"
 
-(* Wire layout: magic, 8-byte FNV-1a checksum of the body, body. The
-   checksum distinguishes wire corruption ([Corrupt]) from structural
-   nonsense ([Malformed]) before any value is materialized. *)
-let header_len = String.length magic + 8
-
-let checked_body s =
-  if String.length s < header_len then Error (Malformed "truncated header")
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error (Malformed "bad magic")
-  else
-    let sum = String.sub s (String.length magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
-      Error (Corrupt "checksum mismatch")
-    else Ok body
+(* Wire layout: a sealed frame ([Bytes_io.seal]). The checksum
+   distinguishes wire corruption ([Corrupt]) from structural nonsense
+   ([Malformed]) before any value is materialized. *)
+let unseal_error = function
+  | `Short -> Malformed "truncated header"
+  | `Bad_magic -> Malformed "bad magic"
+  | `Bad_checksum -> Corrupt "checksum mismatch"
 
 (* Value tags. *)
 let t_null = 0
@@ -117,8 +109,7 @@ let encode v =
     }
   in
   write st v;
-  let body = W.contents st.w in
-  magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic (W.contents st.w)
 
 type outern = {
   r : R.t;
@@ -197,8 +188,8 @@ let rec read ?resolve reg st =
   else raise (R.Underflow (Printf.sprintf "unknown tag %d" tag))
 
 let decode ?resolve reg s =
-  match checked_body s with
-  | Error e -> Error e
+  match Bytes_io.unseal ~magic s with
+  | Error e -> Error (unseal_error e)
   | Ok body -> (
       let st =
         { r = R.create body; rev_names = Hashtbl.create 16;
@@ -254,6 +245,6 @@ let class_names_body body =
   with R.Underflow m -> Error (Malformed m)
 
 let class_names s =
-  match checked_body s with
-  | Error e -> Error e
+  match Bytes_io.unseal ~magic s with
+  | Error e -> Error (unseal_error e)
   | Ok body -> class_names_body body

@@ -1,3 +1,24 @@
+module Fnv = Pti_util.Fnv
+
+let seal ~magic body = String.concat "" [ magic; Fnv.hash_bytes body; body ]
+
+type unseal_error = [ `Short | `Bad_magic | `Bad_checksum ]
+
+(* Whether [s] holds [sub] at [off], compared in place. *)
+let rec holds s ~off sub i =
+  i >= String.length sub
+  || (Char.equal s.[off + i] sub.[i] && holds s ~off sub (i + 1))
+
+let unseal ~magic s =
+  let m = String.length magic in
+  let header = m + 8 in
+  if String.length s < header then Error `Short
+  else if not (holds s ~off:0 magic 0) then Error `Bad_magic
+  else
+    let body = String.sub s header (String.length s - header) in
+    if holds s ~off:m (Fnv.hash_bytes body) 0 then Ok body
+    else Error `Bad_checksum
+
 module Writer = struct
   type t = Buffer.t
 

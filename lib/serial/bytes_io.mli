@@ -1,7 +1,30 @@
-(** Primitive binary readers/writers shared by the binary serializer.
+(** Primitive binary readers/writers shared by the binary serializer,
+    and the sealed frame every binary wire format travels in.
 
     Integers use LEB128 varints (zigzag for signed), floats are IEEE-754
     little-endian, strings are length-prefixed. *)
+
+(** {2 Sealed frames}
+
+    Five binary formats share one outer layout:
+
+    {v magic | 8-byte FNV-1a of body (big-endian) | body v}
+
+    PTIE (handle-encoded envelopes), PTIF (batch frames), PTIH
+    (handle-bind frames), PTID (binary type descriptions) and PTIB
+    (binary payloads). The checksum covers the literal body, so wire
+    damage is caught before any structure is parsed. *)
+
+val seal : magic:string -> string -> string
+(** [seal ~magic body] renders the frame. *)
+
+type unseal_error = [ `Short | `Bad_magic | `Bad_checksum ]
+
+val unseal : magic:string -> string -> (string, unseal_error) result
+(** Returns the body of a frame, checking in this order: the input holds
+    at least the magic and the checksum ([`Short]), starts with [magic]
+    ([`Bad_magic]), and the checksum matches the body ([`Bad_checksum]).
+    Each format maps these to its own error constructor. *)
 
 module Writer : sig
   type t

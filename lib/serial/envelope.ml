@@ -288,61 +288,88 @@ let size_bytes t = String.length (to_string t)
    handle). It travels only in the compact PTIE frame below; the
    classic XML form carries full entries and no handles. *)
 
-type handle_form = [ `Plain | `Bind of int | `Ref of int ]
+type handle_form = [ `Bind of int | `Ref of int ]
+
+module W = Bytes_io.Writer
+module R = Bytes_io.Reader
+
+(* ------------------- binary type-entry codec ----------------------- *)
+
+(* One type entry on a binary wire, shared by PTIE slots and PTIH bind
+   frames: name, guid, assembly, downloadPath (varint-prefixed
+   strings). Both formats ship entries as bindings (handle, entry), and
+   the bindings' versions travel apart, in a trailing block of one
+   varint per binding in wire order, written only when some entry is
+   versioned; a decoder probes for the block with [at_end], so
+   pre-evolution frames (no block, all versions 0) decode unchanged in
+   both directions. *)
+
+let write_entry w e =
+  W.string w e.te_name;
+  W.string w (Guid.to_string e.te_guid);
+  W.string w e.te_assembly;
+  W.string w e.te_download_path
+
+let read_entry r =
+  let te_name = R.string r in
+  let guid_s = R.string r in
+  let te_guid =
+    match Guid.of_string guid_s with
+    | Some g -> g
+    | None -> failwith (Printf.sprintf "bad guid %S" guid_s)
+  in
+  let te_assembly = R.string r in
+  let te_download_path = R.string r in
+  { te_name; te_guid; te_assembly; te_download_path; te_version = 0 }
+
+let write_versions w binds =
+  if List.exists (fun (_, e) -> e.te_version > 0) binds then
+    List.iter (fun (_, e) -> W.varint w e.te_version) binds
+
+(* Explicit recursion: reads are effectful, the versions must be
+   consumed in wire order. *)
+let rec versioned r acc = function
+  | [] -> List.rev acc
+  | (h, e) :: rest ->
+      versioned r ((h, { e with te_version = R.varint r }) :: acc) rest
+
+let read_versions r binds = if R.at_end r then binds else versioned r [] binds
 
 (* ---------------- compact binary wire form (PTIE) ------------------ *)
 
 (* Handle-encoded envelopes go on the wire in a compact binary frame:
    XML plus base64 costs ~45% over the raw bytes, which defeats the
-   point of shipping two-byte type refs. Layout:
+   point of shipping two-byte type refs. Layout, inside a sealed frame
+   ([Bytes_io.seal], magic [PTIE]):
 
-     "PTIE\x01" | fnv64(body) | body
-     body  = digest8 | varint n | slot* | payload | versions?
-     slot  = 0x00                                (plain, 4 strings)
-           | 0x01 varint handle, 4 strings       (bind)
+     body  = digest8 | varint n | slot* | payload | versions
+     slot  = 0x01 varint handle, entry           (bind)
            | 0x02 varint handle                  (ref)
-     strings are name, guid, assembly, downloadPath (varint-prefixed)
      payload = u8 codec (0 soap / 1 binary) | string
-     versions = varint per entry-carrying slot, wire order — emitted
-           only when some entry is versioned; a decoder probes for the
-           block with [at_end], so pre-evolution frames (no block, all
-           versions 0) decode unchanged in both directions
+     versions = the trailing block, over the bind slots' entries
 
    The frame checksum covers the literal content (integrity without a
    table); [digest8] is the raw semantic digest over the reconstructed
    envelope, serving exactly like the XML [digest] attribute. *)
 
-module W = Bytes_io.Writer
-module R = Bytes_io.Reader
-
 let bin_magic = "PTIE\x01"
-let bin_header_len = String.length bin_magic + 8
+let max_slots = 10_000
 let digest_raw t = Pti_util.Fnv.hash_bytes (canonical t)
 
 let to_string_h t ~form =
   let w = W.create () in
   W.raw w (digest_raw t);
   W.varint w (List.length t.env_types);
-  let entry e =
-    W.string w e.te_name;
-    W.string w (Guid.to_string e.te_guid);
-    W.string w e.te_assembly;
-    W.string w e.te_download_path
-  in
-  (* Entry-carrying slots in wire order, for the trailing version block. *)
-  let carried = ref [] in
+  (* Bind slots carry entries; their versions go in the trailing block. *)
+  let bound = ref [] in
   List.iter
     (fun e ->
       match (form e : handle_form) with
-      | `Plain ->
-          W.u8 w 0;
-          entry e;
-          carried := e :: !carried
       | `Bind h ->
           W.u8 w 1;
           W.varint w h;
-          entry e;
-          carried := e :: !carried
+          write_entry w e;
+          bound := (h, e) :: !bound
       | `Ref h ->
           W.u8 w 2;
           W.varint w h)
@@ -354,127 +381,80 @@ let to_string_h t ~form =
   | Pbinary p ->
       W.u8 w 1;
       W.string w p);
-  let carried = List.rev !carried in
-  if List.exists (fun e -> e.te_version > 0) carried then
-    List.iter (fun e -> W.varint w e.te_version) carried;
-  let body = W.contents w in
-  bin_magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  write_versions w (List.rev !bound);
+  Bytes_io.seal ~magic:bin_magic (W.contents w)
 
-let is_binary_h s =
-  String.length s >= bin_header_len
-  && String.equal (String.sub s 0 (String.length bin_magic)) bin_magic
-
-let of_string_hb ~resolve s =
-  let sum = String.sub s (String.length bin_magic) 8 in
-  let body = String.sub s bin_header_len (String.length s - bin_header_len) in
-  if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
-    Error (Corrupt "envelope wire checksum mismatch")
-  else
-    try
-      let digest8 = String.sub body 0 8 in
-      let r = R.create (String.sub body 8 (String.length body - 8)) in
-      let n = R.varint r in
-      if n < 0 || n > 10_000 then failwith "bad slot count";
-      let entry () =
-        let te_name = R.string r in
-        let guid_s = R.string r in
-        let te_guid =
-          match Guid.of_string guid_s with
-          | Some g -> g
-          | None -> failwith (Printf.sprintf "bad guid %S" guid_s)
-        in
-        let te_assembly = R.string r in
-        let te_download_path = R.string r in
-        { te_name; te_guid; te_assembly; te_download_path; te_version = 0 }
-      in
-      (* Explicit recursion: reads are effectful, evaluation order must
-         be the wire order. *)
-      let rec read_slots acc k =
-        if k = 0 then List.rev acc
-        else
-          let slot =
-            match R.u8 r with
-            | 0 -> `Plain_e (entry ())
-            | 1 ->
-                let h = R.varint r in
-                `Bind_e (h, entry ())
-            | 2 -> `Ref_h (R.varint r)
-            | tag -> failwith (Printf.sprintf "bad slot tag %d" tag)
-          in
-          read_slots (slot :: acc) (k - 1)
-      in
-      let slots = read_slots [] n in
-      let env_payload =
+(* Decode a PTIE body whose checksum already matched. *)
+let of_body_h ~resolve body =
+  if String.length body < 8 then failwith "truncated envelope digest";
+  let digest8 = String.sub body 0 8 in
+  let r = R.create (String.sub body 8 (String.length body - 8)) in
+  let n = R.varint r in
+  if n < 0 || n > max_slots then failwith "bad slot count";
+  (* Explicit recursion: reads are effectful, evaluation order must be
+     the wire order. *)
+  let rec read_slots acc k =
+    if k = 0 then List.rev acc
+    else
+      let slot =
         match R.u8 r with
-        | 0 -> (
-            match Xml.parse (R.string r) with
-            | Ok x -> Psoap x
-            | Error e ->
-                failwith (Format.asprintf "bad soap payload: %a" Xml.pp_error e)
-            )
-        | 1 -> Pbinary (R.string r)
-        | tag -> failwith (Printf.sprintf "bad payload tag %d" tag)
+        | 1 ->
+            let h = R.varint r in
+            `Bind (h, read_entry r)
+        | 2 -> `Ref (R.varint r)
+        | tag -> failwith (Printf.sprintf "bad slot tag %d" tag)
       in
-      (* Trailing version block: present only when some entry was
-         versioned; a pre-evolution frame ends here. *)
-      let slots =
-        if R.at_end r then slots
-        else
-          (* Explicit recursion again: reads are effectful, the versions
-             must be consumed in wire (slot) order. *)
-          let rec patch acc = function
-            | [] -> List.rev acc
-            | `Plain_e e :: rest ->
-                patch (`Plain_e { e with te_version = R.varint r } :: acc) rest
-            | `Bind_e (h, e) :: rest ->
-                patch
-                  (`Bind_e (h, { e with te_version = R.varint r }) :: acc)
-                  rest
-            | (`Ref_h _ as s) :: rest -> patch (s :: acc) rest
-          in
-          patch [] slots
-      in
-      if not (R.at_end r) then failwith "trailing bytes in envelope"
-      else begin
-        let bindings =
-          List.filter_map
-            (function `Bind_e (h, e) -> Some (h, e) | _ -> None)
-            slots
-        in
-        let unknown = ref [] in
-        let env_types =
-          List.filter_map
-            (function
-              | `Plain_e e | `Bind_e (_, e) -> Some e
-              | `Ref_h h -> (
-                  match List.assoc_opt h bindings with
-                  | Some e -> Some e
-                  | None -> (
-                      match resolve h with
-                      | Some e -> Some e
-                      | None ->
-                          if not (List.mem h !unknown) then
-                            unknown := h :: !unknown;
-                          None)))
-            slots
-        in
-        match List.rev !unknown with
-        | _ :: _ as hs -> Error (Unknown_handles hs)
-        | [] ->
-            let t = { env_types; env_payload } in
-            (* Semantic digest over the reconstruction: a wrong binding
-               in the link table can never look like an intact envelope. *)
-            if String.equal digest8 (digest_raw t) then Ok (t, bindings)
-            else Error (Corrupt "envelope digest mismatch")
-      end
-    with
-    | R.Underflow m -> Error (Malformed m)
-    | Failure m -> Error (Malformed m)
+      read_slots (slot :: acc) (k - 1)
+  in
+  let slots = read_slots [] n in
+  let env_payload =
+    match R.u8 r with
+    | 0 -> (
+        match Xml.parse (R.string r) with
+        | Ok x -> Psoap x
+        | Error e ->
+            failwith (Format.asprintf "bad soap payload: %a" Xml.pp_error e))
+    | 1 -> Pbinary (R.string r)
+    | tag -> failwith (Printf.sprintf "bad payload tag %d" tag)
+  in
+  let bindings =
+    read_versions r
+      (List.filter_map (function `Bind b -> Some b | `Ref _ -> None) slots)
+  in
+  if not (R.at_end r) then failwith "trailing bytes in envelope";
+  (* A slot resolves through the bindings shipped in this frame first,
+     then the receiver's link table. *)
+  let unknown = ref [] in
+  let env_types =
+    List.filter_map
+      (fun (`Bind (h, _) | `Ref h) ->
+        match List.assoc_opt h bindings with
+        | Some e -> Some e
+        | None -> (
+            match resolve h with
+            | Some e -> Some e
+            | None ->
+                if not (List.mem h !unknown) then unknown := h :: !unknown;
+                None))
+      slots
+  in
+  match List.rev !unknown with
+  | _ :: _ as hs -> Error (Unknown_handles hs)
+  | [] ->
+      let t = { env_types; env_payload } in
+      (* Semantic digest over the reconstruction: a wrong binding in the
+         link table can never look like an intact envelope. *)
+      if String.equal digest8 (digest_raw t) then Ok (t, bindings)
+      else Error (Corrupt "envelope digest mismatch")
 
 (* PTIE, or else the classic XML envelope, which carries no handles. *)
 let of_string_h ~resolve s =
-  if is_binary_h s then of_string_hb ~resolve s
-  else Result.map (fun t -> (t, [])) (of_string s)
+  match Bytes_io.unseal ~magic:bin_magic s with
+  | Error (`Short | `Bad_magic) -> Result.map (fun t -> (t, [])) (of_string s)
+  | Error `Bad_checksum -> Error (Corrupt "envelope wire checksum mismatch")
+  | Ok body -> (
+      try of_body_h ~resolve body with
+      | R.Underflow m | Failure m -> Error (Malformed m))
 
 (* Frame-level integrity probe for the chaos harness: true iff the
    document parses and its checksum (or, for classic XML envelopes, the

@@ -85,19 +85,21 @@ val size_bytes : t -> int
 
     Wire-efficiency layer: after first contact, a type entry on a link
     is a small integer. [`Bind h] ships the full entry together with
-    its assigned handle (first use), [`Ref h] ships only the handle,
-    [`Plain] is the classic self-describing form. Handle-encoded
-    envelopes travel only as PTIE frames, which carry two checks: the
-    semantic digest over the fully reconstructed envelope (a drifted
-    table binding can never deliver a mis-typed payload) and a checksum
-    over the literal frame (integrity without a table). *)
+    its assigned handle (first use), [`Ref h] ships only the handle;
+    there is no third slot form; an envelope that needs no handles
+    travels as classic XML. Handle-encoded envelopes travel only as
+    PTIE frames, which carry two checks: the semantic digest over the
+    fully reconstructed envelope (a drifted table binding can never
+    deliver a mis-typed payload) and the sealed frame's checksum over
+    the literal bytes (integrity without a table, see
+    {!Bytes_io.seal}). *)
 
-type handle_form = [ `Plain | `Bind of int | `Ref of int ]
+type handle_form = [ `Bind of int | `Ref of int ]
 
 val to_string_h : t -> form:(type_entry -> handle_form) -> string
 (** Renders with the per-entry form chosen by [form] — typically a
     lookup in the sender side of a {!Handle_table} — as a compact
-    checksummed binary frame ([PTIE] magic, raw payload bytes, no
+    sealed binary frame ([PTIE] magic, raw payload bytes, no
     base64). *)
 
 val of_string_h :
@@ -110,9 +112,41 @@ val of_string_h :
     in the same frame are visible to its own refs, and are returned so
     the caller can install them. Fails with {!Unknown_handles} when refs
     cannot be resolved (wire-intact — the caller should NAK and park),
-    with [Corrupt] on checksum or digest mismatch. *)
+    with [Corrupt] on checksum or digest mismatch, and with [Malformed]
+    on a checksum-valid frame whose body does not parse (an unknown
+    slot tag, for instance). *)
 
 val wire_ok : string -> bool
 (** Frame-level integrity probe: the frame parses and its PTIE checksum
     (or, for classic envelopes, semantic digest) matches. Unknown handles
     are a table condition, not wire damage, and leave the frame ok. *)
+
+(** {2 Binary type-entry codec}
+
+    The one rendering of a type entry on a binary wire, shared by PTIE
+    slots and PTIH bind frames ({!Handle_table.encode_bindings}). An
+    entry is four varint-prefixed strings: name, GUID, assembly and
+    download path. Both formats ship entries as bindings (handle,
+    entry); the bindings' versions travel apart, in an optional
+    trailing block of one varint per binding in wire order. The block
+    is written only when some entry is versioned, so pre-evolution
+    frames stay byte-identical; a decoder probes for it with
+    {!Bytes_io.Reader.at_end}. *)
+
+val write_entry : Bytes_io.Writer.t -> type_entry -> unit
+(** The four strings; the version is left to {!write_versions}. *)
+
+val read_entry : Bytes_io.Reader.t -> type_entry
+(** Reads one entry, at version 0.
+    @raise Failure on an unparsable GUID
+    @raise Bytes_io.Reader.Underflow on truncated input *)
+
+val write_versions : Bytes_io.Writer.t -> (int * type_entry) list -> unit
+(** The trailing version block for [binds], or nothing when no entry
+    is versioned. *)
+
+val read_versions :
+  Bytes_io.Reader.t -> (int * type_entry) list -> (int * type_entry) list
+(** [binds] with their versions from the trailing block, or unchanged
+    when the input is at its end (no block).
+    @raise Bytes_io.Reader.Underflow on a truncated block *)

@@ -22,11 +22,13 @@ let write_string_list w l =
 
 (* Explicit recursion: the element reader is effectful, so evaluation
    order must be the wire order. *)
+let rec read_n r f acc k =
+  if k = 0 then List.rev acc else read_n r f (f r :: acc) (k - 1)
+
 let read_list r f =
   let n = R.varint r in
   if n < 0 || n > max_list then failwith "bad list length";
-  let rec go acc k = if k = 0 then List.rev acc else go (f r :: acc) (k - 1) in
-  go [] n
+  read_n r f [] n
 
 let read_string_list r = read_list r R.string
 

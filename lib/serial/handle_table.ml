@@ -100,15 +100,15 @@ let fingerprint_receiver (r : receiver) =
 (* --------------------------- bind frames --------------------------- *)
 
 (* [Handle_bind] control messages carry renegotiated bindings in a
-   checksummed binary frame (magic, 8-byte FNV-1a of the body, body) so
-   the chaos harness's frame-integrity filter can vet them without
-   structural parsing. *)
+   sealed frame ([Bytes_io.seal], magic [PTIH]) so the chaos harness's
+   frame-integrity filter can vet them without structural parsing.
+   Body: varint n | (varint handle, entry)* | versions, with the entry
+   codec and trailing version block shared with PTIE slots. *)
 
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
 let bind_magic = "PTIH\x01"
-let header_len = String.length bind_magic + 8
 
 let encode_bindings binds =
   let w = W.create () in
@@ -116,85 +116,26 @@ let encode_bindings binds =
   List.iter
     (fun (h, e) ->
       W.varint w h;
-      W.string w e.Envelope.te_name;
-      W.string w (Guid.to_string e.Envelope.te_guid);
-      W.string w e.Envelope.te_assembly;
-      W.string w e.Envelope.te_download_path)
+      Envelope.write_entry w e)
     binds;
-  (* Trailing version block, one varint per binding in frame order —
-     emitted only when some binding is versioned, so pre-evolution
-     frames stay byte-identical (decoders probe with [at_end]). *)
-  if List.exists (fun (_, e) -> e.Envelope.te_version > 0) binds then
-    List.iter (fun (_, e) -> W.varint w e.Envelope.te_version) binds;
-  let body = W.contents w in
-  bind_magic ^ Fnv.hash_bytes body ^ body
-
-let checked_body s =
-  if String.length s < header_len then Error "truncated bind frame"
-  else if
-    not (String.equal (String.sub s 0 (String.length bind_magic)) bind_magic)
-  then Error "bad bind-frame magic"
-  else
-    let sum = String.sub s (String.length bind_magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Fnv.hash_bytes body)) then
-      Error "bind-frame checksum mismatch"
-    else Ok body
+  Envelope.write_versions w binds;
+  Bytes_io.seal ~magic:bind_magic (W.contents w)
 
 let decode_bindings s =
-  match checked_body s with
-  | Error _ as e -> e
+  match Bytes_io.unseal ~magic:bind_magic s with
+  | Error `Short -> Error "truncated bind frame"
+  | Error `Bad_magic -> Error "bad bind-frame magic"
+  | Error `Bad_checksum -> Error "bind-frame checksum mismatch"
   | Ok body -> (
       try
         let r = R.create body in
-        let n = R.varint r in
-        if n < 0 || n > 100_000 then Error "bad binding count"
-        else begin
-          let out = ref [] in
-          let bad = ref None in
-          (try
-             for _ = 1 to n do
-               let h = R.varint r in
-               let te_name = R.string r in
-               let guid_s = R.string r in
-               let te_assembly = R.string r in
-               let te_download_path = R.string r in
-               match Guid.of_string guid_s with
-               | None -> bad := Some (Printf.sprintf "bad guid %S" guid_s)
-               | Some te_guid ->
-                   out :=
-                     ( h,
-                       {
-                         Envelope.te_name;
-                         te_guid;
-                         te_assembly;
-                         te_download_path;
-                         te_version = 0;
-                       } )
-                     :: !out
-             done;
-             (* Trailing version block (absent on pre-evolution frames).
-                [!out] is reversed; versions are consumed in frame order,
-                so patch over the re-reversed list with explicit
-                recursion. *)
-             if (not (R.at_end r)) && !bad = None then begin
-               let rec patch acc = function
-                 | [] -> acc
-                 | (h, e) :: rest ->
-                     patch
-                       ((h, { e with Envelope.te_version = R.varint r })
-                       :: acc)
-                       rest
-               in
-               out := patch [] (List.rev !out)
-             end
-           with R.Underflow m -> bad := Some m);
-          match !bad with
-          | Some m -> Error m
-          | None ->
-              if R.at_end r then Ok (List.rev !out)
-              else Error "trailing bytes in bind frame"
-        end
-      with R.Underflow m -> Error m)
+        let binds =
+          Envelope.read_versions r
+            (Framing.read_list r (fun r ->
+                 let h = R.varint r in
+                 (h, Envelope.read_entry r)))
+        in
+        if R.at_end r then Ok binds else Error "trailing bytes in bind frame"
+      with R.Underflow m | Failure m -> Error m)
 
-let bindings_intact s = Result.is_ok (checked_body s)
+let bindings_intact s = Result.is_ok (Bytes_io.unseal ~magic:bind_magic s)

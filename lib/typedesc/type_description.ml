@@ -390,14 +390,14 @@ let size_bytes t = Xml.size_bytes (to_xml t)
 (* Negotiated per link as a wire-efficiency measure: a description in
    this form is a fraction of its XML rendering. XML stays the default
    and the interop fallback — a reply is self-describing by its magic.
-   Same integrity discipline as the other binary frames: magic, 8-byte
-   FNV-1a checksum of the body, body. *)
+   Same integrity discipline as the other binary frames: a sealed frame
+   ([Bytes_io.seal], magic [PTID]). *)
 
-module W = Pti_serial.Bytes_io.Writer
-module R = Pti_serial.Bytes_io.Reader
+module Bytes_io = Pti_serial.Bytes_io
+module W = Bytes_io.Writer
+module R = Bytes_io.Reader
 
 let binary_magic = "PTID\x01"
-let binary_header_len = String.length binary_magic + 8
 
 let w_mods w (m : Meta.member_mods) =
   W.string w (Meta.visibility_to_string m.Meta.visibility);
@@ -449,115 +449,85 @@ let to_binary_string t =
       w_ty w m.md_return;
       w_mods w m.md_mods)
     t.ty_methods;
-  let body = W.contents w in
-  binary_magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic:binary_magic (W.contents w)
 
-let is_binary s =
-  String.length s >= String.length binary_magic
-  && String.equal (String.sub s 0 (String.length binary_magic)) binary_magic
+let is_binary s = String.starts_with ~prefix:binary_magic s
 
-exception Bad of string
+(* Readers mirror the writers above, in wire order; [Failure] on a field
+   that does not parse, [R.Underflow] on truncation. *)
+let parsed what of_string s =
+  match of_string s with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "bad %s %S" what s)
+
+let r_ty r = parsed "type" Ty.of_string (R.string r)
+
+let r_mods r =
+  let visibility = parsed "visibility" Meta.visibility_of_string (R.string r) in
+  let static = R.bool r in
+  let virtual_ = R.bool r in
+  { Meta.visibility; static; virtual_ }
+
+let r_param r =
+  let pd_name = R.string r in
+  let pd_ty = r_ty r in
+  { pd_name; pd_ty }
+
+let r_list = Pti_serial.Framing.read_list
+
+let of_binary_body body =
+  let r = R.create body in
+  let ty_name = R.string r in
+  let ty_namespace = r_list r R.string in
+  let ty_guid = parsed "guid" Guid.of_string (R.string r) in
+  let ty_kind = parsed "kind" Meta.kind_of_string (R.string r) in
+  let ty_assembly = R.string r in
+  let ty_super = if R.bool r then Some (R.string r) else None in
+  let ty_interfaces = r_list r R.string in
+  let ty_fields =
+    r_list r (fun r ->
+        let fd_name = R.string r in
+        let fd_ty = r_ty r in
+        let fd_mods = r_mods r in
+        { fd_name; fd_ty; fd_mods })
+  in
+  let ty_ctors =
+    r_list r (fun r ->
+        let cd_params = r_list r r_param in
+        let cd_mods = r_mods r in
+        { cd_params; cd_mods })
+  in
+  let ty_methods =
+    r_list r (fun r ->
+        let md_name = R.string r in
+        let md_params = r_list r r_param in
+        let md_return = r_ty r in
+        let md_mods = r_mods r in
+        { md_name; md_params; md_return; md_mods })
+  in
+  if not (R.at_end r) then failwith "trailing bytes in binary tdesc";
+  {
+    ty_name;
+    ty_namespace;
+    ty_guid;
+    ty_kind;
+    ty_super;
+    ty_interfaces;
+    ty_fields;
+    ty_ctors;
+    ty_methods;
+    ty_assembly;
+  }
 
 let of_binary_string s =
-  if String.length s < binary_header_len then Error "truncated binary tdesc"
-  else if not (is_binary s) then Error "bad binary tdesc magic"
-  else
-    let sum = String.sub s (String.length binary_magic) 8 in
-    let body =
-      String.sub s binary_header_len (String.length s - binary_header_len)
-    in
-    if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
-      Error "corrupt type description: checksum mismatch"
-    else
-      try
-        let r = R.create body in
-        let r_list f =
-          let n = R.varint r in
-          if n < 0 || n > 100_000 then raise (Bad "bad list length");
-          let rec go acc k =
-            if k = 0 then List.rev acc else go (f () :: acc) (k - 1)
-          in
-          go [] n
-        in
-        let r_ty () =
-          let s = R.string r in
-          match Ty.of_string s with
-          | Some ty -> ty
-          | None -> raise (Bad (Printf.sprintf "bad type %S" s))
-        in
-        let r_mods () =
-          let v = R.string r in
-          let visibility =
-            match Meta.visibility_of_string v with
-            | Some v -> v
-            | None -> raise (Bad (Printf.sprintf "bad visibility %S" v))
-          in
-          let static = R.bool r in
-          let virtual_ = R.bool r in
-          { Meta.visibility; static; virtual_ }
-        in
-        let r_params () =
-          r_list (fun () ->
-              let pd_name = R.string r in
-              let pd_ty = r_ty () in
-              { pd_name; pd_ty })
-        in
-        let ty_name = R.string r in
-        let ty_namespace = r_list (fun () -> R.string r) in
-        let guid_s = R.string r in
-        let ty_guid =
-          match Guid.of_string guid_s with
-          | Some g -> g
-          | None -> raise (Bad (Printf.sprintf "bad guid %S" guid_s))
-        in
-        let kind_s = R.string r in
-        let ty_kind =
-          match Meta.kind_of_string kind_s with
-          | Some k -> k
-          | None -> raise (Bad (Printf.sprintf "bad kind %S" kind_s))
-        in
-        let ty_assembly = R.string r in
-        let ty_super = if R.bool r then Some (R.string r) else None in
-        let ty_interfaces = r_list (fun () -> R.string r) in
-        let ty_fields =
-          r_list (fun () ->
-              let fd_name = R.string r in
-              let fd_ty = r_ty () in
-              let fd_mods = r_mods () in
-              { fd_name; fd_ty; fd_mods })
-        in
-        let ty_ctors =
-          r_list (fun () ->
-              let cd_params = r_params () in
-              let cd_mods = r_mods () in
-              { cd_params; cd_mods })
-        in
-        let ty_methods =
-          r_list (fun () ->
-              let md_name = R.string r in
-              let md_params = r_params () in
-              let md_return = r_ty () in
-              let md_mods = r_mods () in
-              { md_name; md_params; md_return; md_mods })
-        in
-        if not (R.at_end r) then Error "trailing bytes in binary tdesc"
-        else
-          Ok
-            {
-              ty_name;
-              ty_namespace;
-              ty_guid;
-              ty_kind;
-              ty_super;
-              ty_interfaces;
-              ty_fields;
-              ty_ctors;
-              ty_methods;
-              ty_assembly;
-            }
-      with
-      | Bad m -> Error m
-      | R.Underflow m -> Error ("truncated binary tdesc: " ^ m)
+  match Bytes_io.unseal ~magic:binary_magic s with
+  | Error `Short -> Error "truncated binary tdesc"
+  | Error `Bad_magic -> Error "bad binary tdesc magic"
+  | Error `Bad_checksum -> Error "corrupt type description: checksum mismatch"
+  | Ok body -> (
+      try Ok (of_binary_body body) with
+      | Failure m -> Error m
+      | R.Underflow m -> Error ("truncated binary tdesc: " ^ m))
 
 (* Self-describing parse: binary by magic, XML otherwise. *)
 let of_wire_string s = if is_binary s then of_binary_string s else of_xml_string s

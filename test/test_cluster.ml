@@ -7,6 +7,7 @@ module Peer = Pti_core.Peer
 module Message = Pti_core.Message
 module Repository = Pti_core.Repository
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Sim = Pti_net.Sim
 module Stats = Pti_net.Stats
 module Metrics = Pti_obs.Metrics
@@ -85,7 +86,7 @@ let addrs3 = [ "n1"; "n2"; "n3" ]
 
 let test_membership_bootstrap () =
   let net = make_net () in
-  let c = Cluster.create ~net addrs3 in
+  let c = Cluster.create ~transport:(Transport.of_net net) addrs3 in
   let n1 = Cluster.node c "n1" in
   Alcotest.(check (list string)) "roster minus self" [ "n2"; "n3" ]
     (Node.alive n1);
@@ -94,7 +95,10 @@ let test_membership_bootstrap () =
 
 let test_crash_detected_then_heal_recovers () =
   let net = make_net () in
-  let c = Cluster.create ~net ~probe_timeout_ms:100. [ "n1"; "n2" ] in
+  let c =
+    Cluster.create ~transport:(Transport.of_net net) ~probe_timeout_ms:100.
+      [ "n1"; "n2" ]
+  in
   let n1 = Cluster.node c "n1" in
   Cluster.run_rounds c 2;
   Alcotest.(check (option string)) "alive while traffic flows"
@@ -121,7 +125,7 @@ let test_crash_detected_then_heal_recovers () =
 
 let test_gossip_spreads_types_and_paths () =
   let net = make_net () in
-  let c = Cluster.create ~net ~factor:1 addrs3 in
+  let c = Cluster.create ~transport:(Transport.of_net net) ~factor:1 addrs3 in
   Node.publish (Cluster.node c "n1") (Demo.social_assembly ());
   (* Nobody but n1 knows the social types or where their code lives. *)
   Alcotest.(check (option bool)) "n3 ignorant before gossip" None
@@ -147,7 +151,7 @@ let test_gossip_spreads_types_and_paths () =
 let test_gossip_is_deterministic () =
   let run () =
     let net = make_net () in
-    let c = Cluster.create ~net ~factor:1 addrs3 in
+    let c = Cluster.create ~transport:(Transport.of_net net) ~factor:1 addrs3 in
     Node.publish (Cluster.node c "n1") (Demo.social_assembly ());
     Cluster.run_rounds c 4;
     ( Stats.bytes (Net.stats net) Stats.Gossip,
@@ -162,7 +166,9 @@ let test_gossip_is_deterministic () =
 
 let test_placement_deterministic_and_sized () =
   let net = make_net () in
-  let c = Cluster.create ~net [ "n1"; "n2"; "n3"; "n4" ] in
+  let c =
+    Cluster.create ~transport:(Transport.of_net net) [ "n1"; "n2"; "n3"; "n4" ]
+  in
   let n1 = Cluster.node c "n1" in
   let p2 = Node.placement n1 ~assembly:"some-asm" 2 in
   Alcotest.(check int) "k replicas" 2 (List.length p2);
@@ -177,7 +183,7 @@ let test_placement_deterministic_and_sized () =
 
 let test_publish_replicates () =
   let net = make_net () in
-  let c = Cluster.create ~net ~factor:2 addrs3 in
+  let c = Cluster.create ~transport:(Transport.of_net net) ~factor:2 addrs3 in
   let n1 = Cluster.node c "n1" in
   let holder =
     match Node.placement n1 ~assembly:social_asm 1 with
@@ -204,7 +210,9 @@ let test_publish_replicates () =
 
 let test_mirror_ranking_policy () =
   let net = make_net () in
-  let c = Cluster.create ~net [ "n1"; "n2"; "n3" ] in
+  let c =
+    Cluster.create ~transport:(Transport.of_net net) [ "n1"; "n2"; "n3" ]
+  in
   let n1 = Cluster.node c "n1" in
   (* n2 and n3 each serve a mirror of news-asm; gossip teaches n1 both. *)
   List.iter
@@ -300,8 +308,8 @@ let test_failover_survives_origin_crash () =
   let metrics = Metrics.create () in
   let addrs = [ "origin"; "east"; "west"; "south" ] in
   let c =
-    Cluster.create ~net ~metrics ~factor:2 ~request_timeout_ms:200.
-      ~probe_timeout_ms:100. addrs
+    Cluster.create ~transport:(Transport.of_net net) ~metrics ~factor:2
+      ~request_timeout_ms:200. ~probe_timeout_ms:100. addrs
   in
   let origin = Cluster.node c "origin" in
   (* Where does the single replica land? Pick the relay and receiver

@@ -606,6 +606,40 @@ let test_remote_invocation_with_object_argument () =
       Alcotest.(check string) "spouse comes back by value" "S"
         (Eval.call (Peer.registry borrower) back "getname" [] |> get_string)
 
+(* A rejection is decided by one check per interest: its reason comes
+   from the same verdicts, not from checking again. Repeat sends of a
+   trap family hit the verdict cache, so each costs exactly one check
+   and logs the same reason. *)
+let test_rejection_checks_once () =
+  let module Checker = Pti_conformance.Checker in
+  let net = make_net () in
+  let sender = Peer.create ~net "sender" in
+  let receiver = Peer.create ~net "receiver" in
+  Peer.publish_assembly sender (Demo.trap_assembly ());
+  Peer.publish_assembly receiver (Demo.news_assembly ());
+  Peer.register_interest receiver ~interest:Demo.news_person
+    (fun ~from:_ _ -> Alcotest.fail "trap must not be delivered");
+  let checks () = (Checker.stats (Peer.checker receiver)).Checker.checks in
+  let send_trap () =
+    Peer.clear_events receiver;
+    Peer.send_value sender ~dst:"receiver"
+      (Demo.make_trap_person (Peer.registry sender));
+    Net.run net;
+    match Peer.events receiver with
+    | [ Peer.Rejected { reason; _ } ] -> reason
+    | evs ->
+        Alcotest.failf "expected one rejection, got %d events"
+          (List.length evs)
+  in
+  ignore (send_trap ());
+  for _ = 1 to 3 do
+    let before = checks () in
+    let reason = send_trap () in
+    Alcotest.(check int) "one check per rejected send" 1 (checks () - before);
+    Alcotest.(check string) "rejection reason"
+      "no field of actual matches name : string (rule ii)" reason
+  done
+
 let test_eager_mode_rejection_still_pays () =
   (* Under the eager baseline a non-conformant object still ships all its
      code — the waste the optimistic protocol avoids (cf. E5b). *)
@@ -875,6 +909,8 @@ let () =
             test_new_type_preserves_unrelated_verdicts;
           Alcotest.test_case "event log is a bounded ring" `Quick
             test_event_log_bounded;
+          Alcotest.test_case "rejection checks once" `Quick
+            test_rejection_checks_once;
         ] );
       ( "messages",
         [

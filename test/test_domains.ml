@@ -46,9 +46,16 @@ let test_histogram_no_tear () =
   let h = Metrics.histogram ~buckets:[| 1.; 2.; 5.; 10. |] m "stress.lat" in
   let per = 20_000 in
   let stop = Atomic.make false in
+  (* Writers hold off until the reader has taken its first snapshot:
+     otherwise the reader domain can start only after every writer has
+     finished, and the race this test is about never happens. *)
+  let reader_started = Atomic.make false in
   let writers =
     List.init n_domains (fun d ->
         Domain.spawn (fun () ->
+            while not (Atomic.get reader_started) do
+              Domain.cpu_relax ()
+            done;
             for i = 1 to per do
               Metrics.observe h (float_of_int ((i + d) mod 13))
             done))
@@ -72,6 +79,7 @@ let test_histogram_no_tear () =
               if s.Metrics.h_count > 0 && Float.is_nan s.Metrics.h_min then
                 incr torn
           | _ -> incr torn);
+          Atomic.set reader_started true;
           Domain.cpu_relax ()
         done;
         (!torn, !reads))

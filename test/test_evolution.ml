@@ -9,6 +9,7 @@ module E = Expr
 module Repository = Pti_core.Repository
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Checker = Pti_conformance.Checker
 module Td = Pti_typedesc.Type_description
 module Workload = Pti_demo.Workload
@@ -386,7 +387,7 @@ let prop_pins_stable_across_gossip =
     (fun (depth, rounds) ->
       let net = Net.create ~seed:11L () in
       let addrs = [ "n0"; "n1"; "n2" ] in
-      let c = Cluster.create ~seed:5L ~net addrs in
+      let c = Cluster.create ~seed:5L ~transport:(Transport.of_net net) addrs in
       let origin = Cluster.node c "n0" in
       let entries =
         List.init depth (fun i ->

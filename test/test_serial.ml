@@ -47,6 +47,30 @@ let test_bytes_io_underflow () =
   | _ -> Alcotest.fail "expected underflow"
   | exception Bio.Reader.Underflow _ -> ()
 
+(* Every failure of [unseal] is reported, in check order: too short for
+   the header, wrong magic, checksum over a changed body. *)
+let test_seal_unseal () =
+  let magic = "TEST\x01" in
+  let frame = Bio.seal ~magic "body bytes" in
+  Alcotest.(check int) "magic + 8-byte sum + body"
+    (String.length magic + 8 + String.length "body bytes")
+    (String.length frame);
+  let outcome s =
+    match Bio.unseal ~magic s with
+    | Ok body -> "ok " ^ body
+    | Error `Short -> "short"
+    | Error `Bad_magic -> "bad magic"
+    | Error `Bad_checksum -> "bad checksum"
+  in
+  Alcotest.(check string) "roundtrip" "ok body bytes" (outcome frame);
+  Alcotest.(check string) "empty body" "ok " (outcome (Bio.seal ~magic ""));
+  Alcotest.(check string) "short" "short"
+    (outcome (String.sub frame 0 (String.length magic + 7)));
+  Alcotest.(check string) "other magic" "bad magic"
+    (outcome (Bio.seal ~magic:"TEST\x02" "body bytes"));
+  Alcotest.(check string) "changed body" "bad checksum"
+    (outcome (String.sub frame 0 (String.length frame - 1) ^ "Z"))
+
 (* ----------------------------- values ------------------------------ *)
 
 let sample_person r =
@@ -731,6 +755,76 @@ let prop_handle_negotiation_state_machine =
           | Error _ -> false)
         script)
 
+(* A PTIE frame whose checksum holds but whose body does not parse is
+   [Malformed], never an exception: a slot tag other than bind (1) or
+   ref (2) — here 0, a plain entry with no handle — and a body too short
+   to hold the semantic digest. *)
+let test_ptie_bad_body_malformed () =
+  let r = reg () in
+  let env = mk_env r (sample_person r) in
+  let w = Bio.Writer.create () in
+  Bio.Writer.raw w (String.make 8 '\000');
+  Bio.Writer.varint w 1;
+  Bio.Writer.u8 w 0;
+  Env.write_entry w (List.hd env.Env.env_types);
+  Bio.Writer.u8 w 1;
+  Bio.Writer.string w "payload";
+  List.iter
+    (fun (name, body) ->
+      let frame = Bio.seal ~magic:"PTIE\x01" body in
+      match Env.of_string_h ~resolve:(fun _ -> None) frame with
+      | Error (Env.Malformed _) -> ()
+      | Error e ->
+          Alcotest.failf "%s: expected Malformed, got %a" name Env.pp_error e
+      | Ok _ -> Alcotest.failf "%s: decoded" name)
+    [ ("plain slot", Bio.Writer.contents w); ("short body", "abc") ]
+
+(* --------------------------- golden wire pins ---------------------- *)
+
+(* One fixed input per sealed binary format, pinned by the FNV-1a of its
+   encoding, so a change to the codecs cannot move a byte unnoticed: a
+   PTIE frame with a versioned bind slot and a ref slot, a two-part PTIF
+   frame with one piggyback, a PTIH frame with one versioned entry, and
+   the sample Person as a PTIB payload. (PTID is pinned in
+   test_typedesc.) *)
+let test_golden_wire_pins () =
+  let r = reg () in
+  let env = mk_env r (sample_person r) in
+  let root = List.hd env.Env.env_types in
+  let env =
+    {
+      env with
+      Env.env_types =
+        { root with Env.te_version = 2 } :: List.tl env.Env.env_types;
+    }
+  in
+  let ptie =
+    Env.to_string_h env ~form:(fun e ->
+        if e.Env.te_name = root.Env.te_name then `Bind 1 else `Ref 2)
+  in
+  let ptif =
+    Bf.encode
+      {
+        Bf.parts =
+          [
+            { Bf.p_envelope = ptie; p_tdescs = [ "tdesc" ]; p_assemblies = [] };
+            { Bf.p_envelope = "second"; p_tdescs = [];
+              p_assemblies = [ "assembly" ] };
+          ];
+        piggyback = [ ("digest", "ping") ];
+      }
+  in
+  let ptih = Ht.encode_bindings [ (5, { root with Env.te_version = 3 }) ] in
+  List.iter
+    (fun (name, pin, wire) ->
+      Alcotest.(check string) name pin (Pti_util.Fnv.hash_hex wire))
+    [
+      ("PTIE", "d70f4d248fe01cd7", ptie);
+      ("PTIF", "245ef976f3c2ebdf", ptif);
+      ("PTIH", "8b3fde40d869c1b7", ptih);
+      ("PTIB", "be42c86c6561125f", Bin.encode (sample_person r));
+    ]
+
 (* --------------------------- batch frames -------------------------- *)
 
 let test_batch_frame_roundtrip () =
@@ -906,6 +1000,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_bytes_io_roundtrip;
           Alcotest.test_case "underflow" `Quick test_bytes_io_underflow;
+          Alcotest.test_case "seal / unseal" `Quick test_seal_unseal;
         ] );
       ( "codecs",
         [
@@ -952,6 +1047,8 @@ let () =
             test_handle_drifted_binding_rejected;
           Alcotest.test_case "handle ref in classic xml rejected" `Quick
             test_classic_handle_ref_rejected;
+          Alcotest.test_case "bad PTIE body malformed" `Quick
+            test_ptie_bad_body_malformed;
           QCheck_alcotest.to_alcotest prop_classic_receive_is_of_string;
           QCheck_alcotest.to_alcotest prop_binary_envelope_flip_always_detected;
           QCheck_alcotest.to_alcotest prop_handle_negotiation_state_machine;
@@ -964,6 +1061,8 @@ let () =
             test_bind_frame_roundtrip_and_corruption;
           QCheck_alcotest.to_alcotest prop_batch_frame_flip_always_detected;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "wire pins" `Quick test_golden_wire_pins ] );
       ( "framing",
         [
           Alcotest.test_case "split at every byte boundary" `Quick

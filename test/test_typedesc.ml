@@ -211,6 +211,12 @@ let prop_binary_flip_always_detected =
              honest). *)
           d' = person_desc ())
 
+(* The PTID encoding of the demo Person, pinned by its FNV-1a: a change
+   to the codec cannot move a byte unnoticed. *)
+let test_binary_golden_pin () =
+  Alcotest.(check string) "PTID" "401816b598e8f2d5"
+    (Pti_util.Fnv.hash_hex (Td.to_binary_string (person_desc ())))
+
 let () =
   Alcotest.run "typedesc"
     [
@@ -248,6 +254,7 @@ let () =
             test_binary_roundtrip_all_demo_types;
           Alcotest.test_case "of_wire_string dispatches" `Quick
             test_of_wire_string_dispatches;
+          Alcotest.test_case "golden pin" `Quick test_binary_golden_pin;
           QCheck_alcotest.to_alcotest prop_binary_flip_always_detected;
         ] );
       ( "properties",
