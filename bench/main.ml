@@ -450,7 +450,8 @@ let rec e5 () =
   Printf.printf
     "\n  E5d: %d objects over 10 types on a lossy link with the ARQ layer\n\
     \  (loss shows up as retransmission bytes and latency, never as missing\n\
-    \  deliveries)\n\n"
+    \  deliveries; p95 is the upper bound of the net.latency_ms.object\n\
+    \  histogram bucket holding it)\n\n"
     objects;
   Printf.printf "  %8s %10s %12s %10s %10s %10s %10s\n" "loss" "retrans"
     "total B" "sim ms*" "p95 obj ms" "deliv" "lost";
@@ -458,8 +459,9 @@ let rec e5 () =
     (fun drop_rate ->
       let net_probe = ref (0, 0) in
       let o =
+        let metrics = Metrics.create () in
         let net = Net.create ~drop_rate ~reliability:Net.default_reliability
-            ~seed:17L () in
+            ~seed:17L ~metrics () in
         let sender = Peer.create ~net "sender" in
         let receiver = Peer.create ~net "receiver" in
         Peer.install_assembly receiver (Demo.news_assembly ());
@@ -486,16 +488,18 @@ let rec e5 () =
                (function Peer.Delivered _ -> true | _ -> false)
                (Peer.events receiver))
         in
-        let p50 =
-          Option.value ~default:0.
-            (Stats.latency_percentile (Net.stats net) Stats.Object_msg 0.95)
+        let p95 =
+          match Metrics.find metrics "net.latency_ms.object" with
+          | Some (Metrics.Histogram h) ->
+              Option.value ~default:0. (Metrics.quantile h 0.95)
+          | _ -> 0.
         in
-        (Stats.total_bytes (Net.stats net), Net.now_ms net, p50, delivered)
+        (Stats.total_bytes (Net.stats net), Net.now_ms net, p95, delivered)
       in
-      let total, time, p50, deliv = o in
+      let total, time, p95, deliv = o in
       let retrans, lost = !net_probe in
       Printf.printf "  %7.0f%% %10d %12d %10.1f %10.1f %10d %10d\n"
-        (100. *. drop_rate) retrans total time p50 deliv lost)
+        (100. *. drop_rate) retrans total time p95 deliv lost)
     [ 0.0; 0.05; 0.1; 0.25 ];
   print_endline
     "  (*) simulated time runs until the last ARQ timer expires, so it\n\

@@ -372,25 +372,12 @@ let lint_cmd =
 
 (* ----------------------------- protocol ---------------------------- *)
 
-(* Shared synthetic-workload runner behind [pti protocol] and [pti stats]:
-   one network, a sender publishing K type families, a receiver with one
-   interest, [objects] transfers round-robin over the families. Every
-   component reports through the single [metrics] registry. *)
-let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
-    ?(handles = false) ?batch_bytes ?(tdesc_binary = false)
-    ?tdesc_cache_capacity ?checker_cache_capacity () =
-  let net = Net.create ~seed:17L ~metrics () in
-  let peer addr =
-    Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
-      ~shared:
-        (Peer.create_shared ?tdesc_cache_capacity ?checker_cache_capacity ())
-      addr
-  in
-  let sender = peer "sender" in
-  let receiver = peer "receiver" in
-  Peer.install_assembly receiver (Demo.news_assembly ());
-  Peer.register_interest receiver ~interest:Demo.news_person
-    (fun ~from:_ _ -> ());
+(* The synthetic workload every [pti protocol] backend and [pti stats]
+   run. The sender publishes [distinct] type families, the first
+   [nonconf] of them traps (non-conformant), and sends [objects] persons
+   p0, p1, ... round-robin over them to [dst], running [step] after each
+   send. *)
+let send_workload sender ~dst ~objects ~distinct ~nonconf ~step =
   let flavors =
     Array.init distinct (fun i ->
         if i < nonconf then Workload.Trap_missing else Workload.Conformant)
@@ -406,20 +393,69 @@ let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
         ~flavor:flavors.(index)
         ~name:(Printf.sprintf "p%d" n) ~age:n
     in
-    Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Peer.send_value sender ~dst v;
+    step ()
+  done
+
+(* The receiver's half: it knows only the news vocabulary. Returns the
+   outcome so far, (delivered, rejected). *)
+let receive_workload receiver =
+  Peer.install_assembly receiver (Demo.news_assembly ());
+  let delivered = ref 0 in
+  Peer.register_interest receiver ~interest:Demo.news_person (fun ~from:_ _ ->
+      incr delivered);
+  fun () ->
+    ( !delivered,
+      List.length
+        (List.filter
+           (function Peer.Rejected _ -> true | _ -> false)
+           (Peer.events receiver)) )
+
+(* How many of the [objects] sends carry a trap (non-conformant) family,
+   i.e. must terminate as Rejected rather than Delivered. *)
+let expected_rejects ~objects ~distinct ~nonconf =
+  let r = ref 0 in
+  for n = 0 to objects - 1 do
+    if n mod distinct < nonconf then incr r
   done;
-  let delivered, rejected =
-    List.fold_left
-      (fun (d, r) ev ->
-        match ev with
-        | Peer.Delivered _ -> (d + 1, r)
-        | Peer.Rejected _ -> (d, r + 1)
-        | Peer.Decode_failed _ | Peer.Load_failed _
-        | Peer.Corrupt_rejected _ -> (d, r))
-      (0, 0) (Peer.events receiver)
+  !r
+
+(* A run passes when every conformant object was delivered and every
+   trap rejected, on whichever backend it ran. *)
+let outcome_ok ~objects ~distinct ~nonconf (delivered, rejected) =
+  let rejects = expected_rejects ~objects ~distinct ~nonconf in
+  delivered = objects - rejects && rejected = rejects
+
+(* The sender's wire-efficiency counters, for the features that are on. *)
+let print_wire_summary sender ~handles ~batch_bytes =
+  if handles then
+    Format.printf "handles: hits=%d misses=%d renegotiations=%d@."
+      (Peer.handle_hits sender) (Peer.handle_misses sender)
+      (Peer.renegotiations sender);
+  if batch_bytes <> None then
+    Format.printf "batching: frames=%d envelopes=%d bytes-saved=%d@."
+      (Peer.batch_messages sender)
+      (Peer.batch_envelopes sender)
+      (Peer.batch_bytes_saved sender)
+
+(* The workload on the simulator: one network, every component reporting
+   through the single [metrics] registry. *)
+let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
+    ?(handles = false) ?batch_bytes ?(tdesc_binary = false)
+    ?tdesc_cache_capacity ?checker_cache_capacity () =
+  let net = Net.create ~seed:17L ~metrics () in
+  let peer addr =
+    Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
+      ~shared:
+        (Peer.create_shared ?tdesc_cache_capacity ?checker_cache_capacity ())
+      addr
   in
-  (net, sender, delivered, rejected)
+  let sender = peer "sender" in
+  let receiver = peer "receiver" in
+  let outcome = receive_workload receiver in
+  send_workload sender ~dst:"receiver" ~objects ~distinct ~nonconf
+    ~step:(fun () -> Net.run net);
+  (net, sender, outcome ())
 
 (* -------------------- protocol over real sockets ------------------- *)
 
@@ -447,15 +483,6 @@ let stream_fabric kind ?dir ~metrics () =
         ~codec:Message_wire.codec ()
   | Transport.Sim -> invalid_arg "stream_fabric: sim is not a stream"
 
-(* How many of the [objects] sends carry a trap (non-conformant) family,
-   i.e. must terminate as Rejected rather than Delivered. *)
-let expected_rejects ~objects ~distinct ~nonconf =
-  let r = ref 0 in
-  for n = 0 to objects - 1 do
-    if n mod distinct < nonconf then incr r
-  done;
-  !r
-
 (* The receiver role: serve conformance-checked deliveries and the final
    remote invocation until the sender hangs up (or a deadline passes).
    Returns the exit status; prints its own summary line. *)
@@ -469,31 +496,22 @@ let protocol_receiver tr ~mode ~objects ~distinct ~nonconf ~handles
     Peer.create ~mode ~handles ?batch_bytes ~tdesc_binary ~transport:tr
       receiver_addr
   in
-  let delivered = ref 0 in
-  Peer.install_assembly peer (Demo.news_assembly ());
-  Peer.register_interest peer ~interest:Demo.news_person (fun ~from:_ _ ->
-      incr delivered);
+  let outcome = receive_workload peer in
   (* First export on a fresh peer: the sender reconstructs this ref as
      {host=receiver; id=0; class=newsw.Person} without any side channel. *)
   ignore
     (Peer.export peer
        (Demo.make_news_person (Peer.registry peer) ~name:"greeter" ~age:99));
-  let rejects = expected_rejects ~objects ~distinct ~nonconf in
-  let rejected () =
-    List.length
-      (List.filter
-         (function Peer.Rejected _ -> true | _ -> false)
-         (Peer.events peer))
-  in
   (* Once every send has reached a terminal verdict, tell the sender —
      it must keep serving assembly fetches until then, and only then may
      it hang up. Its disconnect is our signal to stop driving. *)
   let announced = ref false in
   let done_ () =
-    if (not !announced) && !delivered + rejected () >= objects then begin
+    let delivered, rejected = outcome () in
+    if (not !announced) && delivered + rejected >= objects then begin
       announced := true;
       Peer.send_gossip peer ~dst:sender_addr ~kind:"protocol-done"
-        ~body:(string_of_int !delivered)
+        ~body:(string_of_int delivered)
     end;
     !announced && !hung_up
   in
@@ -501,13 +519,16 @@ let protocol_receiver tr ~mode ~objects ~distinct ~nonconf ~handles
     (Transport.drive_until tr
        ~deadline_ms:(Transport.now_ms tr +. 60_000.)
        done_);
+  let rejects = expected_rejects ~objects ~distinct ~nonconf in
+  let delivered, rejected = outcome () in
   Format.printf
     "receiver: delivered=%d/%d rejected=%d/%d rx-bytes=%d integrity-drops=%d@."
-    !delivered (objects - rejects) (rejected ()) rejects
+    delivered (objects - rejects) rejected rejects
     (Transport.total_received_bytes tr)
     (Transport.integrity_drops tr);
   Transport.close tr;
-  if !delivered = objects - rejects && rejected () = rejects then 0 else 1
+  if outcome_ok ~objects ~distinct ~nonconf (delivered, rejected) then 0
+  else 1
 
 (* The sender role: publish the families, stream the objects, then
    acquire the receiver's exported greeter and invoke it — the reply
@@ -524,26 +545,10 @@ let protocol_sender tr ~mode ~objects ~distinct ~nonconf ~handles
   Peer.set_gossip_handler sender (fun ~src:_ ~kind ~body:_ ->
       if kind = "protocol-done" then receiver_done := true);
   Peer.install_assembly sender (Demo.news_assembly ());
-  let flavors =
-    Array.init distinct (fun i ->
-        if i < nonconf then Workload.Trap_missing else Workload.Conformant)
-  in
-  Array.iteri
-    (fun i flavor ->
-      Peer.publish_assembly sender (Workload.family ~index:i ~flavor))
-    flavors;
-  for n = 0 to objects - 1 do
-    let index = n mod distinct in
-    let v =
-      Workload.make_person (Peer.registry sender) ~index
-        ~flavor:flavors.(index)
-        ~name:(Printf.sprintf "p%d" n) ~age:n
-    in
-    Peer.send_value sender ~dst:receiver_addr v;
-    (* Interleave polling so subprotocol requests (tdesc/assembly
-       fetches) are served while the workload streams. *)
-    ignore (Transport.poll tr ~timeout_ms:0.)
-  done;
+  (* Interleave polling so subprotocol requests (tdesc/assembly
+     fetches) are served while the workload streams. *)
+  send_workload sender ~dst:receiver_addr ~objects ~distinct ~nonconf
+    ~step:(fun () -> ignore (Transport.poll tr ~timeout_ms:0.));
   let rref =
     { Peer.rr_host = receiver_addr; rr_id = 0; rr_class = Demo.news_person }
   in
@@ -569,15 +574,7 @@ let protocol_sender tr ~mode ~objects ~distinct ~nonconf ~handles
     objects wall_ms (Stats.total_bytes stats)
     (Transport.retransmissions tr);
   Format.printf "%a@." Stats.pp stats;
-  if handles then
-    Format.printf "handles: hits=%d misses=%d renegotiations=%d@."
-      (Peer.handle_hits sender) (Peer.handle_misses sender)
-      (Peer.renegotiations sender);
-  if batch_bytes <> None then
-    Format.printf "batching: frames=%d envelopes=%d bytes-saved=%d@."
-      (Peer.batch_messages sender)
-      (Peer.batch_envelopes sender)
-      (Peer.batch_bytes_saved sender);
+  print_wire_summary sender ~handles ~batch_bytes;
   (match greeting with
   | Ok s -> Format.printf "remote greet() = %S@." s
   | Error e -> Format.printf "remote greet FAILED: %s@." e);
@@ -716,24 +713,32 @@ let workload_args =
          & info [ "nonconf" ] ~docv:"M"
              ~doc:"How many of the K types are non-conformant.")
   in
-  let eager =
-    Arg.(value & flag
-         & info [ "eager" ] ~doc:"Use the eager baseline instead of the \
-                                  optimistic protocol.")
-  in
-  (objects, distinct, nonconf, eager)
+  (objects, distinct, nonconf)
+
+let mode_arg =
+  Arg.(value
+       & vflag Peer.Optimistic
+           [
+             ( Peer.Eager,
+               info [ "eager" ]
+                 ~doc:"Use the eager baseline instead of the optimistic \
+                       protocol." );
+           ])
+
+let mode_name = function Peer.Optimistic -> "optimistic" | Peer.Eager -> "eager"
+
+let metrics_arg =
+  Arg.(value & flag
+       & info [ "metrics" ]
+           ~doc:"Also print the metrics-registry snapshot (caches, latency \
+                 histograms, checker counters, and cluster.* for \
+                 $(b,cluster)).")
 
 let validate_workload objects distinct nonconf =
   objects > 0 && distinct > 0 && nonconf >= 0 && nonconf <= distinct
 
 let protocol_cmd =
-  let objects, distinct, nonconf, eager = workload_args in
-  let show_metrics =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Also print the metrics-registry snapshot (caches, \
-                   latency histograms, checker counters).")
-  in
+  let objects, distinct, nonconf = workload_args in
   let handles =
     Arg.(value & flag
          & info [ "handles" ]
@@ -752,12 +757,11 @@ let protocol_cmd =
              ~doc:"Request type descriptions in the compact binary codec \
                    (XML stays the fallback).")
   in
-  let run objects distinct nonconf eager show_metrics handles batch_bytes
+  let run objects distinct nonconf mode show_metrics handles batch_bytes
       tdesc_binary transport listen connect =
     if not (validate_workload objects distinct nonconf) then
       `Error (false, "need objects > 0 and 0 <= nonconf <= distinct > 0")
     else begin
-      let mode = if eager then Peer.Eager else Peer.Optimistic in
       match transport with
       | Transport.Unix_socket | Transport.Tcp ->
           run_stream_protocol transport ~mode ~objects ~distinct ~nonconf
@@ -766,29 +770,20 @@ let protocol_cmd =
           `Error (false, "--listen/--connect need --transport unix or tcp")
       | Transport.Sim ->
           let metrics = Metrics.create () in
-          let net, sender, delivered, rejected =
+          let net, sender, outcome =
             run_workload ~mode ~objects ~distinct ~nonconf ~metrics ~handles
               ?batch_bytes ~tdesc_binary ()
           in
+          let delivered, rejected = outcome in
           Format.printf
             "mode=%s objects=%d distinct=%d nonconf=%d@.delivered=%d \
              rejected=%d completion=%.1f ms@.%a@."
-            (if eager then "eager" else "optimistic")
-            objects distinct nonconf delivered rejected (Net.now_ms net)
-            Stats.pp (Net.stats net);
-          if handles then
-            Format.printf "handles: hits=%d misses=%d renegotiations=%d@."
-              (Peer.handle_hits sender)
-              (Peer.handle_misses sender)
-              (Peer.renegotiations sender);
-          if batch_bytes <> None then
-            Format.printf "batching: frames=%d envelopes=%d bytes-saved=%d@."
-              (Peer.batch_messages sender)
-              (Peer.batch_envelopes sender)
-              (Peer.batch_bytes_saved sender);
+            (mode_name mode) objects distinct nonconf delivered rejected
+            (Net.now_ms net) Stats.pp (Net.stats net);
+          print_wire_summary sender ~handles ~batch_bytes;
           if show_metrics then
             Format.printf "@.%a@." Metrics.pp (Metrics.snapshot metrics);
-          `Ok 0
+          `Ok (if outcome_ok ~objects ~distinct ~nonconf outcome then 0 else 1)
     end
   in
   Cmd.v
@@ -799,14 +794,14 @@ let protocol_cmd =
              remote invocation as an end-to-end barrier.")
     Term.(
       ret
-        (const run $ objects $ distinct $ nonconf $ eager $ show_metrics
+        (const run $ objects $ distinct $ nonconf $ mode_arg $ metrics_arg
         $ handles $ batch_bytes $ tdesc_binary $ transport_arg $ listen_arg
         $ connect_arg))
 
 (* ------------------------------ stats ------------------------------ *)
 
 let stats_cmd =
-  let objects, distinct, nonconf, eager = workload_args in
+  let objects, distinct, nonconf = workload_args in
   let json =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the snapshot as one JSON object.")
@@ -830,7 +825,7 @@ let stats_cmd =
                    counters, the scale.latency_ms histogram, cache-rate \
                    gauges) alongside the usual net.* and peer.* metrics.")
   in
-  let run objects distinct nonconf eager json tdesc_cache checker_cache scale =
+  let run objects distinct nonconf mode json tdesc_cache checker_cache scale =
     match scale with
     | Some sessions when sessions > 0 ->
         let metrics = Metrics.create () in
@@ -845,13 +840,11 @@ let stats_cmd =
         if not (validate_workload objects distinct nonconf) then
           `Error (false, "need objects > 0 and 0 <= nonconf <= distinct > 0")
         else begin
-          let mode = if eager then Peer.Eager else Peer.Optimistic in
           let metrics = Metrics.create () in
-          let _net, _sender, _delivered, _rejected =
-            run_workload ~mode ~objects ~distinct ~nonconf ~metrics
-              ?tdesc_cache_capacity:tdesc_cache
-              ?checker_cache_capacity:checker_cache ()
-          in
+          ignore
+            (run_workload ~mode ~objects ~distinct ~nonconf ~metrics
+               ?tdesc_cache_capacity:tdesc_cache
+               ?checker_cache_capacity:checker_cache ());
           let snap = Metrics.snapshot metrics in
           if json then print_endline (Metrics.to_json snap)
           else Format.printf "%a@." Metrics.pp snap;
@@ -868,8 +861,8 @@ let stats_cmd =
              namespace.")
     Term.(
       ret
-        (const run $ objects $ distinct $ nonconf $ eager $ json $ tdesc_cache
-        $ checker_cache $ scale))
+        (const run $ objects $ distinct $ nonconf $ mode_arg $ json
+        $ tdesc_cache $ checker_cache $ scale))
 
 (* ------------------------------ scale ------------------------------ *)
 
@@ -1025,80 +1018,77 @@ let scale_cmd =
             List.map
               (fun n ->
                 let cfg = { cfg with Scale_driver.sessions = n } in
-                let report, wall_ms = scale_run_one cfg in
+                let r, wall_ms = scale_run_one cfg in
                 Format.fprintf human "%a@.wall %.0f ms@.@."
-                  Scale_driver.pp_report report wall_ms;
-                let ok =
-                  if not smoke then true
-                  else begin
-                    let r = report in
-                    let rerun, _ = scale_run_one cfg in
-                    let dedup_ok =
-                      match cfg.Scale_driver.flash_at_ms with
-                      | None -> true
-                      | Some _ ->
-                          r.Scale_driver.r_flash_sends > 0
-                          && r.Scale_driver.r_flash_tdesc_fetches
-                             <= 4 * cfg.Scale_driver.shards
-                          && r.Scale_driver.r_flash_asm_fetches
-                             <= 2 * cfg.Scale_driver.shards
-                    in
-                    let upgrade_ok =
-                      match cfg.Scale_driver.upgrade_at_ms with
-                      | None -> true
-                      | Some _ ->
-                          r.Scale_driver.r_upgraded_version >= 2
-                          && r.Scale_driver.r_upgrade_sends > 0
-                    in
-                    let checks =
-                      [
-                        (r.Scale_driver.r_deliveries > 0, "no deliveries");
-                        (r.Scale_driver.r_undelivered = 0,
-                         "conformant sends left undelivered");
-                        (Int64.equal r.Scale_driver.r_trace_hash
-                           rerun.Scale_driver.r_trace_hash,
-                         "same-seed trace hashes differ");
-                        (dedup_ok, "flash-crowd fetches not O(shards)");
-                        (upgrade_ok,
-                         "upgrade did not land (chain head < v2 or no \
-                          post-upgrade traffic)");
-                      ]
-                    in
-                    List.fold_left
-                      (fun acc (ok, msg) ->
-                        if not ok then
-                          Format.fprintf human "SMOKE FAIL (n=%d): %s@." n
-                            msg;
-                        acc && ok)
-                      true checks
-                  end
+                  Scale_driver.pp_report r wall_ms;
+                let fail kind msg =
+                  Printf.sprintf "%s FAIL (n=%d): %s" kind n msg
                 in
-                let gates = ref true in
-                (match min_reuse with
-                | None -> ()
-                | Some threshold ->
-                    if
-                      report.Scale_driver.r_verdict_reuse_rate < threshold
-                    then begin
-                      Format.fprintf human
-                        "GATE FAIL (n=%d): verdict reuse %.4f < %g@." n
-                        report.Scale_driver.r_verdict_reuse_rate threshold;
-                      gates := false
-                    end);
-                (match expect_trace with
-                | None -> ()
-                | Some hex ->
-                    let got =
-                      Printf.sprintf "%Lx" report.Scale_driver.r_trace_hash
-                    in
-                    if not (String.equal (String.lowercase_ascii hex) got)
-                    then begin
-                      Format.fprintf human
-                        "GATE FAIL (n=%d): trace %s, expected %s@." n got
-                        hex;
-                      gates := false
-                    end);
-                (Scale_driver.report_to_json ~wall_ms report, ok && !gates))
+                let smoke_checks () =
+                  let rerun, _ = scale_run_one cfg in
+                  let dedup_ok =
+                    match cfg.Scale_driver.flash_at_ms with
+                    | None -> true
+                    | Some _ ->
+                        r.Scale_driver.r_flash_sends > 0
+                        && r.Scale_driver.r_flash_tdesc_fetches
+                           <= 4 * cfg.Scale_driver.shards
+                        && r.Scale_driver.r_flash_asm_fetches
+                           <= 2 * cfg.Scale_driver.shards
+                  in
+                  let upgrade_ok =
+                    match cfg.Scale_driver.upgrade_at_ms with
+                    | None -> true
+                    | Some _ ->
+                        r.Scale_driver.r_upgraded_version >= 2
+                        && r.Scale_driver.r_upgrade_sends > 0
+                  in
+                  List.map
+                    (fun (ok, msg) -> (ok, fail "SMOKE" msg))
+                    [
+                      (r.Scale_driver.r_deliveries > 0, "no deliveries");
+                      (r.Scale_driver.r_undelivered = 0,
+                       "conformant sends left undelivered");
+                      (Int64.equal r.Scale_driver.r_trace_hash
+                         rerun.Scale_driver.r_trace_hash,
+                       "same-seed trace hashes differ");
+                      (dedup_ok, "flash-crowd fetches not O(shards)");
+                      (upgrade_ok,
+                       "upgrade did not land (chain head < v2 or no \
+                        post-upgrade traffic)");
+                    ]
+                in
+                let checks =
+                  (if smoke then smoke_checks () else [])
+                  @ (match min_reuse with
+                    | None -> []
+                    | Some threshold ->
+                        let rate = r.Scale_driver.r_verdict_reuse_rate in
+                        [
+                          ( not (rate < threshold),
+                            fail "GATE"
+                              (Printf.sprintf "verdict reuse %.4f < %g" rate
+                                 threshold) );
+                        ])
+                  @
+                  match expect_trace with
+                  | None -> []
+                  | Some hex ->
+                      let got =
+                        Printf.sprintf "%Lx" r.Scale_driver.r_trace_hash
+                      in
+                      [
+                        ( String.equal (String.lowercase_ascii hex) got,
+                          fail "GATE"
+                            (Printf.sprintf "trace %s, expected %s" got hex) );
+                      ]
+                in
+                List.iter
+                  (fun (ok, msg) ->
+                    if not ok then Format.fprintf human "%s@." msg)
+                  checks;
+                ( Scale_driver.report_to_json ~wall_ms r,
+                  List.for_all fst checks ))
               sizes
           in
           let all_ok = List.for_all snd rows in
@@ -1279,16 +1269,6 @@ let cluster_cmd =
                    gossip phase: deliveries must go through mirror \
                    failover.")
   in
-  let eager =
-    Arg.(value & flag
-         & info [ "eager" ] ~doc:"Use the eager baseline instead of the \
-                                  optimistic protocol.")
-  in
-  let show_metrics =
-    Arg.(value & flag
-         & info [ "metrics" ] ~doc:"Also print the metrics-registry \
-                                    snapshot (cluster.* included).")
-  in
   let upgrade =
     Arg.(value & flag
          & info [ "upgrade" ]
@@ -1299,7 +1279,7 @@ let cluster_cmd =
                    old receivers, and every object must still be \
                    delivered.")
   in
-  let run peers factor objects distinct rounds crash_origin eager
+  let run peers factor objects distinct rounds crash_origin mode
       show_metrics upgrade transport =
     if peers < 3 then `Error (false, "need --peers >= 3 (origin, relay, receiver)")
     else if factor < 1 || factor > peers then
@@ -1311,7 +1291,6 @@ let cluster_cmd =
     else begin
       let module Cluster = Pti_cluster.Cluster in
       let module Node = Pti_cluster.Node in
-      let mode = if eager then Peer.Eager else Peer.Optimistic in
       let metrics = Metrics.create () in
       (* sim: the deterministic simulator. unix/tcp: every node on one
          in-process stream fabric — each peer gets a real listening
@@ -1434,9 +1413,7 @@ let cluster_cmd =
       in
       Format.printf
         "cluster: peers=%d factor=%d rounds=%d mode=%s crash-origin=%b@."
-        peers factor rounds
-        (if eager then "eager" else "optimistic")
-        crash_origin;
+        peers factor rounds (mode_name mode) crash_origin;
       Format.printf "roles: origin=%s relay=%s receiver=%s holders=[%s]@."
         origin relay receiver (String.concat ", " holders);
       Format.printf
@@ -1485,7 +1462,7 @@ let cluster_cmd =
     Term.(
       ret
         (const run $ peers $ factor $ objects $ distinct $ rounds
-        $ crash_origin $ eager $ show_metrics $ upgrade $ transport_arg))
+        $ crash_origin $ mode_arg $ metrics_arg $ upgrade $ transport_arg))
 
 (* ------------------------------ publish ---------------------------- *)
 

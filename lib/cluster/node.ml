@@ -1,4 +1,3 @@
-module Stats = Pti_net.Stats
 module Metrics = Pti_obs.Metrics
 module Splitmix = Pti_util.Splitmix
 module Guid = Pti_util.Guid
@@ -28,9 +27,10 @@ type t = {
   factor : int;
   probe_timeout_ms : float;
   rng : Splitmix.t;
-  (* This node's own private observations — RTT estimates stay local,
-     the way they would on a real network. *)
-  stats : Stats.t;
+  (* Per-peer round-trip EWMA from completed gossip exchanges: this
+     node's own observation, local the way it would be on a real
+     network; the mirror ranking orders download candidates by it. *)
+  rtts : (string, float) Hashtbl.t;
   members : (string, member) Hashtbl.t;
   mirrors : (string, string) Hashtbl.t;  (* download path -> assembly *)
   inflight : (int, float * string) Hashtbl.t;  (* token -> sent_at, partner *)
@@ -48,8 +48,17 @@ type t = {
 let peer t = t.peer
 let address t = t.addr
 let replication_factor t = t.factor
-let stats t = t.stats
-let rtt t addr = Stats.rtt t.stats ~peer:addr
+let rtt t addr = Hashtbl.find_opt t.rtts addr
+
+(* EWMA smoothing for RTT observations: heavy enough that one slow
+   round-trip does not reorder mirrors, light enough to track drift. *)
+let rtt_alpha = 0.3
+
+let record_rtt t addr ~ms =
+  Hashtbl.replace t.rtts addr
+    (match Hashtbl.find_opt t.rtts addr with
+    | None -> ms
+    | Some old -> ((1. -. rtt_alpha) *. old) +. (rtt_alpha *. ms))
 
 let status t addr =
   Option.map (fun m -> m.m_status) (Hashtbl.find_opt t.members addr)
@@ -159,7 +168,7 @@ let rank t ~assembly ~advertised =
           | Some Dead -> 2
         in
         let ms =
-          match Stats.rtt t.stats ~peer:host with
+          match rtt t host with
           | Some ms -> ms
           | None -> infinity
         in
@@ -288,8 +297,7 @@ let on_gossip t ~src ~kind ~body =
           (match Hashtbl.find_opt t.inflight m.Digest.g_token with
           | Some (sent_at, partner) when String.equal partner src ->
               Hashtbl.remove t.inflight m.Digest.g_token;
-              Stats.record_rtt t.stats ~peer:src
-                ~ms:(Peer.now_ms t.peer -. sent_at)
+              record_rtt t src ~ms:(Peer.now_ms t.peer -. sent_at)
           | _ -> ());
           absorb_summary t m;
           (* Third leg: push back whatever the responder still lacks. *)
@@ -534,7 +542,7 @@ let create ?(factor = 2) ?(seed = 17L) ?(probe_timeout_ms = 5_000.) peer =
       factor;
       probe_timeout_ms;
       rng = Splitmix.create seed;
-      stats = Stats.create ();
+      rtts = Hashtbl.create 8;
       members = Hashtbl.create 8;
       mirrors = Hashtbl.create 16;
       inflight = Hashtbl.create 8;

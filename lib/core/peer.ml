@@ -435,28 +435,18 @@ let request_assembly t ~host ~path k =
   send t ~dst:host (Message.Asm_request { path; token })
 
 (* Outstanding-count join over a set of asynchronous steps: [fi_k] runs
-   exactly once, at the first [settle] that finds no step outstanding —
-   the caller settles after starting every step it knows of, and each
-   step settles as it finishes (so a step that finishes synchronously
-   can fire it before the caller has started the rest). *)
-type fan_in = {
-  mutable fi_outstanding : int;
-  mutable fi_fired : bool;
-  fi_k : unit -> unit;
-}
+   exactly once, when the count drops to zero. The count starts at one
+   for the caller, which finishes its own step after starting every
+   step it knows of, so a step that finishes synchronously cannot fire
+   [fi_k] while later steps are still to start. *)
+type fan_in = { mutable fi_outstanding : int; fi_k : unit -> unit }
 
-let fan_in k = { fi_outstanding = 0; fi_fired = false; fi_k = k }
+let fan_in k = { fi_outstanding = 1; fi_k = k }
 let step_started f = f.fi_outstanding <- f.fi_outstanding + 1
-
-let settle f =
-  if f.fi_outstanding = 0 && not f.fi_fired then begin
-    f.fi_fired <- true;
-    f.fi_k ()
-  end
 
 let step_finished f =
   f.fi_outstanding <- f.fi_outstanding - 1;
-  settle f
+  if f.fi_outstanding = 0 then f.fi_k ()
 
 (* Fetch the transitive closure of descriptions for [names] from [from],
    then continue with [k]. Names already resolvable locally are free.
@@ -505,7 +495,7 @@ let ensure_descs ?(pins = []) t ~from names k =
     end
   in
   List.iter need names;
-  settle steps
+  step_finished steps
 
 (* Candidate download paths for an assembly: the cluster's mirror
    provider when installed (it ranks by liveness and observed latency,
@@ -687,7 +677,7 @@ let ensure_assemblies t (env : Envelope.t) k =
                 fail reason);
             step_finished steps))
       needed;
-    settle steps
+    step_finished steps
 
 (* ---------------------------------------------------------------- *)
 (* Pass-by-value reception (Figure 1)                                 *)

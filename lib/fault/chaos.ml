@@ -72,13 +72,7 @@ let rec obj_of = function
   | Value.Vproxy p -> obj_of p.Value.px_target
   | _ -> None
 
-let name_age v =
-  match obj_of v with
-  | None -> None
-  | Some o -> (
-      match (Value.get_field o "name", Value.get_field o "age") with
-      | Some (Value.Vstring n), Some (Value.Vint a) -> Some (n, a)
-      | _ -> None)
+let unextractable v = "<unextractable:" ^ Value.type_name v ^ ">"
 
 (* A corrupt batch frame loses the (single, at chaos pacing) envelope it
    carried, so it is terminal like a corrupt envelope. A corrupt
@@ -89,6 +83,124 @@ let is_terminal_failure = function
   | Peer.Corrupt_rejected { what = "envelope" | "payload" | "batch"; _ } ->
       true
   | _ -> false
+
+let delivered_values receiver =
+  List.filter_map
+    (function Peer.Delivered { value; _ } -> Some value | _ -> None)
+    (Peer.events receiver)
+
+(* Which schema revision did each delivery actually decode against?
+   The v2-only [email] field (with its initializer) is the witness:
+   present iff the value was built from the v2 description. *)
+let decoded_revisions receiver =
+  List.filter_map
+    (fun v ->
+      match obj_of v with
+      | None -> None
+      | Some o ->
+          let key =
+            match Value.get_field o "name" with
+            | Some (Value.Vstring n) -> n
+            | _ -> unextractable v
+          in
+          Some (key, if Value.get_field o "email" = None then 1 else 2))
+    (delivered_values receiver)
+
+let membership cl hosts =
+  Invariant.membership_converged
+    (List.map
+       (fun a ->
+         ( a,
+           List.filter_map
+             (fun (m, st) ->
+               if List.mem m hosts then Some (m, Node.status_name st)
+               else None)
+             (Node.members (Cluster.node cl a)) ))
+       hosts)
+
+type judgement = {
+  j_delivered : int;
+  j_rejected : int;
+  j_failed : int;
+  j_net_lost : int;
+  j_violations : Invariant.violation list;
+}
+
+let judge ~net ~trace ~receiver ~families ~sent ~expected ~trap_keys =
+  let events = Peer.events receiver in
+  let delivered_vals = delivered_values receiver in
+  let delivered = List.length delivered_vals in
+  let rejected =
+    List.length
+      (List.filter (function Peer.Rejected _ -> true | _ -> false) events)
+  in
+  let failed = List.length (List.filter is_terminal_failure events) in
+  (* Payload identity: the (name, age) a delivered person carries,
+     keyed by name. *)
+  let got =
+    List.map
+      (fun v ->
+        let fields =
+          Option.bind (obj_of v) (fun o ->
+              match (Value.get_field o "name", Value.get_field o "age") with
+              | Some (Value.Vstring n), Some (Value.Vint a) -> Some (n, a)
+              | _ -> None)
+        in
+        match fields with
+        | Some (n, a) -> (n, (n, a))
+        | None -> (unextractable v, ("?", -1)))
+      delivered_vals
+  in
+  let delivered_keys = List.map fst got in
+  (* Verdict stability: re-checking after a cache clear must agree. *)
+  let checker = Peer.checker receiver in
+  let verdict_str v =
+    if Checker.verdict_ok v then "conformant" else "not-conformant"
+  in
+  let triples =
+    List.filter_map
+      (fun (index, flavor) ->
+        let tn = Workload.person_name ~index ~flavor in
+        match
+          ( Peer.local_description receiver tn,
+            Peer.local_description receiver Workload.interest_person )
+        with
+        | Some actual, Some interest ->
+            let before = verdict_str (Checker.check checker ~actual ~interest) in
+            Checker.clear_cache checker;
+            let after = verdict_str (Checker.check checker ~actual ~interest) in
+            Some (tn, before, after)
+        | _ -> None)
+      families
+  in
+  (* Metrics-vs-trace: the stats registry and the trace recorder watched
+     the same wire. Control is excluded: acks are charged, not traced. *)
+  let stats = Net.stats net in
+  let count_pairs =
+    List.filter_map
+      (fun c ->
+        if c = Stats.Control then None
+        else
+          Some
+            ( Stats.category_name c,
+              Stats.messages stats c,
+              Trace.count trace ~category:c () ))
+      Stats.all_categories
+  in
+  let net_lost = Net.lost_for net Stats.Object_msg in
+  {
+    j_delivered = delivered;
+    j_rejected = rejected;
+    j_failed = failed;
+    j_net_lost = net_lost;
+    j_violations =
+      Invariant.conservation ~sent ~delivered ~rejected ~failed ~net_lost
+      @ Invariant.exactly_once ~delivered_keys
+      @ Invariant.no_mangle ~expected ~got
+      @ Invariant.trap_never_delivered ~trap_keys ~delivered_keys
+      @ Invariant.verdict_stability triples
+      @ Invariant.metrics_match_trace count_pairs;
+  }
 
 let run_one ?plan config ~seed =
   let root = Splitmix.create seed in
@@ -257,126 +369,34 @@ let run_one ?plan config ~seed =
     | None -> []
     | Some cl ->
         Cluster.run_rounds cl 6;
-        let rows =
-          List.map
-            (fun a ->
-              let node = Cluster.node cl a in
-              ( a,
-                List.filter_map
-                  (fun (m, st) ->
-                    if List.mem m hosts then Some (m, Node.status_name st)
-                    else None)
-                  (Node.members node) ))
-            hosts
-        in
-        Invariant.membership_converged rows
+        membership cl hosts
   in
-  (* Collect the receiver's terminal events. *)
-  let events = Peer.events receiver in
-  let delivered_vals =
-    List.filter_map
-      (function Peer.Delivered { value; _ } -> Some value | _ -> None)
-      events
-  in
-  let rejected =
-    List.length
-      (List.filter (function Peer.Rejected _ -> true | _ -> false) events)
-  in
-  let failed = List.length (List.filter is_terminal_failure events) in
-  let got =
-    List.map
-      (fun v ->
-        match name_age v with
-        | Some (n, a) -> (n, (n, a))
-        | None -> ("<unextractable:" ^ Value.type_name v ^ ">", ("?", -1)))
-      delivered_vals
-  in
-  let delivered_keys = List.map fst got in
-  (* Which schema revision did each delivery actually decode against?
-     The v2-only [email] field (with its initializer) is the witness:
-     present iff the value was built from the v2 description. *)
-  let decoded =
-    List.filter_map
-      (fun v ->
-        match obj_of v with
-        | None -> None
-        | Some o ->
-            let key =
-              match Value.get_field o "name" with
-              | Some (Value.Vstring n) -> n
-              | _ -> "<unextractable:" ^ Value.type_name v ^ ">"
-            in
-            let dv =
-              match Value.get_field o "email" with Some _ -> 2 | None -> 1
-            in
-            Some (key, dv))
-      delivered_vals
-  in
-  (* Verdict stability: re-checking after a cache clear must agree. *)
-  let checker = Peer.checker receiver in
-  let verdict_str v =
-    if Checker.verdict_ok v then "conformant" else "not-conformant"
-  in
-  let triples =
-    List.filter_map
-      (fun (index, flavor) ->
-        let tn = Workload.person_name ~index ~flavor in
-        match
-          ( Peer.local_description receiver tn,
-            Peer.local_description receiver Workload.interest_person )
-        with
-        | Some actual, Some interest ->
-            let before = verdict_str (Checker.check checker ~actual ~interest) in
-            Checker.clear_cache checker;
-            let after = verdict_str (Checker.check checker ~actual ~interest) in
-            Some (tn, before, after)
-        | _ -> None)
-      families
-  in
-  (* Metrics-vs-trace: the stats registry and the trace recorder watched
-     the same wire. Control is excluded: acks are charged, not traced. *)
-  let stats = Net.stats net in
-  let count_pairs =
-    List.filter_map
-      (fun c ->
-        if c = Stats.Control then None
-        else
-          Some
-            ( Stats.category_name c,
-              Stats.messages stats c,
-              Trace.count trace ~category:c () ))
-      Stats.all_categories
-  in
-  let net_lost = Net.lost_for net Stats.Object_msg in
-  let violations =
-    Invariant.conservation ~sent:config.c_objects
-      ~delivered:(List.length delivered_vals) ~rejected ~failed ~net_lost
-    @ Invariant.exactly_once ~delivered_keys
-    @ Invariant.no_mangle ~expected:!expected ~got
-    @ Invariant.trap_never_delivered ~trap_keys:!trap_keys ~delivered_keys
-    @ Invariant.upgrade_safety ~negotiated:!negotiated ~decoded
-    @ Invariant.verdict_stability triples
-    @ membership_violations
-    @ Invariant.handle_degradation ~tables_dropped
-        ~renegotiations:(Peer.renegotiations receiver)
-    @ Invariant.metrics_match_trace count_pairs
+  let j =
+    judge ~net ~trace ~receiver ~families ~sent:config.c_objects
+      ~expected:!expected ~trap_keys:!trap_keys
   in
   {
     r_seed = seed;
     r_plan = plan;
     r_sent = config.c_objects;
-    r_delivered = List.length delivered_vals;
-    r_rejected = rejected;
-    r_failed = failed;
+    r_delivered = j.j_delivered;
+    r_rejected = j.j_rejected;
+    r_failed = j.j_failed;
     r_corrupt_rejects =
       List.fold_left (fun acc p -> acc + Peer.corrupt_rejects p) 0 peers;
-    r_net_lost = net_lost;
+    r_net_lost = j.j_net_lost;
     r_retransmissions = Transport.retransmissions tr;
     r_injected_drops = Transport.injected_drops tr;
     r_corrupted_frames = Transport.corrupted_frames tr;
     r_integrity_drops = Transport.integrity_drops tr;
     r_renegotiations = Peer.renegotiations receiver;
-    r_violations = violations;
+    r_violations =
+      j.j_violations
+      @ Invariant.upgrade_safety ~negotiated:!negotiated
+          ~decoded:(decoded_revisions receiver)
+      @ membership_violations
+      @ Invariant.handle_degradation ~tables_dropped
+          ~renegotiations:(Peer.renegotiations receiver);
   }
 
 let shrink config ~seed plan0 =

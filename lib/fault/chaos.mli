@@ -57,16 +57,51 @@ type run_result = {
   r_violations : Invariant.violation list;  (** Empty = run is green. *)
 }
 
-val name_age : Pti_cts.Value.value -> (string * int) option
-(** Extract the [(name, age)] observable fields from a delivered person
-    object (unwrapping proxies) — the payload identity the no-mangle
-    invariant compares. Shared with the model checker's scenarios. *)
+(** {1 Judging a terminal state}
 
-val is_terminal_failure : Pti_core.Peer.event -> bool
-(** Events that permanently consume an object for the conservation
-    count: decode/load failures and corrupt envelope/payload/batch
-    rejections (a corrupt handle-bind frame is {e not} terminal — the
-    parked envelope accounts for itself). *)
+    The invariants every closed run must satisfy once it has quiesced,
+    whoever drove it: this harness, or the model checker's scenarios at
+    each terminal state they explore. *)
+
+type judgement = {
+  j_delivered : int;
+  j_rejected : int;  (** Non-conformant objects turned away. *)
+  j_failed : int;
+      (** Events that permanently consumed an object: decode/load
+          failures and corrupt envelope/payload/batch rejections (a
+          corrupt handle-bind frame is {e not} terminal — the parked
+          envelope accounts for itself). *)
+  j_net_lost : int;  (** Object messages the ARQ layer gave up on. *)
+  j_violations : Invariant.violation list;
+}
+
+val judge :
+  net:'a Pti_net.Net.t ->
+  trace:Pti_net.Trace.t ->
+  receiver:Pti_core.Peer.t ->
+  families:(int * Pti_demo.Workload.flavor) list ->
+  sent:int ->
+  expected:(string * (string * int)) list ->
+  trap_keys:string list ->
+  judgement
+(** Count the receiver's outcomes and check conservation, exactly-once,
+    no-mangle (deliveries keyed and compared by their [(name, age)]
+    fields, proxies unwrapped), trap-never-delivered, verdict stability
+    of each of [families] against {!Pti_demo.Workload.interest_person}
+    and metrics-vs-trace. [sent] objects went out; [expected] maps each
+    conformant object's key to its fields, [trap_keys] names the trap
+    objects. Clears the receiver's verdict cache (the stability
+    re-check), so call it once, at quiescence. *)
+
+val decoded_revisions : Pti_core.Peer.t -> (string * int) list
+(** [(key, revision)] for each delivery: the schema revision the value
+    was decoded against (2 when it carries the v2-only [email] field,
+    else 1) — the [decoded] side of {!Invariant.upgrade_safety}. *)
+
+val membership :
+  Pti_cluster.Cluster.t -> string list -> Invariant.violation list
+(** {!Invariant.membership_converged} over every host's view of the
+    given hosts. *)
 
 val run_one : ?plan:Fault_plan.t -> config -> seed:int64 -> run_result
 (** One seeded world. [plan] overrides the generated schedule (same

@@ -5,7 +5,6 @@ module Stats = Pti_net.Stats
 module Trace = Pti_net.Trace
 module Peer = Pti_core.Peer
 module Message = Pti_core.Message
-module Checker = Pti_conformance.Checker
 module Workload = Pti_demo.Workload
 module Invariant = Pti_fault.Invariant
 module Chaos = Pti_fault.Chaos
@@ -13,7 +12,6 @@ module Cl = Pti_cluster.Cluster
 module Node = Pti_cluster.Node
 module Fnv = Pti_util.Fnv
 module Repository = Pti_core.Repository
-module Value = Pti_cts.Value
 
 (* Closed worlds for the model checker. Unlike the chaos harness these
    are entirely fault-free and jitter-free: the only nondeterminism left
@@ -75,84 +73,23 @@ let families_used ~objects =
 (* The invariant set shared by every scenario, evaluated at a terminal
    (quiescent) state. [receiver] is the peer whose interest pipeline the
    objects ran through. On a fault-free net nothing may be lost, mangled
-   or double-applied, verdicts must be schedule-independent, and the
-   subprotocol traffic must stay within what the in-flight dedup
-   guarantees — however the deliveries were interleaved. *)
+   or double-applied, verdicts must be schedule-independent
+   ({!Chaos.judge}), and the subprotocol traffic must stay within what
+   the in-flight dedup guarantees — however the deliveries were
+   interleaved. *)
 let check_common ?(revisions = 1) ~net ~trace ~receiver ~objects ~expected
     ~trap_keys () =
-  let events = Peer.events receiver in
-  let delivered_vals =
-    List.filter_map
-      (function Peer.Delivered { value; _ } -> Some value | _ -> None)
-      events
-  in
-  let rejected =
-    List.length
-      (List.filter (function Peer.Rejected _ -> true | _ -> false) events)
-  in
-  let failed = List.length (List.filter Chaos.is_terminal_failure events) in
-  let got =
-    List.map
-      (fun v ->
-        match Chaos.name_age v with
-        | Some (n, a) -> (n, (n, a))
-        | None ->
-            ( "<unextractable:" ^ Pti_cts.Value.type_name v ^ ">",
-              ("?", -1) ))
-      delivered_vals
-  in
-  let delivered_keys = List.map fst got in
-  let checker = Peer.checker receiver in
-  let verdict_str v =
-    if Checker.verdict_ok v then "conformant" else "not-conformant"
-  in
-  let triples =
-    List.filter_map
-      (fun (index, flavor) ->
-        let tn = Workload.person_name ~index ~flavor in
-        match
-          ( Peer.local_description receiver tn,
-            Peer.local_description receiver Workload.interest_person )
-        with
-        | Some actual, Some interest ->
-            let before =
-              verdict_str (Checker.check checker ~actual ~interest)
-            in
-            Checker.clear_cache checker;
-            let after =
-              verdict_str (Checker.check checker ~actual ~interest)
-            in
-            Some (tn, before, after)
-        | _ -> None)
-      (families_used ~objects)
+  let families = families_used ~objects in
+  let j =
+    Chaos.judge ~net ~trace ~receiver ~families ~sent:objects ~expected
+      ~trap_keys
   in
   let stats = Net.stats net in
-  let distinct = List.length (families_used ~objects) in
+  let distinct = List.length families in
   let conformant_distinct =
-    List.length
-      (List.filter
-         (fun (_, f) -> f = Workload.Conformant)
-         (families_used ~objects))
+    List.length (List.filter (fun (_, f) -> f = Workload.Conformant) families)
   in
-  let count_pairs =
-    List.filter_map
-      (fun c ->
-        if c = Stats.Control then None
-        else
-          Some
-            ( Stats.category_name c,
-              Stats.messages stats c,
-              Trace.count trace ~category:c () ))
-      Stats.all_categories
-  in
-  Invariant.conservation ~sent:objects
-    ~delivered:(List.length delivered_vals)
-    ~rejected ~failed
-    ~net_lost:(Net.lost_for net Stats.Object_msg)
-  @ Invariant.exactly_once ~delivered_keys
-  @ Invariant.no_mangle ~expected ~got
-  @ Invariant.trap_never_delivered ~trap_keys ~delivered_keys
-  @ Invariant.verdict_stability triples
+  j.Chaos.j_violations
   (* Each family needs at most its Person + Address descriptions and
      (when conformant, hence downloaded) one assembly — whatever the
      interleaving, thanks to the shared in-flight exchanges. A live
@@ -164,7 +101,6 @@ let check_common ?(revisions = 1) ~net ~trace ~receiver ~objects ~expected
   @ Invariant.fetch_economy ~label:"assembly requests"
       ~actual:(Stats.messages stats Stats.Asm_request)
       ~allowed:(conformant_distinct * revisions)
-  @ Invariant.metrics_match_trace count_pairs
 
 (* Publish the used families on [sender], register the news interest on
    [receiver], and issue the object sends; returns (expected, traps). *)
@@ -295,20 +231,8 @@ let make_cluster spec =
       done)
     hosts;
   let check () =
-    let rows =
-      List.map
-        (fun a ->
-          let node = Cl.node cl a in
-          ( a,
-            List.filter_map
-              (fun (m, st) ->
-                if List.mem m hosts then Some (m, Node.status_name st)
-                else None)
-              (Node.members node) ))
-        hosts
-    in
     check_common ~net ~trace ~receiver ~objects ~expected ~trap_keys ()
-    @ Invariant.membership_converged rows
+    @ Chaos.membership cl hosts
   in
   {
     i_net = net;
@@ -397,32 +321,10 @@ let make_evolution spec =
             with
             | Ok _ | Error _ -> ()));
   let check () =
-    let delivered_vals =
-      List.filter_map
-        (function Peer.Delivered { value; _ } -> Some value | _ -> None)
-        (Peer.events bob)
-    in
-    let decoded =
-      List.filter_map
-        (fun v ->
-          match Chaos.name_age v with
-          | None -> None
-          | Some (n, _) ->
-              let dv =
-                match v with
-                | Value.Vobj o | Value.Vproxy { Value.px_target = Value.Vobj o; _ }
-                  -> (
-                    match Value.get_field o "email" with
-                    | Some _ -> 2
-                    | None -> 1)
-                | _ -> 1
-              in
-              Some (n, dv))
-        delivered_vals
-    in
     check_common ~revisions:2 ~net ~trace ~receiver:bob ~objects
       ~expected:!expected ~trap_keys:[] ()
-    @ Invariant.upgrade_safety ~negotiated:!negotiated ~decoded
+    @ Invariant.upgrade_safety ~negotiated:!negotiated
+        ~decoded:(Chaos.decoded_revisions bob)
   in
   {
     i_net = net;

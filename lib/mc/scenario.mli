@@ -6,8 +6,8 @@
     scenario from scratch for every schedule prefix, so construction
     must be cheap and draw no ambient randomness (fixed seeds only).
 
-    The invariant set reuses the chaos harness's checks
-    ({!Pti_fault.Invariant}): conservation, exactly-once, no-mangle,
+    A terminal state is judged by the chaos harness's judge
+    ({!Pti_fault.Chaos.judge}): conservation, exactly-once, no-mangle,
     trap rejection, verdict stability, metrics-vs-trace — plus
     {!Pti_fault.Invariant.fetch_economy}, which bounds subprotocol
     traffic by what the in-flight dedup guards promise, and (cluster

@@ -48,30 +48,10 @@ let of_index i =
 
 module Metrics = Pti_obs.Metrics
 
-(* Latency samples per category. Samples land in a growable unboxed
-   float array (insertion is allocation-free, amortized — no cons cell
-   per sample, which matters at 10^6 inserts), in arrival order. The
-   sorted view for percentile queries is maintained incrementally: a
-   query sorts only the tail that arrived since the previous query and
-   merges it into the already-sorted prefix — O(k log k + n) instead of
-   the full O(n log n) re-sort the old invalidate-on-insert memo paid
-   on every snapshot of a hot run. *)
-type lat = {
-  mutable buf : float array;  (* arrival order; first [count] are live *)
-  mutable count : int;
-  mutable sorted : float array;  (* sorted copy of the first [sorted_len] *)
-  mutable sorted_len : int;
-}
-
 type t = {
   bytes : int array;
   messages : int array;
-  latencies : lat array;
   hists : Metrics.histogram array option;  (* net.latency_ms.<category> *)
-  (* Per-remote-peer round-trip EWMA: the latency signal a host accumulates
-     about the peers it talks to, which the cluster's mirror selector
-     ranks download candidates by. *)
-  rtts : (string, float) Hashtbl.t;
 }
 
 let create ?metrics () =
@@ -83,17 +63,7 @@ let create ?metrics () =
             Metrics.histogram m ("net.latency_ms." ^ category_name c)))
       metrics
   in
-  let t =
-    {
-      bytes = Array.make ncat 0;
-      messages = Array.make ncat 0;
-      latencies =
-        Array.init ncat (fun _ ->
-            { buf = [||]; count = 0; sorted = [||]; sorted_len = 0 });
-      hists;
-      rtts = Hashtbl.create 8;
-    }
-  in
+  let t = { bytes = Array.make ncat 0; messages = Array.make ncat 0; hists } in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -125,118 +95,12 @@ let total_messages t = Array.fold_left ( + ) 0 t.messages
 
 let reset t =
   Array.fill t.bytes 0 ncat 0;
-  Array.fill t.messages 0 ncat 0;
-  Array.iter
-    (fun l ->
-      l.buf <- [||];
-      l.count <- 0;
-      l.sorted <- [||];
-      l.sorted_len <- 0)
-    t.latencies;
-  Hashtbl.reset t.rtts
-
-let lat_push l ms =
-  let cap = Array.length l.buf in
-  if l.count = cap then begin
-    let grown = Array.make (max 16 (2 * cap)) 0. in
-    Array.blit l.buf 0 grown 0 l.count;
-    l.buf <- grown
-  end;
-  l.buf.(l.count) <- ms;
-  l.count <- l.count + 1
+  Array.fill t.messages 0 ncat 0
 
 let record_latency t c ~ms =
-  lat_push t.latencies.(index c) ms;
   match t.hists with
   | Some hs -> Metrics.observe hs.(index c) ms
   | None -> ()
-
-let latency_samples t c =
-  let l = t.latencies.(index c) in
-  Array.to_list (Array.sub l.buf 0 l.count)
-
-(* Extend the sorted prefix to cover every sample: sort just the new
-   tail, merge it with the (already sorted) prefix. Idempotent when
-   nothing arrived since the last call. *)
-let sorted_latencies l =
-  if l.sorted_len < l.count then begin
-    let k = l.count - l.sorted_len in
-    let tail = Array.sub l.buf l.sorted_len k in
-    Array.sort Float.compare tail;
-    let merged = Array.make l.count 0. in
-    let i = ref 0 and j = ref 0 in
-    for m = 0 to l.count - 1 do
-      if !i < l.sorted_len && (!j >= k || l.sorted.(!i) <= tail.(!j))
-      then begin
-        merged.(m) <- l.sorted.(!i);
-        incr i
-      end
-      else begin
-        merged.(m) <- tail.(!j);
-        incr j
-      end
-    done;
-    l.sorted <- merged;
-    l.sorted_len <- l.count
-  end;
-  l.sorted
-
-let latency_percentile t c p =
-  if p < 0. || p > 1. then invalid_arg "Stats.latency_percentile";
-  let l = t.latencies.(index c) in
-  if l.count = 0 then None
-  else begin
-    let sorted = sorted_latencies l in
-    let n = Array.length sorted in
-    let rank =
-      min (n - 1) (int_of_float (Float.round (p *. float_of_int (n - 1))))
-    in
-    Some sorted.(rank)
-  end
-
-(* EWMA smoothing for RTT observations: heavy enough that one slow
-   round-trip does not reorder mirrors, light enough to track drift. *)
-let rtt_alpha = 0.3
-
-let record_rtt t ~peer ~ms =
-  match Hashtbl.find_opt t.rtts peer with
-  | None -> Hashtbl.replace t.rtts peer ms
-  | Some old ->
-      Hashtbl.replace t.rtts peer (((1. -. rtt_alpha) *. old) +. (rtt_alpha *. ms))
-
-let rtt t ~peer = Hashtbl.find_opt t.rtts peer
-
-let rtts t =
-  Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.rtts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merge a b =
-  let t = create () in
-  for i = 0 to ncat - 1 do
-    t.bytes.(i) <- a.bytes.(i) + b.bytes.(i);
-    t.messages.(i) <- a.messages.(i) + b.messages.(i);
-    let la = a.latencies.(i) and lb = b.latencies.(i) in
-    t.latencies.(i) <-
-      {
-        buf =
-          Array.append
-            (Array.sub la.buf 0 la.count)
-            (Array.sub lb.buf 0 lb.count);
-        count = la.count + lb.count;
-        sorted = [||];
-        sorted_len = 0;
-      }
-  done;
-  (* Observations, not sums: keep both sides' EWMAs, averaging where the
-     same peer was observed by both. *)
-  Hashtbl.iter (fun p v -> Hashtbl.replace t.rtts p v) a.rtts;
-  Hashtbl.iter
-    (fun p v ->
-      match Hashtbl.find_opt t.rtts p with
-      | None -> Hashtbl.replace t.rtts p v
-      | Some w -> Hashtbl.replace t.rtts p ((v +. w) /. 2.))
-    b.rtts;
-  t
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%-14s %10s %12s@," "category" "messages" "bytes";

@@ -44,46 +44,17 @@ val bytes : t -> category -> int
 val messages : t -> category -> int
 val total_bytes : t -> int
 val total_messages : t -> int
+
 val reset : t -> unit
-
-val merge : t -> t -> t
-(** Sum of two accountings (fresh; latency samples are concatenated, RTT
-    estimates of a peer both sides observed are averaged). *)
-
-(** {1 Delivery latencies} *)
+(** Zeroes the byte and message counts (the latency histograms belong
+    to the registry; see {!Pti_obs.Metrics.reset}). *)
 
 val record_latency : t -> category -> ms:float -> unit
 (** Called by the network when a message is first delivered: simulated
-    time between the original send and the arrival. *)
-
-val latency_samples : t -> category -> float list
-(** Chronological. *)
-
-val latency_percentile : t -> category -> float -> float option
-(** [latency_percentile t c 0.5] is the median delivery latency of the
-    category (nearest-rank); [None] when no sample exists. The argument
-    must be in [\[0;1\]]. The sorted view is maintained incrementally:
-    a query sorts only the samples recorded since the previous query
-    and merges them into the sorted prefix, so interleaving recording
-    with snapshots never re-sorts the whole history. *)
-
-(** {1 Per-peer round-trip observations}
-
-    A host's own view of how far away each peer it talks to is — fed by
-    the layers that can pair a request with its reply (the cluster's
-    gossip exchanges), read by the mirror selector to rank download
-    candidates. Deliberately per-{!t}: give each node its own [Stats.t]
-    and the knowledge stays local, the way it would on a real network. *)
-
-val record_rtt : t -> peer:string -> ms:float -> unit
-(** Fold one observed round-trip into the peer's exponentially weighted
-    moving average (fresh peers start at the observed value). *)
-
-val rtt : t -> peer:string -> float option
-(** Current EWMA estimate; [None] before any observation. *)
-
-val rtts : t -> (string * float) list
-(** All estimates, sorted by peer address. *)
+    time between the original send and the arrival. Observed into the
+    category's [net.latency_ms.<category>] histogram — the only place a
+    latency is kept, so memory stays constant however many messages a
+    fabric carries. Without a registry it does nothing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Aligned table of category / messages / bytes. *)

@@ -148,6 +148,9 @@ let rec read ?resolve reg st =
     in
     let n = R.varint st.r in
     if n < 0 || n > 10_000_000 then raise (R.Underflow "absurd array length");
+    (* Every element takes at least one byte: a longer declared length
+       is a lie, caught before the array is allocated. *)
+    if n > R.remaining st.r then raise (R.Underflow "array length past end");
     let items = Array.init n (fun _ -> read ~resolve reg st) in
     Value.Varr { Value.elem_ty; items }
   end

@@ -68,6 +68,7 @@ module Reader = struct
   let create src = { src; pos = 0 }
   let pos t = t.pos
   let at_end t = t.pos >= String.length t.src
+  let remaining t = String.length t.src - t.pos
 
   let u8 t =
     if at_end t then raise (Underflow "u8 past end");

@@ -56,6 +56,11 @@ module Reader : sig
   val create : string -> t
   val pos : t -> int
   val at_end : t -> bool
+
+  val remaining : t -> int
+  (** Bytes left to read — an upper bound on how many more encoded
+      items (each at least one byte) the input can hold. *)
+
   val u8 : t -> int
   val varint : t -> int
   val zigzag : t -> int

@@ -640,6 +640,57 @@ let test_rejection_checks_once () =
       "no field of actual matches name : string (rule ii)" reason
   done
 
+(* A root type and its field type in two assemblies. The one that sorts
+   first is already in the receiver's repository (served there, not
+   loaded), so it is ready at once; the other must still come from the
+   sender. Delivery has to wait for both. *)
+let test_split_assemblies_wait_for_every_fetch () =
+  let module B = Builder in
+  let tag =
+    B.class_ ~ns:[ "fsplit" ] ~assembly:"asm-a-tag" "Tag"
+    |> B.ctor ~body:(Expr.set "label" (Expr.Var "l")) [ ("l", Ty.String) ]
+    |> B.field "label" Ty.String
+    |> B.build
+  in
+  let item =
+    B.class_ ~ns:[ "fsplit" ] ~assembly:"asm-b-item" "Item"
+    |> B.ctor
+         ~body:
+           (Expr.Seq
+              [ Expr.set "name" (Expr.Var "n"); Expr.set "tag" (Expr.Var "t") ])
+         [ ("n", Ty.String); ("t", Ty.Named "fsplit.Tag") ]
+    |> B.field "name" Ty.String
+    |> B.getter "getName" ~field:"name" Ty.String
+    |> B.field "tag" (Ty.Named "fsplit.Tag")
+    |> B.build
+  in
+  let interest =
+    B.class_ ~ns:[ "rsplit" ] ~assembly:"asm-interest" "Item"
+    |> B.method_ "getName" [] Ty.String ~body:(Expr.str "")
+    |> B.build
+  in
+  let tag_asm = Assembly.make ~name:"asm-a-tag" [ tag ] in
+  let net = make_net () in
+  let sender = Peer.create ~net "sender" in
+  let receiver = Peer.create ~net "receiver" in
+  Peer.publish_assembly sender tag_asm;
+  Peer.publish_assembly sender (Assembly.make ~name:"asm-b-item" [ item ]);
+  Peer.serve_assembly receiver tag_asm;
+  Peer.install_assembly receiver
+    (Assembly.make ~name:"asm-interest" [ interest ]);
+  Peer.register_interest receiver ~interest:"rsplit.Item" (fun ~from:_ _ -> ());
+  let reg = Peer.registry sender in
+  let t = Eval.construct reg "fsplit.Tag" [ Value.Vstring "red" ] in
+  Peer.send_value sender ~dst:"receiver"
+    (Eval.construct reg "fsplit.Item" [ Value.Vstring "it"; t ]);
+  Net.run net;
+  match Peer.events receiver with
+  | [ Peer.Delivered _ ] -> ()
+  | evs ->
+      Alcotest.failf "expected one delivery and no failure, got: %s"
+        (String.concat "; "
+           (List.map (Format.asprintf "%a" Peer.pp_event) evs))
+
 let test_eager_mode_rejection_still_pays () =
   (* Under the eager baseline a non-conformant object still ships all its
      code — the waste the optimistic protocol avoids (cf. E5b). *)
@@ -892,6 +943,8 @@ let () =
             test_missing_assembly_fails_gracefully;
           Alcotest.test_case "burst of new-type objects" `Quick
             test_burst_of_new_type_objects;
+          Alcotest.test_case "split assemblies wait for every fetch" `Quick
+            test_split_assemblies_wait_for_every_fetch;
           Alcotest.test_case "interest listing and removal" `Quick
             test_interest_listing_and_removal;
           Alcotest.test_case "protocol over lossy reliable network" `Quick

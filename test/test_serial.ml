@@ -194,6 +194,30 @@ let test_malformed_binary () =
       | _ -> Alcotest.failf "should be malformed: %S" s)
     [ ""; "XXXX"; "PTIB\x01"; "PTIB\x01\x63"; "PTIB\x01\x02\x01extra" ]
 
+(* A 24-byte frame that declares 10^7 ints but holds one: the length is
+   rejected against the bytes left, before anything is allocated for
+   it. *)
+let test_binary_array_length_bounded () =
+  let module W = Pti_serial.Bytes_io.Writer in
+  let w = W.create () in
+  W.u8 w 8 (* array *);
+  W.string w "int";
+  W.varint w 10_000_000;
+  W.u8 w 2 (* int *);
+  W.zigzag w 1;
+  let frame = Pti_serial.Bytes_io.seal ~magic:"PTIB\x02" (W.contents w) in
+  Alcotest.(check int) "frame size" 24 (String.length frame);
+  let r = reg () in
+  let before = Gc.allocated_bytes () in
+  let result = Bin.decode r frame in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match result with
+  | Error (Bin.Malformed _) -> ()
+  | _ -> Alcotest.fail "should be malformed");
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes" allocated)
+    true (allocated < 1e6)
+
 let test_class_names_without_decoding () =
   let r = reg () in
   let v = sample_person r in
@@ -1012,6 +1036,8 @@ let () =
           Alcotest.test_case "primitives" `Quick test_primitives_all_codecs;
           Alcotest.test_case "unknown types" `Quick test_unknown_type_errors;
           Alcotest.test_case "malformed binary" `Quick test_malformed_binary;
+          Alcotest.test_case "array length bounded by input" `Quick
+            test_binary_array_length_bounded;
           Alcotest.test_case "class names probe" `Quick
             test_class_names_without_decoding;
           Alcotest.test_case "proxy encodes as target" `Quick
