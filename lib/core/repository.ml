@@ -1,6 +1,5 @@
 module S = Pti_util.Strutil
 module Fnv = Pti_util.Fnv
-module Lru = Pti_obs.Lru
 
 type version_entry = {
   ve_version : int;
@@ -16,9 +15,6 @@ type cas_error =
 
 type t = {
   by_path : (string, Pti_cts.Assembly.t) Hashtbl.t;
-  (* Memo over the linear by-name scan; keyed by lowercased assembly
-     name. Invalidated wholesale on [add] (adds are rare, lookups hot). *)
-  by_name : (string * Pti_cts.Assembly.t) Lru.Str.t;
   (* Per-name version chains, keyed by lowercased assembly name, kept
      ascending by (version, digest) and deduplicated by digest — so two
      mirrors that learned the same entries in different orders hold
@@ -27,13 +23,8 @@ type t = {
   mutable subs : (name:string -> version:int -> digest:string -> unit) list;
 }
 
-let create ?(by_name_capacity = 256) () =
-  {
-    by_path = Hashtbl.create 8;
-    by_name = Lru.Str.create ~capacity:by_name_capacity ();
-    chains = Hashtbl.create 8;
-    subs = [];
-  }
+let create () =
+  { by_path = Hashtbl.create 8; chains = Hashtbl.create 8; subs = [] }
 
 let digest_of asm = Fnv.hash_hex (Pti_serial.Assembly_xml.to_string asm)
 
@@ -100,9 +91,6 @@ let chain_insert t name entry =
 
 let add t ~path asm =
   Hashtbl.replace t.by_path path asm;
-  (* A replaced path can change which assembly a name resolves to; the
-     memo cannot tell, so drop it entirely. *)
-  Lru.Str.clear t.by_name;
   (* Mirror-side learning: an explicitly versioned path folds the bytes
      into the name's chain (content addressing dedupes re-learns).
      Unversioned adds keep their legacy replace-the-binding semantics
@@ -128,7 +116,6 @@ let learn_version t ~version ~path asm =
   let fresh = chain_insert t name entry in
   if fresh then begin
     Hashtbl.replace t.by_path path asm;
-    Lru.Str.clear t.by_name;
     notify t ~name ~version ~digest
   end;
   fresh
@@ -170,7 +157,6 @@ let publish_cas t ~host ~expect asm =
         (* The canonical unversioned path always serves the head, so
            pre-evolution senders and fetches keep working untouched. *)
         Hashtbl.replace t.by_path (path_for ~host ~assembly:name) asm;
-        Lru.Str.clear t.by_name;
         notify t ~name ~version ~digest;
         Ok entry
       end
@@ -202,32 +188,22 @@ let find t ~path =
       | _ -> None)
 
 let find_by_name t name =
-  let key = String.lowercase_ascii name in
-  match Lru.Str.find t.by_name key with
-  | Some hit -> Some hit
+  (* A version chain is authoritative: its head is the latest published
+     version, wherever older versions are still bound. *)
+  match chain_head t name with
+  | Some e -> Some (e.ve_path, e.ve_assembly)
   | None ->
-      let scan =
-        (* A version chain is authoritative: its head is the latest
-           published version, wherever older versions are still bound. *)
-        match chain_head t name with
-        | Some e -> Some (e.ve_path, e.ve_assembly)
-        | None ->
-            (* Deterministic winner: the lexicographically smallest path,
-               not whatever hash order yields first — mirror selection and
-               tests must be reproducible across runs. *)
-            Hashtbl.fold
-              (fun path asm acc ->
-                if S.equal_ci asm.Pti_cts.Assembly.asm_name name then
-                  match acc with
-                  | Some (best, _) when best <= path -> acc
-                  | _ -> Some (path, asm)
-                else acc)
-              t.by_path None
-      in
-      (match scan with
-      | Some hit -> Lru.Str.put t.by_name key hit
-      | None -> ());
-      scan
+      (* Deterministic winner: the lexicographically smallest path, not
+         whatever hash order yields first — mirror selection and tests
+         must be reproducible across runs. *)
+      Hashtbl.fold
+        (fun path asm acc ->
+          if S.equal_ci asm.Pti_cts.Assembly.asm_name name then
+            match acc with
+            | Some (best, _) when best <= path -> acc
+            | _ -> Some (path, asm)
+          else acc)
+        t.by_path None
 
 let mirror_paths t name =
   Hashtbl.fold
@@ -243,6 +219,5 @@ let entries t =
     t.by_path []
   |> List.sort compare
 
-let lookup_counters t = Lru.Str.counters t.by_name
 let paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.by_path []
 let cardinal t = Hashtbl.length t.by_path

@@ -14,8 +14,7 @@
 
 type t
 
-val create : ?by_name_capacity:int -> unit -> t
-(** [by_name_capacity] bounds the name-lookup memo (default 256). *)
+val create : unit -> t
 
 val add : t -> path:string -> Pti_cts.Assembly.t -> unit
 (** Replaces an existing binding (a newer version). Mirror-side learning:
@@ -35,8 +34,7 @@ val find_by_name : t -> string -> (string * Pti_cts.Assembly.t) option
     with a version chain resolves to the chain head (latest version);
     otherwise, when the assembly is registered under several paths
     (mirrors), the lexicographically smallest path wins —
-    deterministically, independent of hash order. Successful lookups are
-    memoized in a bounded LRU; [add] invalidates the memo. *)
+    deterministically, independent of hash order. *)
 
 (** {1 Version chains} *)
 
@@ -113,9 +111,6 @@ val mirror_paths : t -> string -> string list
 val entries : t -> (string * string) list
 (** All [(path, assembly-name)] bindings, sorted by path — the raw
     material of an anti-entropy digest. *)
-
-val lookup_counters : t -> Pti_obs.Lru.counters
-(** Accounting of the name-lookup memo. *)
 
 val paths : t -> string list
 val cardinal : t -> int

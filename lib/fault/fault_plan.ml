@@ -44,7 +44,7 @@ let hooks plan ~rng ~corrupt =
     List.filter (fun w -> window_active w ~now ~src ~dst) plan.windows
   in
   {
-    Pti_net.Net.fh_down =
+    Pti_net.Faults.fh_down =
       (fun ~now ~src ~dst ->
         List.exists
           (fun w -> match w.w_act with Down -> true | _ -> false)

@@ -3,7 +3,7 @@
     A plan is a list of timed {e windows}; each window applies one fault
     {e action} to the links matched by its {e selector} while the
     simulated clock is inside [\[start, stop)]. Plans compile to the
-    network's lazy per-link {!Pti_net.Net.fault_hooks} — no events are
+    network's lazy per-link {!Pti_net.Faults.hooks} — no events are
     scheduled, so the simulation still quiesces, and every random choice
     is drawn from an explicit [Splitmix] stream: one [int64] seed
     reproduces the whole run. *)
@@ -51,7 +51,7 @@ val hooks :
   t ->
   rng:Splitmix.t ->
   corrupt:(Splitmix.t -> 'a -> 'a option) ->
-  'a Pti_net.Net.fault_hooks
+  'a Pti_net.Faults.hooks
 (** Compile the plan. [rng] feeds every probabilistic window (loss,
     duplication, reorder jitter, corruption coins); [corrupt] mangles a
     payload when a corruption window fires (return [None] to leave a

@@ -141,8 +141,8 @@ let fanout_shim net =
   Net.set_fault_hooks net
     (Some
        {
-         Net.no_faults with
-         Net.fh_duplicates =
+         Pti_net.Faults.no_hooks with
+         Pti_net.Faults.fh_duplicates =
            (fun ~now:_ ~src ~dst ->
              if String.equal src "bob" && String.equal dst "alice" then 1
              else 0);

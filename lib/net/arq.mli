@@ -21,7 +21,7 @@ val backoff_ms : policy -> attempt:int -> float
 (** Delay before retry [attempt] (0-based): exponential from
     [retransmit_ms], doubling per attempt, capped at 32x the base — the
     schedule the stream backends use between reconnect attempts.
-    (The sim ARQ keeps its historical fixed interval; its timer wheel
+    (The sim ARQ keeps its historical fixed interval; simulated waiting
     is free, so backoff would only slow deterministic runs down.) *)
 
 val give_up : policy -> attempt:int -> bool

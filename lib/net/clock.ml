@@ -1,119 +1,70 @@
-module Pqueue = Pti_util.Pqueue
-
-type label =
-  | Timer of { owner : string; info : string }
-  | Act of { owner : string; info : string }
-
-let to_sim_label = function
-  | Timer { owner; info } -> Sim.Timer { owner; info }
-  | Act { owner; info } -> Sim.Act { owner; info }
-
-type entry = {
-  at : float;
-  seq : int;
-  thunk : unit -> unit;
-  mutable cancelled : bool;
-}
-
-type mono = {
+(* A wall clock is a private simulator whose queue holds the timers:
+   the poll loop fires whatever the wall clock has made due. *)
+type wall = {
+  queue : Sim.t;
   source : unit -> float;
   mutable last : float;  (* clamp: readings never go backwards *)
-  mutable next_seq : int;
-  timers : entry Pqueue.t;
 }
 
-type t = Sim_clock of Sim.t | Mono of mono
+type t = Sim_clock of Sim.t | Wall of wall
 
 let of_sim sim = Sim_clock sim
-
-let entry_cmp a b =
-  match Float.compare a.at b.at with 0 -> compare a.seq b.seq | c -> c
 
 let monotonic ~now () =
   (* Private epoch: readings are relative to creation, so only
      differences are meaningful and a huge absolute wall time never
      leaks into timeouts. *)
   let epoch = now () in
-  Mono
-    {
-      source = (fun () -> now () -. epoch);
-      last = 0.;
-      next_seq = 0;
-      timers = Pqueue.create ~cmp:entry_cmp ();
-    }
+  let source () = now () -. epoch in
+  Wall { queue = Sim.create (); source; last = 0. }
 
-let is_sim = function Sim_clock _ -> true | Mono _ -> false
-let sim = function Sim_clock s -> Some s | Mono _ -> None
+let is_sim = function Sim_clock _ -> true | Wall _ -> false
+let sim = function Sim_clock s -> Some s | Wall _ -> None
 
-let now_ms = function
-  | Sim_clock s -> Sim.now s
-  | Mono m ->
-      let v = m.source () in
-      if v > m.last then m.last <- v;
-      m.last
+let wall_ms w =
+  let v = w.source () in
+  if v > w.last then w.last <- v;
+  w.last
+
+let now_ms = function Sim_clock s -> Sim.now s | Wall w -> wall_ms w
+
+(* The queue's clock only moves when a timer fires, so it trails the
+   wall clock between ticks: express the delay against it. *)
+let queue_delay w delay_ms =
+  wall_ms w +. Float.max 0. delay_ms -. Sim.now w.queue
 
 let schedule t ~label ~delay_ms f =
   match t with
-  | Sim_clock s -> Sim.schedule s ~label:(to_sim_label label) ~delay:delay_ms f
-  | Mono m ->
-      let at = now_ms t +. Float.max 0. delay_ms in
-      let seq = m.next_seq in
-      m.next_seq <- seq + 1;
-      Pqueue.push m.timers { at; seq; thunk = f; cancelled = false }
+  | Sim_clock s -> Sim.schedule s ~label ~delay:delay_ms f
+  | Wall w -> Sim.schedule w.queue ~label ~delay:(queue_delay w delay_ms) f
 
 let schedule_cancellable t ~label ~delay_ms f =
   match t with
-  | Sim_clock s ->
-      Sim.schedule_cancellable s ~label:(to_sim_label label) ~delay:delay_ms f
-  | Mono m ->
-      let at = now_ms t +. Float.max 0. delay_ms in
-      let seq = m.next_seq in
-      m.next_seq <- seq + 1;
-      let e = { at; seq; thunk = f; cancelled = false } in
-      Pqueue.push m.timers e;
-      fun () -> e.cancelled <- true
+  | Sim_clock s -> Sim.schedule_cancellable s ~label ~delay:delay_ms f
+  | Wall w ->
+      Sim.schedule_cancellable w.queue ~label ~delay:(queue_delay w delay_ms) f
 
-(* Cancelled entries are popped lazily; they cost one heap pop each, the
-   same policy [Sim] uses. Re-reads the clock every iteration so a slow
-   thunk that makes the next timer due fires it in the same tick. *)
-let tick t =
-  match t with
+(* Re-reads the clock every iteration so a slow thunk that makes the
+   next timer due fires it in the same tick. *)
+let tick = function
   | Sim_clock _ -> 0
-  | Mono m ->
-      let fired = ref 0 in
-      let rec go () =
-        match Pqueue.peek m.timers with
-        | Some e when e.cancelled ->
-            ignore (Pqueue.pop m.timers);
-            go ()
-        | Some e when e.at <= now_ms t ->
-            ignore (Pqueue.pop m.timers);
-            incr fired;
-            e.thunk ();
-            go ()
-        | _ -> ()
+  | Wall w ->
+      let rec go fired =
+        match Sim.next_at w.queue with
+        | Some at when at <= wall_ms w ->
+            ignore (Sim.step w.queue);
+            go (fired + 1)
+        | Some _ | None -> fired
       in
-      go ();
-      !fired
+      go 0
 
-let next_due_ms t =
-  match t with
+let next_due_ms = function
   | Sim_clock _ -> None
-  | Mono m ->
-      let rec go () =
-        match Pqueue.peek m.timers with
-        | Some e when e.cancelled ->
-            ignore (Pqueue.pop m.timers);
-            go ()
-        | Some e -> Some (Float.max 0. (e.at -. now_ms t))
-        | None -> None
-      in
-      go ()
+  | Wall w ->
+      Option.map
+        (fun at -> Float.max 0. (at -. wall_ms w))
+        (Sim.next_at w.queue)
 
 let pending = function
   | Sim_clock _ -> 0
-  | Mono m ->
-      List.length
-        (List.filter
-           (fun e -> not e.cancelled)
-           (Pqueue.to_list_unordered m.timers))
+  | Wall w -> List.length (Sim.pending_events w.queue)

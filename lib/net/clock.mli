@@ -1,32 +1,21 @@
 (** Abstract time source: the simulator's logical clock or a monotonic
-    wall clock.
+    wall clock — one event queue ({!Sim}) under both.
 
     Every layer above the network schedules guard timers (request
     timeouts, fetch backoff, renegotiation parks) and local actions
-    (batch flushes, gossip ticks). On the simulated backend those must
-    keep going through {!Sim.schedule} with exactly the same
-    {!Sim.label}s — the model checker's schedules and fingerprints are
-    keyed on them. On a socket backend there is no simulator, so the
-    same calls land in a private timer wheel driven by a monotonic
-    milliseconds source and fired from the poll loop via {!tick}.
-
-    The [label] vocabulary mirrors the two schedulable {!Sim.label}
-    constructors; a sim-backed clock forwards them verbatim so sim
-    behavior is bit-identical to scheduling against [Sim] directly
-    (pinned by a regression test). *)
-
-type label =
-  | Timer of { owner : string; info : string }
-      (** A guard timer — maps to {!Sim.Timer} on the sim backend. *)
-  | Act of { owner : string; info : string }
-      (** A local action — maps to {!Sim.Act} on the sim backend. *)
+    (batch flushes, gossip ticks). On the simulated backend those go
+    through {!Sim.schedule} with exactly the same {!Sim.label}s — the
+    model checker's schedules and fingerprints are keyed on them
+    (pinned by a regression test). On a socket backend the same calls
+    land in a private {!Sim.t} whose clock trails a monotonic
+    milliseconds source; the poll loop fires what is due via {!tick}. *)
 
 type t
 
 val of_sim : Sim.t -> t
 (** A clock that is the simulator: [now_ms] is {!Sim.now} and
-    scheduling delegates to {!Sim.schedule} with the equivalent label.
-    {!tick} is a no-op (the sim loop fires its own events). *)
+    scheduling is {!Sim.schedule}. {!tick} is a no-op (the sim loop
+    fires its own events). *)
 
 val monotonic : now:(unit -> float) -> unit -> t
 (** A real-time clock over a milliseconds source (wall time). Readings
@@ -37,24 +26,26 @@ val monotonic : now:(unit -> float) -> unit -> t
 
 val is_sim : t -> bool
 val sim : t -> Sim.t option
+(** The simulator of an {!of_sim} clock; [None] on a wall clock (its
+    queue is private). *)
 
 val now_ms : t -> float
 (** Current time in milliseconds. Monotonic clocks report time since
     creation (a private epoch — only differences are meaningful). *)
 
-val schedule : t -> label:label -> delay_ms:float -> (unit -> unit) -> unit
+val schedule : t -> label:Sim.label -> delay_ms:float -> (unit -> unit) -> unit
 (** Run the thunk [delay_ms] from now (clamped to 0). On a monotonic
     clock the thunk fires from a later {!tick}. *)
 
 val schedule_cancellable :
-  t -> label:label -> delay_ms:float -> (unit -> unit) -> unit -> unit
+  t -> label:Sim.label -> delay_ms:float -> (unit -> unit) -> unit -> unit
 (** Like {!schedule}, returning a cancel thunk (idempotent). *)
 
 val tick : t -> int
-(** Fire every due timer on a monotonic clock, in (deadline, schedule
-    order); returns how many fired. Thunks may schedule further timers
-    — a timer made due by the time taken inside the same tick fires
-    before returning. No-op (0) on a sim clock. *)
+(** Fire every timer the wall clock has made due, in (deadline,
+    schedule order); returns how many fired. Thunks may schedule further
+    timers — a timer made due by the time taken inside the same tick
+    fires before returning. No-op (0) on a sim clock. *)
 
 val next_due_ms : t -> float option
 (** Milliseconds until the earliest pending monotonic timer ([Some 0.]

@@ -12,23 +12,6 @@ type reliability = Arq.policy = {
 
 let default_reliability = Arq.default
 
-type 'a fault_hooks = {
-  fh_down : now:float -> src:address -> dst:address -> bool;
-  fh_drop : now:float -> src:address -> dst:address -> bool;
-  fh_duplicates : now:float -> src:address -> dst:address -> int;
-  fh_delay : now:float -> src:address -> dst:address -> float;
-  fh_corrupt : now:float -> src:address -> dst:address -> 'a -> 'a option;
-}
-
-let no_faults =
-  {
-    fh_down = (fun ~now:_ ~src:_ ~dst:_ -> false);
-    fh_drop = (fun ~now:_ ~src:_ ~dst:_ -> false);
-    fh_duplicates = (fun ~now:_ ~src:_ ~dst:_ -> 0);
-    fh_delay = (fun ~now:_ ~src:_ ~dst:_ -> 0.);
-    fh_corrupt = (fun ~now:_ ~src:_ ~dst:_ _ -> None);
-  }
-
 type 'a t = {
   sim : Sim.t;
   stats : Stats.t;
@@ -41,18 +24,11 @@ type 'a t = {
   handlers : (address, net:'a t -> src:address -> 'a -> unit) Hashtbl.t;
   known : (address, unit) Hashtbl.t;  (* every address ever registered *)
   links : (string, float * float) Hashtbl.t;  (* "a|b" -> latency,bw *)
-  partitions : (string, unit) Hashtbl.t;
+  faults : 'a Faults.t;
   ledger : Arq.Ledger.t;  (* ids issued, acks seen, deliveries made *)
   lost_by : (Stats.category, int) Hashtbl.t;
-  mutable dropped : int;
   mutable retransmitted : int;
   mutable lost : int;
-  mutable faults : 'a fault_hooks option;
-  mutable integrity : ('a -> bool) option;
-  mutable injected_drops : int;
-  mutable injected_duplicates : int;
-  mutable corrupted_frames : int;
-  mutable integrity_drops : int;
   mutable observer :
     (now:float -> src:address -> dst:address -> category:Stats.category ->
      size:int -> attempt:int -> unit)
@@ -76,23 +52,17 @@ let create ?(default_latency_ms = 1.0) ?(default_bandwidth_bpms = 1000.)
     handlers = Hashtbl.create 16;
     known = Hashtbl.create 16;
     links = Hashtbl.create 16;
-    partitions = Hashtbl.create 4;
+    faults = Faults.create ();
     ledger = Arq.Ledger.create ();
     lost_by = Hashtbl.create 8;
-    dropped = 0;
     retransmitted = 0;
     lost = 0;
-    faults = None;
-    integrity = None;
-    injected_drops = 0;
-    injected_duplicates = 0;
-    corrupted_frames = 0;
-    integrity_drops = 0;
     observer = None;
   }
 
 let sim t = t.sim
 let stats t = t.stats
+let faults t = t.faults
 
 let add_host t addr ~handler =
   if Hashtbl.mem t.handlers addr then
@@ -112,78 +82,45 @@ let observe t ~src ~dst ~category ~size ~attempt =
   | None -> ()
   | Some f -> f ~now:(Sim.now t.sim) ~src ~dst ~category ~size ~attempt
 
-let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
-let heal t a b = Hashtbl.remove t.partitions (link_key a b)
-
-let set_fault_hooks t f = t.faults <- f
-let set_integrity t f = t.integrity <- f
+let partition t a b = Faults.partition t.faults a b
+let heal t a b = Faults.heal t.faults a b
+let set_fault_hooks t f = Faults.set_hooks t.faults f
+let set_integrity t f = Faults.set_integrity t.faults f
 
 let link_params t a b =
   match Hashtbl.find_opt t.links (link_key a b) with
   | Some p -> p
   | None -> (t.default_latency, t.default_bandwidth)
 
-let partitioned t a b = Hashtbl.mem t.partitions (link_key a b)
-
 (* The link is severed — statically partitioned or inside an injected
    down/flap/crash window. Checked at send time and again on arrival so
    a cut kills messages already in flight. *)
 let severed t ~src ~dst =
-  partitioned t src dst
-  || match t.faults with
-     | None -> false
-     | Some f -> f.fh_down ~now:(Sim.now t.sim) ~src ~dst
+  Faults.severed t.faults ~now:(Sim.now t.sim) ~src ~dst
 
 (* One transmission attempt is lost when the link is severed, the
    ambient drop coin says so, or an injected loss window fires. *)
 let attempt_lost t ~src ~dst =
   severed t ~src ~dst
   || (t.drop_rate > 0. && Splitmix.float t.rng < t.drop_rate)
-  || match t.faults with
-     | None -> false
-     | Some f ->
-         let hit = f.fh_drop ~now:(Sim.now t.sim) ~src ~dst in
-         if hit then t.injected_drops <- t.injected_drops + 1;
-         hit
-
-let fault_duplicates t ~src ~dst =
-  match t.faults with
-  | None -> 0
-  | Some f -> max 0 (f.fh_duplicates ~now:(Sim.now t.sim) ~src ~dst)
-
-let fault_delay t ~src ~dst =
-  match t.faults with
-  | None -> 0.
-  | Some f -> max 0. (f.fh_delay ~now:(Sim.now t.sim) ~src ~dst)
-
-(* Corruption is sampled per transmitted copy, at send time (so the rng
-   draw order is deterministic); the mangled payload rides to arrival. *)
-let fault_corrupt t ~src ~dst payload =
-  match t.faults with
-  | None -> payload
-  | Some f -> (
-      match f.fh_corrupt ~now:(Sim.now t.sim) ~src ~dst payload with
-      | None -> payload
-      | Some p ->
-          t.corrupted_frames <- t.corrupted_frames + 1;
-          p)
+  || Faults.injected_drop t.faults ~now:(Sim.now t.sim) ~src ~dst
 
 let transfer_delay t ~src ~dst ~size =
   let latency, bandwidth = link_params t src dst in
   let jitter = if t.jitter > 0. then Splitmix.float t.rng *. t.jitter else 0. in
   latency +. (float_of_int size /. bandwidth) +. jitter
-  +. fault_delay t ~src ~dst
+  +. Faults.delay t.faults ~now:(Sim.now t.sim) ~src ~dst
 
-(* Frame-level integrity (the abstract link checksum): a frame that
-   fails the predicate is discarded before the handler sees it. Under
-   ARQ the discard also suppresses the ack, so the sender retransmits. *)
-let frame_ok t payload =
-  match t.integrity with
-  | None -> true
-  | Some chk ->
-      let ok = chk payload in
-      if not ok then t.integrity_drops <- t.integrity_drops + 1;
-      ok
+(* On arrival a cut made while the frame was in flight kills it — a
+   cable does not care how far the packet got — and a frame failing the
+   integrity screen is discarded before the handler sees it (under ARQ
+   the discard also suppresses the ack, so the sender retransmits). *)
+let arrives t ~src ~dst payload =
+  if severed t ~src ~dst then begin
+    Faults.drop t.faults;
+    false
+  end
+  else Faults.admit t.faults payload
 
 (* The handler is resolved on arrival, not at send time, so a host
    removed (crashed) mid-flight just loses the frame instead of
@@ -192,7 +129,7 @@ let frame_ok t payload =
 let deliver t ~src ~dst payload =
   match Hashtbl.find_opt t.handlers dst with
   | None ->
-      t.dropped <- t.dropped + 1;
+      Faults.drop t.faults;
       false
   | Some handler ->
       handler ~net:t ~src payload;
@@ -203,6 +140,23 @@ let count_lost t category =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.lost_by category) in
   Hashtbl.replace t.lost_by category (n + 1)
 
+(* One transmission attempt: duplicates are decided once, then each copy
+   is charged, observed, lost or corrupted and delayed on its own, and
+   [launch] schedules a survivor's arrival (one closure per copy: an
+   in-flight copy retains nothing else). Corruption is sampled at send
+   time, so the hooks' draw order is deterministic; the mangled payload
+   rides to arrival. *)
+let transmit t ~src ~dst ~category ~size ~attempt payload launch =
+  let now = Sim.now t.sim in
+  for _copy = 1 to Faults.copies t.faults ~now ~src ~dst do
+    Stats.record t.stats category ~bytes:size;
+    observe t ~src ~dst ~category ~size ~attempt;
+    if attempt_lost t ~src ~dst then Faults.drop t.faults
+    else
+      let payload = Faults.corrupt t.faults ~now ~src ~dst payload in
+      launch payload (transfer_delay t ~src ~dst ~size)
+  done
+
 let send t ?info ~src ~dst ~category ~size payload =
   if not (Hashtbl.mem t.known dst) then
     invalid_arg (Printf.sprintf "Net.send: unknown host %S" dst);
@@ -212,31 +166,14 @@ let send t ?info ~src ~dst ~category ~size payload =
   let info =
     match info with Some i -> i | None -> Stats.category_name category
   in
-  let deliver_label = Sim.Deliver { src; dst; info } in
+  let label = Sim.Deliver { src; dst; info } in
   match t.reliability with
   | None ->
-      (* Each copy (the original plus injected duplicates) is charged,
-         observed, lossed and corrupted independently. *)
-      let copies = 1 + fault_duplicates t ~src ~dst in
-      if copies > 1 then
-        t.injected_duplicates <- t.injected_duplicates + (copies - 1);
-      for _copy = 1 to copies do
-        Stats.record t.stats category ~bytes:size;
-        observe t ~src ~dst ~category ~size ~attempt:0;
-        if attempt_lost t ~src ~dst then t.dropped <- t.dropped + 1
-        else begin
-          let payload = fault_corrupt t ~src ~dst payload in
-          let delay = transfer_delay t ~src ~dst ~size in
-          Sim.schedule t.sim ~label:deliver_label ~delay (fun () ->
-              (* A partition cut while the message was in flight kills it
-                 too — a cable does not care how far the packet got. *)
-              if severed t ~src ~dst then t.dropped <- t.dropped + 1
-              else if frame_ok t payload then begin
-                if deliver t ~src ~dst payload then
-                  Stats.record_latency t.stats category ~ms:delay
-              end)
-        end
-      done
+      transmit t ~src ~dst ~category ~size ~attempt:0 payload
+        (fun payload delay ->
+          Sim.schedule t.sim ~label ~delay (fun () ->
+              if arrives t ~src ~dst payload && deliver t ~src ~dst payload
+              then Stats.record_latency t.stats category ~ms:delay))
   | Some r ->
       let msg_id = Arq.Ledger.fresh_id t.ledger in
       let sent_at = Sim.now t.sim in
@@ -246,8 +183,7 @@ let send t ?info ~src ~dst ~category ~size payload =
          discarded without an ack, so corruption triggers retransmission
          just like loss. *)
       let on_arrival payload () =
-        if severed t ~src ~dst then t.dropped <- t.dropped + 1
-        else if frame_ok t payload then begin
+        if arrives t ~src ~dst payload then begin
           if not (Arq.Ledger.is_delivered t.ledger msg_id) then begin
             if deliver t ~src ~dst payload then begin
               Arq.Ledger.mark_delivered t.ledger msg_id;
@@ -258,8 +194,7 @@ let send t ?info ~src ~dst ~category ~size payload =
           if Arq.Ledger.is_delivered t.ledger msg_id then begin
             (* The ack travels back and may itself be lost. *)
             Stats.record t.stats Stats.Control ~bytes:r.ack_bytes;
-            if attempt_lost t ~src:dst ~dst:src then
-              t.dropped <- t.dropped + 1
+            if attempt_lost t ~src:dst ~dst:src then Faults.drop t.faults
             else begin
               let ack_delay =
                 transfer_delay t ~src:dst ~dst:src ~size:r.ack_bytes
@@ -269,30 +204,16 @@ let send t ?info ~src ~dst ~category ~size payload =
                   { src = dst; dst = src; info = Printf.sprintf "ack#%d" msg_id }
               in
               Sim.schedule t.sim ~label:ack_label ~delay:ack_delay (fun () ->
-                  if severed t ~src:dst ~dst:src then
-                    t.dropped <- t.dropped + 1
+                  if severed t ~src:dst ~dst:src then Faults.drop t.faults
                   else Arq.Ledger.mark_acked t.ledger msg_id)
             end
           end
         end
       in
-      let launch () =
-        if attempt_lost t ~src ~dst then t.dropped <- t.dropped + 1
-        else begin
-          let payload = fault_corrupt t ~src ~dst payload in
-          let delay = transfer_delay t ~src ~dst ~size in
-          Sim.schedule t.sim ~label:deliver_label ~delay (on_arrival payload)
-        end
-      in
       let rec attempt n =
-        let copies = 1 + fault_duplicates t ~src ~dst in
-        if copies > 1 then
-          t.injected_duplicates <- t.injected_duplicates + (copies - 1);
-        for _copy = 1 to copies do
-          Stats.record t.stats category ~bytes:size;
-          observe t ~src ~dst ~category ~size ~attempt:n;
-          launch ()
-        done;
+        transmit t ~src ~dst ~category ~size ~attempt:n payload
+          (fun payload delay ->
+            Sim.schedule t.sim ~label ~delay (on_arrival payload));
         if n > 0 then t.retransmitted <- t.retransmitted + 1;
         (* Retransmission timer: fires whether or not this attempt
            arrived; a lost ack also triggers a retry. *)
@@ -320,14 +241,13 @@ let hosts t =
 
 let enabled t = Sim.pending_events t.sim
 let fire t ~seq = Sim.fire t.sim ~seq
-let dropped_messages t = t.dropped
+let dropped_messages t = t.faults.dropped
 let retransmissions t = t.retransmitted
 let lost_messages t = t.lost
 
 let lost_for t category =
   Option.value ~default:0 (Hashtbl.find_opt t.lost_by category)
 
-let injected_drops t = t.injected_drops
-let injected_duplicates t = t.injected_duplicates
-let corrupted_frames t = t.corrupted_frames
-let integrity_drops t = t.integrity_drops
+let injected_drops t = t.faults.injected_drops
+let injected_duplicates t = t.faults.injected_duplicates
+let integrity_drops t = t.faults.integrity_drops

@@ -1,6 +1,9 @@
 (** The simulated network: addressed hosts, latency/bandwidth links,
     deterministic loss, optional reliable delivery, per-category
-    accounting.
+    accounting. Faults (partitions, hooks, integrity screen) live in an
+    embedded {!Faults} model the socket transports share; every
+    transmission attempt, raw or under ARQ, goes through one per-copy
+    loop that consults it.
 
     Polymorphic in the payload so the middleware layers its own message
     type on top; the network charges each message by the byte [size] the
@@ -30,32 +33,6 @@ type reliability = Arq.policy = {
 val default_reliability : reliability
 (** 50 ms timer, 5 retries, 16-byte acks. *)
 
-type 'a fault_hooks = {
-  fh_down : now:float -> src:address -> dst:address -> bool;
-      (** Link severed at [now] (flap / partition window / crashed peer).
-          Checked when an attempt launches {e and} again on arrival, so a
-          window opening mid-flight kills the frame. *)
-  fh_drop : now:float -> src:address -> dst:address -> bool;
-      (** Extra per-attempt loss (burst windows). Counted in
-          {!injected_drops} when it fires. *)
-  fh_duplicates : now:float -> src:address -> dst:address -> int;
-      (** Extra copies of the frame to transmit (each charged, lossed,
-          delayed and corrupted independently). *)
-  fh_delay : now:float -> src:address -> dst:address -> float;
-      (** Extra milliseconds added to the transfer delay — reordering
-          windows return large random values here. *)
-  fh_corrupt : now:float -> src:address -> dst:address -> 'a -> 'a option;
-      (** [Some p'] replaces the payload of this copy with a mangled
-          [p']; [None] leaves it alone. Sampled per transmitted copy. *)
-}
-(** Per-link fault-injection hooks, evaluated lazily against [Sim.now] —
-    installing a plan schedules no events, so {!run} still quiesces.
-    Hooks draw their own randomness (from a seeded [Splitmix]); the
-    network only asks. See [Pti_fault.Fault_plan] for the compiler. *)
-
-val no_faults : 'a fault_hooks
-(** Hooks that never fire — a base to override selectively. *)
-
 type 'a t
 
 val create : ?default_latency_ms:float -> ?default_bandwidth_bpms:float ->
@@ -68,6 +45,10 @@ val create : ?default_latency_ms:float -> ?default_bandwidth_bpms:float ->
 
 val sim : 'a t -> Sim.t
 val stats : 'a t -> Stats.t
+
+val faults : 'a t -> 'a Faults.t
+(** The network's fault model: partitions, hooks, integrity screen and
+    their counters (the functions below are shorthands for it). *)
 
 val add_host : 'a t -> address ->
   handler:(net:'a t -> src:address -> 'a -> unit) -> unit
@@ -95,8 +76,11 @@ val partition : 'a t -> address -> address -> unit
 
 val heal : 'a t -> address -> address -> unit
 
-val set_fault_hooks : 'a t -> 'a fault_hooks option -> unit
-(** Install (or clear) the fault-injection hooks. *)
+val set_fault_hooks : 'a t -> 'a Faults.hooks option -> unit
+(** Install (or clear) the fault-injection hooks. Duplicates are asked
+    once per transmission attempt; each copy is then charged, lost
+    (severed link, ambient loss, [fh_drop]), corrupted and delayed on its
+    own. *)
 
 val set_integrity : 'a t -> ('a -> bool) option -> unit
 (** Install a frame-integrity predicate — the abstract link-layer
@@ -164,14 +148,11 @@ val lost_for : 'a t -> Stats.category -> int
     vs lost subprotocol requests). *)
 
 val injected_drops : 'a t -> int
-(** Attempts lost to [fh_drop] windows (excludes ambient [drop_rate]
+(** Copies lost to [fh_drop] windows (excludes ambient [drop_rate]
     losses and severed links). *)
 
 val injected_duplicates : 'a t -> int
 (** Extra frame copies created by [fh_duplicates]. *)
-
-val corrupted_frames : 'a t -> int
-(** Transmitted copies whose payload was replaced by [fh_corrupt]. *)
 
 val integrity_drops : 'a t -> int
 (** Frames discarded on arrival by the {!set_integrity} predicate. *)

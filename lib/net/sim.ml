@@ -63,14 +63,24 @@ let rec step t =
 
 let run t = while step t do () done
 
+(* Cancelled heads are discarded on the way, without touching the clock. *)
+let rec next_at t =
+  match Pti_util.Pqueue.peek t.queue with
+  | Some e when e.cancelled ->
+      ignore (Pti_util.Pqueue.pop t.queue);
+      next_at t
+  | Some e -> Some e.at
+  | None -> None
+
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    match Pti_util.Pqueue.peek t.queue with
-    | Some e when e.cancelled -> ignore (Pti_util.Pqueue.pop t.queue)
-    | Some e when e.at <= horizon -> ignore (step t)
-    | Some _ | None -> continue := false
-  done;
+  let rec go () =
+    match next_at t with
+    | Some at when at <= horizon ->
+        ignore (step t);
+        go ()
+    | Some _ | None -> ()
+  in
+  go ();
   if t.clock < horizon then t.clock <- horizon
 
 let pending t = Pti_util.Pqueue.length t.queue

@@ -64,6 +64,9 @@ val run_until : t -> float -> unit
 (** Fire every event with a timestamp [<=] the given time, advancing the
     clock to exactly that time. *)
 
+val next_at : t -> float option
+(** Timestamp of the earliest pending non-cancelled event, if any. *)
+
 val pending : t -> int
 
 val pending_events : t -> info list

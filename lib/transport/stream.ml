@@ -22,18 +22,20 @@
    [max_retries] is exhausted, with frames buffered while dialing and
    counted lost when the link is abandoned.
 
-   Fault injection: the same [Net.fault_hooks] record the sim honors is
-   applied here as send-side middleware (drop / duplicate / delay /
-   corrupt / down), and [set_integrity] screens decoded values on
-   arrival — so the chaos harness's vocabulary works over real kernel
-   sockets. Partitions are a filter checked at send and at dispatch;
-   the file descriptors stay open, the bytes stop. *)
+   Fault injection: the fabric embeds the simulator's fault model
+   ([Faults]) and consults it in the simulator's per-copy order —
+   duplicates once per send, then per copy lose (severed or injected
+   drop), corrupt, delay — with its integrity screen applied to decoded
+   values on arrival. So the chaos harness's vocabulary works, and
+   counts the same, over real kernel sockets. Partitions are a filter
+   checked at send and at dispatch; the file descriptors stay open, the
+   bytes stop. *)
 
-module Splitmix = Pti_util.Splitmix
 module Framing = Pti_serial.Framing
 module W = Pti_serial.Bytes_io.Writer
 module R = Pti_serial.Bytes_io.Reader
-module Net = Pti_net.Net
+module Faults = Pti_net.Faults
+module Sim = Pti_net.Sim
 module Arq = Pti_net.Arq
 module Clock = Pti_net.Clock
 module Stats = Pti_net.Stats
@@ -84,19 +86,11 @@ type 'a t = {
   remotes : (address, string) Hashtbl.t;  (* logical addr -> dial spec *)
   binds : (address, bind_spec) Hashtbl.t;  (* pre-registered listeners *)
   pendings : (address * address, pending) Hashtbl.t;
-  partitions : (string, unit) Hashtbl.t;
-  mutable faults : 'a Net.fault_hooks option;
-  mutable integrity : ('a -> bool) option;
+  faults : 'a Faults.t;
   mutable listeners : (conn_event -> unit) list;
   rx_bytes : int array;  (* receive-side accounting, by category index *)
-  rx_messages : int array;
-  mutable dropped : int;
   mutable lost : int;
   mutable reconnects : int;
-  mutable injected_drops : int;
-  mutable injected_duplicates : int;
-  mutable corrupted_frames : int;
-  mutable integrity_drops : int;
   mutable closed : bool;
 }
 
@@ -109,7 +103,6 @@ and 'a endpoint = {
 }
 
 let ncat = List.length Stats.all_categories
-let link_key a b = if a <= b then a ^ "|" ^ b else b ^ "|" ^ a
 
 (* A burst write into a half-closed socket must surface as EPIPE, not
    kill the process. Global and idempotent. *)
@@ -138,19 +131,11 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
     remotes = Hashtbl.create 8;
     binds = Hashtbl.create 4;
     pendings = Hashtbl.create 8;
-    partitions = Hashtbl.create 4;
-    faults = None;
-    integrity = None;
+    faults = Faults.create ();
     listeners = [];
     rx_bytes = Array.make ncat 0;
-    rx_messages = Array.make ncat 0;
-    dropped = 0;
     lost = 0;
     reconnects = 0;
-    injected_drops = 0;
-    injected_duplicates = 0;
-    corrupted_frames = 0;
-    integrity_drops = 0;
     closed = false;
   }
 
@@ -159,7 +144,7 @@ let set_codec t codec = t.codec <- codec
 let emit t ev = List.iter (fun f -> f ev) (List.rev t.listeners)
 let on_conn_event t f = t.listeners <- f :: t.listeners
 
-(* ---- address resolution ---------------------------------------------- *)
+(* ---- address resolution ----------------------------------------------- *)
 
 let sanitize addr =
   String.map (fun c -> if c = '/' || c = '\\' || c = ':' then '_' else c) addr
@@ -261,13 +246,12 @@ let hello_frame addr =
   W.raw w addr;
   Framing.encode (W.contents w)
 
-let data_frame t ~category payload =
+let data_frame ~category payload =
   let w = W.create ~initial:(String.length payload + 16) () in
   W.u8 w 0x44;
   W.u8 w (Stats.index category);
   W.f64 w (wall_ms ());
   W.raw w payload;
-  ignore t;
   Framing.encode (W.contents w)
 
 let find_conn t ~local ~peer =
@@ -275,9 +259,13 @@ let find_conn t ~local ~peer =
     (fun c -> c.cn_alive && c.cn_local = local && c.cn_peer = Some peer)
     t.conns
 
+(* Frames still queued on a dying connection, a partly written head
+   included, never reach the peer: they count as lost. *)
 let kill_conn t c =
   if c.cn_alive then begin
     c.cn_alive <- false;
+    t.lost <- t.lost + Queue.length c.cn_out;
+    Queue.clear c.cn_out;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     match c.cn_peer with
@@ -379,7 +367,7 @@ let rec try_dial t ~src ~dst =
                       t.reconnects <- t.reconnects + 1;
                       Clock.schedule t.clock
                         ~label:
-                          (Clock.Timer
+                          (Sim.Timer
                              {
                                owner = src;
                                info = Printf.sprintf "reconnect#%d %s" attempt dst;
@@ -391,14 +379,7 @@ let rec try_dial t ~src ~dst =
                             try_dial t ~src ~dst)
                     end)))
 
-(* ---- fault middleware + send ----------------------------------------- *)
-
-let severed t ~src ~dst =
-  Hashtbl.mem t.partitions (link_key src dst)
-  ||
-  match t.faults with
-  | None -> false
-  | Some f -> f.Net.fh_down ~now:(Clock.now_ms t.clock) ~src ~dst
+(* ---- send: the fault model, copy by copy ------------------------------ *)
 
 let send_frame t ~src ~dst ~category frame =
   match find_conn t ~local:src ~peer:dst with
@@ -411,67 +392,30 @@ let send_frame t ~src ~dst ~category frame =
 
 let send t ep ?info:_ ~dst ~category ~size:_ payload =
   let src = ep.ep_addr in
+  let f = t.faults in
   let now = Clock.now_ms t.clock in
-  let copies =
-    1
-    + (match t.faults with
-      | None -> 0
-      | Some f -> max 0 (f.Net.fh_duplicates ~now ~src ~dst))
-  in
-  if copies > 1 then t.injected_duplicates <- t.injected_duplicates + (copies - 1);
-  for _copy = 1 to copies do
-    (* Sampled per copy, like the sim: each copy is independently
-       dropped, corrupted and delayed. Bytes are charged for every copy
-       (dropped or not, as the sim does) by the actual framed wire
-       size, not the caller's logical estimate. *)
+  for _copy = 1 to Faults.copies f ~now ~src ~dst do
+    (* The sim's per-copy order: lose, then corrupt a survivor, then
+       delay it. Every copy is charged (dropped or not, as the sim does)
+       by its actual framed wire size, not the caller's estimate. *)
+    let lost =
+      Faults.severed f ~now ~src ~dst || Faults.injected_drop f ~now ~src ~dst
+    in
     let payload =
-      match t.faults with
-      | None -> payload
-      | Some f -> (
-          match f.Net.fh_corrupt ~now ~src ~dst payload with
-          | None -> payload
-          | Some p ->
-              t.corrupted_frames <- t.corrupted_frames + 1;
-              p)
+      if lost then payload else Faults.corrupt f ~now ~src ~dst payload
     in
-    let frame = data_frame t ~category (t.codec.c_encode payload) in
+    let frame = data_frame ~category (t.codec.c_encode payload) in
     Stats.record t.stats category ~bytes:(String.length frame);
-    let injected_drop =
-      (not (severed t ~src ~dst))
-      &&
-      match t.faults with
-      | None -> false
-      | Some f ->
-          let hit = f.Net.fh_drop ~now ~src ~dst in
-          if hit then t.injected_drops <- t.injected_drops + 1;
-          hit
-    in
-    if severed t ~src ~dst || injected_drop then t.dropped <- t.dropped + 1
+    if lost then Faults.drop f
     else
-      let delay =
-        match t.faults with
-        | None -> 0.
-        | Some f -> max 0. (f.Net.fh_delay ~now ~src ~dst)
-      in
+      let delay = Faults.delay f ~now ~src ~dst in
       if delay > 0. then
         Clock.schedule t.clock
-          ~label:(Clock.Act { owner = src; info = "delayed-send " ^ dst })
+          ~label:(Sim.Act { owner = src; info = "delayed-send " ^ dst })
           ~delay_ms:delay
           (fun () -> send_frame t ~src ~dst ~category frame)
       else send_frame t ~src ~dst ~category frame
   done
-
-let connect t ep dst =
-  match find_conn t ~local:ep.ep_addr ~peer:dst with
-  | Some _ -> ()
-  | None -> try_dial t ~src:ep.ep_addr ~dst
-
-let disconnect t ep dst =
-  match find_conn t ~local:ep.ep_addr ~peer:dst with
-  | Some c ->
-      flush_conn t c;
-      kill_conn t c
-  | None -> ()
 
 (* ---- receive path ----------------------------------------------------- *)
 
@@ -488,7 +432,7 @@ let dispatch t c frame_len payload =
         emit t (Connected { local = c.cn_local; peer })
     | 0x44 -> (
         match c.cn_peer with
-        | None -> t.dropped <- t.dropped + 1  (* data before hello *)
+        | None -> Faults.drop t.faults  (* data before hello *)
         | Some peer ->
             let cat_idx = R.u8 r in
             let stamp = R.f64 r in
@@ -500,27 +444,25 @@ let dispatch t c frame_len payload =
             in
             t.rx_bytes.(Stats.index category) <-
               t.rx_bytes.(Stats.index category) + frame_len;
-            t.rx_messages.(Stats.index category) <-
-              t.rx_messages.(Stats.index category) + 1;
-            if severed t ~src:peer ~dst:c.cn_local then
+            if
+              Faults.severed t.faults ~now:(Clock.now_ms t.clock) ~src:peer
+                ~dst:c.cn_local
+            then
               (* A partition cut while the frame sat in kernel buffers
                  kills it on arrival, mirroring the sim's in-flight cut. *)
-              t.dropped <- t.dropped + 1
+              Faults.drop t.faults
             else (
               match t.codec.c_decode body with
-              | Error _ -> t.integrity_drops <- t.integrity_drops + 1
-              | Ok v -> (
-                  match t.integrity with
-                  | Some chk when not (chk v) ->
-                      t.integrity_drops <- t.integrity_drops + 1
-                  | _ -> (
-                      Stats.record_latency t.stats category
-                        ~ms:(Float.max 0. (wall_ms () -. stamp));
-                      match Hashtbl.find_opt t.endpoints c.cn_local with
-                      | None -> t.dropped <- t.dropped + 1
-                      | Some ep -> ep.ep_handler ~src:peer v))))
-    | _ -> t.integrity_drops <- t.integrity_drops + 1
-  with R.Underflow _ -> t.integrity_drops <- t.integrity_drops + 1
+              | Error _ -> Faults.reject t.faults
+              | Ok v when Faults.admit t.faults v -> (
+                  Stats.record_latency t.stats category
+                    ~ms:(Float.max 0. (wall_ms () -. stamp));
+                  match Hashtbl.find_opt t.endpoints c.cn_local with
+                  | None -> Faults.drop t.faults
+                  | Some ep -> ep.ep_handler ~src:peer v)
+              | Ok _ -> ()))
+    | _ -> Faults.reject t.faults
+  with R.Underflow _ -> Faults.reject t.faults
 
 let read_chunk = Bytes.create 65536
 
@@ -540,7 +482,7 @@ let service_read t c =
           | Ok None -> ()
           | Error _ ->
               (* Unframeable garbage: the stream is unrecoverable. *)
-              t.integrity_drops <- t.integrity_drops + 1;
+              Faults.reject t.faults;
               kill_conn t c
       in
       drain ()
@@ -644,46 +586,27 @@ let drive_until t ?deadline_ms pred =
   in
   go ()
 
-(* ---- faults / partitions / accounting -------------------------------- *)
-
-let set_fault_hooks t f = t.faults <- f
-let set_integrity t f = t.integrity <- f
-let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
-let heal t a b = Hashtbl.remove t.partitions (link_key a b)
+(* ---- accounting, teardown --------------------------------------------- *)
 
 let clock t = t.clock
 let stats t = t.stats
-let family t = t.family
-let dropped t = t.dropped
+let faults t = t.faults
 let lost t = t.lost
 let reconnects t = t.reconnects
-let injected_drops t = t.injected_drops
-let injected_duplicates t = t.injected_duplicates
-let corrupted_frames t = t.corrupted_frames
-let integrity_drops t = t.integrity_drops
 let received_bytes t c = t.rx_bytes.(Stats.index c)
-let received_messages t c = t.rx_messages.(Stats.index c)
 let total_received_bytes t = Array.fold_left ( + ) 0 t.rx_bytes
-
-let endpoints t =
-  Hashtbl.fold (fun a _ acc -> a :: acc) t.endpoints []
-  |> List.sort String.compare
-
-let remove_endpoint t addr =
-  match Hashtbl.find_opt t.endpoints addr with
-  | None -> ()
-  | Some ep ->
-      Hashtbl.remove t.endpoints addr;
-      List.iter (fun c -> if c.cn_local = addr then kill_conn t c) t.conns;
-      (try Unix.close ep.ep_listen with Unix.Unix_error _ -> ());
-      if t.family = Unix_socket then
-        try Unix.unlink (unix_path t addr) with Unix.Unix_error _ -> ()
 
 let close t =
   if not t.closed then begin
     (* Give buffered output one last chance to leave. *)
     List.iter (fun c -> flush_conn t c) t.conns;
     List.iter (fun c -> kill_conn t c) t.conns;
-    List.iter (fun a -> remove_endpoint t a) (endpoints t);
+    Hashtbl.iter
+      (fun addr ep ->
+        (try Unix.close ep.ep_listen with Unix.Unix_error _ -> ());
+        if t.family = Unix_socket then
+          try Unix.unlink (unix_path t addr) with Unix.Unix_error _ -> ())
+      t.endpoints;
+    Hashtbl.reset t.endpoints;
     t.closed <- true
   end

@@ -1,8 +1,7 @@
 module Net = Pti_net.Net
 module Sim = Pti_net.Sim
-module Arq = Pti_net.Arq
+module Faults = Pti_net.Faults
 module Clock = Pti_net.Clock
-module Stats = Pti_net.Stats
 
 type address = string
 type kind = Sim | Unix_socket | Tcp
@@ -52,11 +51,6 @@ let create_tcp ?host ?reliability ?metrics ~codec () =
   Stream.set_codec s codec;
   Stream_f s
 
-let kind = function
-  | Sim_f _ -> Sim
-  | Stream_f s -> (
-      match Stream.family s with Stream.Unix_socket -> Unix_socket | Stream.Tcp -> Tcp)
-
 let clock = function Sim_f sf -> sf.sclock | Stream_f s -> Stream.clock s
 let now_ms t = Clock.now_ms (clock t)
 let stats = function Sim_f sf -> Net.stats sf.net | Stream_f s -> Stream.stats s
@@ -68,15 +62,6 @@ let add_endpoint t addr ~handler =
       Net.add_host sf.net addr ~handler:(fun ~net:_ ~src msg -> handler ~src msg);
       Sim_ep { sf; addr }
   | Stream_f s -> Stream_ep (Stream.add_endpoint s addr ~handler)
-
-let remove_endpoint t addr =
-  match t with
-  | Sim_f sf -> Net.remove_host sf.net addr
-  | Stream_f s -> Stream.remove_endpoint s addr
-
-let endpoint_address = function
-  | Sim_ep { addr; _ } -> addr
-  | Stream_ep ep -> ep.Stream.ep_addr
 
 let register_remote t addr spec =
   match t with
@@ -99,32 +84,18 @@ let send ep ?info ~dst ~category ~size payload =
   | Stream_ep e ->
       Stream.send e.Stream.ep_owner e ?info ~dst ~category ~size payload
 
-let connect ep dst =
-  match ep with
-  | Sim_ep _ -> ()
-  | Stream_ep e -> Stream.connect e.Stream.ep_owner e dst
-
-let disconnect ep dst =
-  match ep with
-  | Sim_ep _ -> ()
-  | Stream_ep e -> Stream.disconnect e.Stream.ep_owner e dst
-
 let on_conn_event t f =
   match t with Sim_f _ -> () | Stream_f s -> Stream.on_conn_event s f
 
 let timer t ~owner ~info ~delay_ms f =
-  Clock.schedule (clock t) ~label:(Clock.Timer { owner; info }) ~delay_ms f
+  Clock.schedule (clock t) ~label:(Sim.Timer { owner; info }) ~delay_ms f
 
 let timer_cancellable t ~owner ~info ~delay_ms f =
-  Clock.schedule_cancellable (clock t) ~label:(Clock.Timer { owner; info })
+  Clock.schedule_cancellable (clock t) ~label:(Sim.Timer { owner; info })
     ~delay_ms f
 
 let act t ~owner ~info ~delay_ms f =
-  Clock.schedule (clock t) ~label:(Clock.Act { owner; info }) ~delay_ms f
-
-let step = function
-  | Sim_f sf -> Sim.step (Net.sim sf.net)
-  | Stream_f s -> Stream.poll s ~timeout_ms:1.
+  Clock.schedule (clock t) ~label:(Sim.Act { owner; info }) ~delay_ms f
 
 let poll t ~timeout_ms =
   match t with
@@ -151,29 +122,18 @@ let drive_until t ?deadline_ms pred =
       go ()
   | Stream_f s -> Stream.drive_until s ?deadline_ms pred
 
-let set_fault_hooks t f =
-  match t with
-  | Sim_f sf -> Net.set_fault_hooks sf.net f
-  | Stream_f s -> Stream.set_fault_hooks s f
+let faults = function
+  | Sim_f sf -> Net.faults sf.net
+  | Stream_f s -> Stream.faults s
 
-let set_integrity t f =
-  match t with
-  | Sim_f sf -> Net.set_integrity sf.net f
-  | Stream_f s -> Stream.set_integrity s f
-
-let partition t a b =
-  match t with
-  | Sim_f sf -> Net.partition sf.net a b
-  | Stream_f s -> Stream.partition s a b
-
-let heal t a b =
-  match t with
-  | Sim_f sf -> Net.heal sf.net a b
-  | Stream_f s -> Stream.heal s a b
-
-let dropped_messages = function
-  | Sim_f sf -> Net.dropped_messages sf.net
-  | Stream_f s -> Stream.dropped s
+let set_fault_hooks t f = Faults.set_hooks (faults t) f
+let set_integrity t f = Faults.set_integrity (faults t) f
+let partition t a b = Faults.partition (faults t) a b
+let heal t a b = Faults.heal (faults t) a b
+let dropped_messages t = (faults t).dropped
+let injected_drops t = (faults t).injected_drops
+let corrupted_frames t = (faults t).corrupted_frames
+let integrity_drops t = (faults t).integrity_drops
 
 let lost_messages = function
   | Sim_f sf -> Net.lost_messages sf.net
@@ -182,22 +142,6 @@ let lost_messages = function
 let retransmissions = function
   | Sim_f sf -> Net.retransmissions sf.net
   | Stream_f s -> Stream.reconnects s
-
-let injected_drops = function
-  | Sim_f sf -> Net.injected_drops sf.net
-  | Stream_f s -> Stream.injected_drops s
-
-let injected_duplicates = function
-  | Sim_f sf -> Net.injected_duplicates sf.net
-  | Stream_f s -> Stream.injected_duplicates s
-
-let corrupted_frames = function
-  | Sim_f sf -> Net.corrupted_frames sf.net
-  | Stream_f s -> Stream.corrupted_frames s
-
-let integrity_drops = function
-  | Sim_f sf -> Net.integrity_drops sf.net
-  | Stream_f s -> Stream.integrity_drops s
 
 let received_bytes t c =
   match t with Sim_f _ -> 0 | Stream_f s -> Stream.received_bytes s c

@@ -3,7 +3,8 @@
     A transport [t] is everything a protocol stack needs from the
     network: endpoints addressed by logical names, [send], timers/acts
     on the backend's {!Pti_net.Clock}, connection lifecycle events,
-    fault-injection middleware and per-category accounting. Backends:
+    fault injection and per-category accounting — and nothing else: the
+    surface is what the stack drives. Backends:
 
     - {b sim} — wraps an ['a Net.t] {e unchanged}: sends, ARQ, fault
       hooks, partitions and the model checker's [enabled]/[fire]
@@ -16,12 +17,14 @@
     - {b tcp} — same machinery over loopback/remote TCP.
 
     Stream backends are polymorphic via an explicit ['a codec]; the
-    peer stack supplies its [Message] binary codec. Fault hooks
-    ([Net.fault_hooks]) become send-side middleware on streams, so the
-    chaos vocabulary (loss, duplication, delay, corruption, down
-    windows, partitions) applies to real kernel sockets too. The model
-    checker stays pinned to the sim backend — only the simulator
-    exposes a deterministic enabled-event set. *)
+    peer stack supplies its [Message] binary codec. Every backend embeds
+    one {!Pti_net.Faults} model and consults it in the simulator's
+    per-copy order, so the chaos vocabulary (loss, duplication, delay,
+    corruption, down windows, partitions) applies to real kernel sockets
+    too and one plan counts the same everywhere. Timers on every backend
+    sit in a {!Pti_net.Sim} queue. The model checker stays pinned to the
+    sim backend — only the simulator exposes a deterministic
+    enabled-event set. *)
 
 type address = string
 
@@ -74,8 +77,6 @@ val create_tcp :
 
 (** {1 Introspection} *)
 
-val kind : _ t -> kind
-val clock : _ t -> Pti_net.Clock.t
 val now_ms : _ t -> float
 val stats : _ t -> Pti_net.Stats.t
 (** Sim: the wrapped net's stats (bytes charged by declared size).
@@ -93,12 +94,6 @@ val add_endpoint :
   'a t -> address -> handler:(src:address -> 'a -> unit) -> 'a endpoint
 (** Register a logical address. Sim: [Net.add_host]. Streams: binds and
     listens. @raise Invalid_argument on a duplicate address. *)
-
-val remove_endpoint : _ t -> address -> unit
-(** Crash the endpoint: sim [Net.remove_host]; streams close the
-    listener and every connection it holds. *)
-
-val endpoint_address : _ endpoint -> address
 
 val register_remote : _ t -> address -> string -> unit
 (** [register_remote t addr spec] teaches a stream fabric how to dial
@@ -131,16 +126,9 @@ val send :
   'a ->
   unit
 (** Sim: exactly [Net.send] (same labels, same ARQ, same accounting).
-    Streams: frame, apply fault middleware, write (connecting first if
-    needed, buffering while a dial is in flight).
+    Streams: apply the fault model per copy, frame, write (connecting
+    first if needed, buffering while a dial is in flight).
     @raise Invalid_argument for an unresolvable destination. *)
-
-val connect : _ endpoint -> address -> unit
-(** Eagerly establish a stream connection (normally implicit in the
-    first send). No-op on sim. *)
-
-val disconnect : _ endpoint -> address -> unit
-(** Flush and close the connection to [dst]. No-op on sim. *)
 
 val on_conn_event : _ t -> (conn_event -> unit) -> unit
 (** Subscribe to stream connection lifecycle events (never fires on
@@ -149,8 +137,8 @@ val on_conn_event : _ t -> (conn_event -> unit) -> unit
 (** {1 Timers and actions}
 
     On sim these produce the exact [Sim.Timer]/[Sim.Act] labels the
-    model checker keys on; on streams they land in the monotonic clock
-    and fire from the poll loop. *)
+    model checker keys on; on streams the same labels land in the
+    monotonic clock's private queue and fire from the poll loop. *)
 
 val timer :
   _ t -> owner:address -> info:string -> delay_ms:float -> (unit -> unit) -> unit
@@ -170,10 +158,6 @@ val act :
 
 (** {1 Driving} *)
 
-val step : _ t -> bool
-(** Sim: [Sim.step]. Streams: one short poll; [true] if any I/O or
-    timer fired. *)
-
 val poll : _ t -> timeout_ms:float -> bool
 (** Streams: wait up to [timeout_ms] for I/O (bounded by the next timer
     deadline), service it, fire due timers. Sim: [Sim.step] (the
@@ -192,10 +176,12 @@ val drive_until : _ t -> ?deadline_ms:float -> (unit -> bool) -> bool
 
 (** {1 Faults, partitions} *)
 
-val set_fault_hooks : 'a t -> 'a Pti_net.Net.fault_hooks option -> unit
-(** Sim: [Net.set_fault_hooks]. Streams: the same record applied as
-    send-side middleware ([fh_down] also screens arrivals, so a window
-    opening mid-flight kills frames already in kernel buffers). *)
+val set_fault_hooks : 'a t -> 'a Pti_net.Faults.hooks option -> unit
+(** Install (or clear) the hooks of the backend's {!Pti_net.Faults}
+    model. Every backend asks them in the simulator's per-copy order, so
+    one plan counts the same on each ([fh_down] also screens arrivals,
+    so a window opening mid-flight kills frames already in kernel
+    buffers). *)
 
 val set_integrity : 'a t -> ('a -> bool) option -> unit
 val partition : _ t -> address -> address -> unit
@@ -206,13 +192,12 @@ val heal : _ t -> address -> address -> unit
 val dropped_messages : _ t -> int
 val lost_messages : _ t -> int
 (** Sim: ARQ gave up. Streams: frames abandoned after reconnect
-    retries were exhausted. *)
+    retries were exhausted, or still queued on a connection that died. *)
 
 val retransmissions : _ t -> int
 (** Sim: ARQ retries. Streams: reconnect attempts. *)
 
 val injected_drops : _ t -> int
-val injected_duplicates : _ t -> int
 val corrupted_frames : _ t -> int
 val integrity_drops : _ t -> int
 (** Streams also count undecodable frames (wire damage detected by the

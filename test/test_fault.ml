@@ -78,21 +78,21 @@ let test_hooks_compile () =
     Fault_plan.hooks plan ~rng ~corrupt:(fun _ _ -> None)
   in
   Alcotest.(check bool) "loss inside" true
-    (hooks.Net.fh_drop ~now:15. ~src:"a" ~dst:"b");
+    (hooks.Pti_net.Faults.fh_drop ~now:15. ~src:"a" ~dst:"b");
   Alcotest.(check bool) "loss outside" false
-    (hooks.Net.fh_drop ~now:25. ~src:"a" ~dst:"b");
+    (hooks.Pti_net.Faults.fh_drop ~now:25. ~src:"a" ~dst:"b");
   Alcotest.(check int) "duplicate on matching link" 1
-    (hooks.Net.fh_duplicates ~now:35. ~src:"a" ~dst:"b");
+    (hooks.Pti_net.Faults.fh_duplicates ~now:35. ~src:"a" ~dst:"b");
   Alcotest.(check int) "duplicate selector-gated" 0
-    (hooks.Net.fh_duplicates ~now:35. ~src:"b" ~dst:"a");
+    (hooks.Pti_net.Faults.fh_duplicates ~now:35. ~src:"b" ~dst:"a");
   Alcotest.(check bool) "reorder adds delay" true
-    (hooks.Net.fh_delay ~now:55. ~src:"a" ~dst:"b" > 0.);
+    (hooks.Pti_net.Faults.fh_delay ~now:55. ~src:"a" ~dst:"b" > 0.);
   Alcotest.(check (float 1e-9)) "no delay outside" 0.
-    (hooks.Net.fh_delay ~now:65. ~src:"a" ~dst:"b");
+    (hooks.Pti_net.Faults.fh_delay ~now:65. ~src:"a" ~dst:"b");
   Alcotest.(check bool) "down inside" true
-    (hooks.Net.fh_down ~now:75. ~src:"a" ~dst:"b");
+    (hooks.Pti_net.Faults.fh_down ~now:75. ~src:"a" ~dst:"b");
   Alcotest.(check bool) "down outside" false
-    (hooks.Net.fh_down ~now:85. ~src:"a" ~dst:"b")
+    (hooks.Pti_net.Faults.fh_down ~now:85. ~src:"a" ~dst:"b")
 
 let test_random_plan_profiles () =
   (* Generated plans respect their profile's action vocabulary and stay

@@ -496,8 +496,8 @@ let prop_arq_duplication_exactly_once =
       Net.set_fault_hooks net
         (Some
            {
-             Net.no_faults with
-             Net.fh_duplicates = (fun ~now:_ ~src:_ ~dst:_ -> 1);
+             Pti_net.Faults.no_hooks with
+             Pti_net.Faults.fh_duplicates = (fun ~now:_ ~src:_ ~dst:_ -> 1);
            });
       let n = 15 in
       let delivered : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -516,7 +516,7 @@ let prop_arq_duplication_exactly_once =
       && Hashtbl.length delivered + Net.lost_for net Stats.Object_msg = n)
 
 (* ---------------------------------------------------------------- *)
-(* Clock: sim passthrough pin + monotonic timer wheel                 *)
+(* Clock: sim passthrough pin + monotonic clock on a private Sim      *)
 (* ---------------------------------------------------------------- *)
 
 module Clock = Pti_net.Clock
@@ -543,13 +543,13 @@ let test_clock_sim_labels_verbatim () =
     ~label:(Sim.Timer { owner = "b"; info = "lease" })
     ~delay:25. (record trace_a "timer2");
   Clock.schedule clock
-    ~label:(Clock.Timer { owner = "a"; info = "req-timeout#1" })
+    ~label:(Sim.Timer { owner = "a"; info = "req-timeout#1" })
     ~delay_ms:25. (record trace_b "timer");
   Clock.schedule clock
-    ~label:(Clock.Act { owner = "a"; info = "batch-flush" })
+    ~label:(Sim.Act { owner = "a"; info = "batch-flush" })
     ~delay_ms:5. (record trace_b "act");
   Clock.schedule clock
-    ~label:(Clock.Timer { owner = "b"; info = "lease" })
+    ~label:(Sim.Timer { owner = "b"; info = "lease" })
     ~delay_ms:25. (record trace_b "timer2");
   let summarize sim =
     List.map
@@ -572,7 +572,7 @@ let test_clock_sim_passthrough () =
   Alcotest.(check bool) "sim exposed" true
     (match Clock.sim clock with Some s -> s == sim | None -> false);
   Clock.schedule clock
-    ~label:(Clock.Act { owner = "x"; info = "a" })
+    ~label:(Sim.Act { owner = "x"; info = "a" })
     ~delay_ms:3.
     (fun () -> ());
   Alcotest.(check int) "tick is a no-op" 0 (Clock.tick clock);
@@ -592,7 +592,7 @@ let test_clock_monotonic_order () =
   let clock, now = fake_clock 1000. in
   let trace = ref [] in
   let record tag () = trace := tag :: !trace in
-  let lbl i = Clock.Timer { owner = "t"; info = i } in
+  let lbl i = Sim.Timer { owner = "t"; info = i } in
   Clock.schedule clock ~label:(lbl "late") ~delay_ms:20. (record "late");
   Clock.schedule clock ~label:(lbl "early") ~delay_ms:5. (record "early");
   Clock.schedule clock ~label:(lbl "tie-1") ~delay_ms:10. (record "tie-1");
@@ -612,7 +612,7 @@ let test_clock_monotonic_order () =
 let test_clock_monotonic_reentrant_tick () =
   let clock, now = fake_clock 0. in
   let trace = ref [] in
-  let lbl i = Clock.Act { owner = "t"; info = i } in
+  let lbl i = Sim.Act { owner = "t"; info = i } in
   Clock.schedule clock ~label:(lbl "outer") ~delay_ms:5. (fun () ->
       trace := "outer" :: !trace;
       (* Already due when scheduled — must fire within this same tick. *)
@@ -626,7 +626,7 @@ let test_clock_monotonic_reentrant_tick () =
 let test_clock_monotonic_cancel_idempotent () =
   let clock, now = fake_clock 0. in
   let fired = ref 0 in
-  let lbl = Clock.Timer { owner = "t"; info = "guard" } in
+  let lbl = Sim.Timer { owner = "t"; info = "guard" } in
   let cancel =
     Clock.schedule_cancellable clock ~label:lbl ~delay_ms:5. (fun () ->
         incr fired)
@@ -643,7 +643,7 @@ let test_clock_monotonic_next_due () =
   let clock, now = fake_clock 100. in
   Alcotest.(check bool) "empty -> None" true (Clock.next_due_ms clock = None);
   Clock.schedule clock
-    ~label:(Clock.Timer { owner = "t"; info = "g" })
+    ~label:(Sim.Timer { owner = "t"; info = "g" })
     ~delay_ms:10.
     (fun () -> ());
   (match Clock.next_due_ms clock with

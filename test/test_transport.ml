@@ -1,6 +1,8 @@
 (* Tests for the pluggable transport fabric: stream loopback exchange,
-   fault middleware on real sockets, partitions, and a forked
-   two-process publish -> conform -> invoke run over unix sockets.
+   the shared fault model on real sockets (counting the same as on the
+   simulator), partitions, frames lost with a dying connection, and a
+   forked two-process publish -> conform -> invoke run over unix
+   sockets.
 
    Everything here drives kernel sockets; where the environment cannot
    provide them (no AF_UNIX/AF_INET, no fork) the tests skip cleanly
@@ -95,8 +97,8 @@ let test_stream_fault_middleware () =
   Transport.set_fault_hooks tr
     (Some
        {
-         Pti_net.Net.no_faults with
-         Pti_net.Net.fh_drop = (fun ~now:_ ~src:_ ~dst:_ -> !dropping);
+         Pti_net.Faults.no_hooks with
+         Pti_net.Faults.fh_drop = (fun ~now:_ ~src:_ ~dst:_ -> !dropping);
        });
   Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1 "x";
   Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1 "y";
@@ -128,8 +130,8 @@ let test_stream_corruption_and_integrity () =
   Transport.set_fault_hooks tr
     (Some
        {
-         Pti_net.Net.no_faults with
-         Pti_net.Net.fh_corrupt =
+         Pti_net.Faults.no_hooks with
+         Pti_net.Faults.fh_corrupt =
            (fun ~now:_ ~src:_ ~dst:_ s -> Some ("!" ^ s));
        });
   Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1 "m";
@@ -181,6 +183,70 @@ let test_stream_partition_heal () =
   in
   Alcotest.(check bool) "healed link delivers" true ok;
   Transport.close tr
+
+(* One plan, armed once per backend: every send is duplicated once, the
+   first copy of each pair is dropped and every surviving copy is
+   corrupted. Both backends consult the same fault model in the same
+   per-copy order, so the counters agree. *)
+let fault_counts tr a =
+  let calls = ref 0 in
+  Transport.set_fault_hooks tr
+    (Some
+       {
+         Pti_net.Faults.no_hooks with
+         Pti_net.Faults.fh_duplicates = (fun ~now:_ ~src:_ ~dst:_ -> 1);
+         fh_drop =
+           (fun ~now:_ ~src:_ ~dst:_ ->
+             incr calls;
+             !calls mod 2 = 1);
+         fh_corrupt = (fun ~now:_ ~src:_ ~dst:_ s -> Some ("!" ^ s));
+       });
+  List.iter
+    (fun s -> Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1 s)
+    [ "x"; "y"; "z" ];
+  ignore
+    (Transport.drive_until tr
+       ~deadline_ms:(Transport.now_ms tr +. 300.)
+       (fun () -> false));
+  ( Transport.injected_drops tr,
+    Transport.corrupted_frames tr,
+    Transport.dropped_messages tr )
+
+let test_one_plan_both_backends () =
+  skip_unless_sockets Unix.PF_UNIX;
+  let sim = Transport.of_net (Pti_net.Net.create ()) in
+  let sim_a = Transport.add_endpoint sim "a" ~handler:(fun ~src:_ _ -> ()) in
+  ignore (Transport.add_endpoint sim "b" ~handler:(fun ~src:_ _ -> ()));
+  let on_sim = fault_counts sim sim_a in
+  let unix = fst (fresh_unix_fabric ()) in
+  let on_unix = fault_counts unix (wire_pair unix ~on_b:(fun ~src:_ _ -> ())) in
+  Transport.close unix;
+  Alcotest.(check (triple int int int))
+    "(injected drops, corrupted frames, dropped) agree" on_sim on_unix
+
+(* A connection that dies with frames still queued must account for
+   them: they never reach the peer, so they count as lost. *)
+let test_dead_connection_counts_queued_frames () =
+  skip_unless_sockets Unix.PF_UNIX;
+  let ta, dir = fresh_unix_fabric () in
+  let tb = Transport.create_unix ~dir ~codec:string_codec () in
+  let a = Transport.add_endpoint ta "a" ~handler:(fun ~src:_ _ -> ()) in
+  ignore (Transport.add_endpoint tb "b" ~handler:(fun ~src:_ _ -> ()));
+  (match Transport.listen_spec tb "b" with
+  | Some spec -> Transport.register_remote ta "b" spec
+  | None -> Alcotest.fail "endpoint b has no listen spec");
+  let body = String.make 65536 'p' in
+  for _ = 1 to 100 do
+    Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:65536 body
+  done;
+  ignore (Transport.poll ta ~timeout_ms:0.);
+  Transport.close tb;
+  for _ = 1 to 20 do
+    ignore (Transport.poll ta ~timeout_ms:10.)
+  done;
+  Alcotest.(check bool) "queued frames counted lost" true
+    (Transport.lost_messages ta > 0);
+  Transport.close ta
 
 (* ------------------------------------------------------------------ *)
 (* Two processes over a unix socket: publish -> conform -> invoke      *)
@@ -330,6 +396,10 @@ let () =
             test_stream_corruption_and_integrity;
           Alcotest.test_case "partition + heal" `Quick
             test_stream_partition_heal;
+          Alcotest.test_case "one plan, both backends, same counts" `Quick
+            test_one_plan_both_backends;
+          Alcotest.test_case "dead connection counts queued frames" `Quick
+            test_dead_connection_counts_queued_frames;
         ] );
       ( "two-process",
         [
