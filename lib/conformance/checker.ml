@@ -13,21 +13,6 @@ type verdict = Conformant of Mapping.t | Not_conformant of failure list
 
 let verdict_ok = function Conformant _ -> true | Not_conformant _ -> false
 
-let pp_verdict ppf = function
-  | Conformant m ->
-      Format.fprintf ppf "@[<v>CONFORMANT@,%a" Mapping.pp m;
-      List.iter
-        (fun (cm : Mapping.ctor_map) ->
-          Format.fprintf ppf "  ctor/%d perm=[%s]@," cm.Mapping.cm_arity
-            (String.concat ";"
-               (List.map string_of_int (Array.to_list cm.Mapping.cm_perm))))
-        m.Mapping.ctors;
-      Format.fprintf ppf "@]"
-  | Not_conformant fs ->
-      Format.fprintf ppf "@[<v>NOT CONFORMANT@,";
-      List.iter (fun f -> Format.fprintf ppf "  %a@," pp_failure f) fs;
-      Format.fprintf ppf "@]"
-
 type stats_mut = {
   mutable m_checks : int;
   mutable m_pair_checks : int;

@@ -44,10 +44,6 @@ type verdict =
 
 val verdict_ok : verdict -> bool
 
-val pp_verdict : Format.formatter -> verdict -> unit
-(** Human-readable rendering: the full mapping (methods and constructor
-    witnesses) on success, every recorded failure otherwise. *)
-
 type t
 (** A checker: configuration + description resolver + bounded result
     cache with keyed invalidation. *)

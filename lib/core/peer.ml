@@ -281,44 +281,55 @@ let local_desc t name =
   | Some cd -> Some (Td.of_class cd)
   | None -> Lru.Str.find t.sl.sl_tdesc_cache (lc name)
 
+(* The description-cache key of [name] pinned to chain revision
+   [version]. *)
+let pinned_key name version = Printf.sprintf "%s@v%d" (lc name) version
+
+(* [name] as pinned to [version] (0 = unpinned): its version-pinned cache
+   entry, else whatever the bare name resolves to. *)
+let pinned_desc t ~version name =
+  let pinned =
+    if version > 0 then
+      Lru.Str.find t.sl.sl_tdesc_cache (pinned_key name version)
+    else None
+  in
+  match pinned with Some _ -> pinned | None -> local_desc t name
+
+(* The revision an envelope entry names: loaded code with the entry's
+   GUID, else [name] as pinned to the entry's version. *)
+let find_desc t ~guid ~version name =
+  match Registry.find_by_guid t.sh.sh_reg guid with
+  | Some cd -> Some (Td.of_class cd)
+  | None -> pinned_desc t ~version name
+
+(* A version-pinned entry ([version > 0]) never shadows or overturns an
+   existing bare-name binding. But when the bare name has NO binding,
+   the checker's resolver serves the newest versioned entry instead — so
+   becoming that newest entry is new knowledge too. New knowledge can
+   overturn verdicts that failed on the missing type, and only those; the
+   GUID witness additionally keeps any verdict that already resolved this
+   very description. *)
 let cache_desc ?(version = 0) t d =
-  if version > 0 then begin
-    (* Version-pinned entry, keyed [name@vN]: it never shadows (or
-       overturns) an existing bare-name binding. But when the bare name
-       has NO binding, the checker's resolver serves the newest
-       versioned entry instead — so becoming that newest entry is new
-       knowledge, and verdicts that failed on the missing name must be
-       re-derived (the GUID witness keeps any verdict that already
-       resolved this very description). *)
-    let nm = lc (Td.qualified_name d) in
-    let key = Printf.sprintf "%s@v%d" nm version in
-    if not (Lru.Str.mem t.sl.sl_tdesc_cache key) then begin
-      Lru.Str.put t.sl.sl_tdesc_cache key d;
-      let newest =
-        match Hashtbl.find_opt t.sl.sl_desc_versions nm with
-        | Some v -> version > v
-        | None -> true
-      in
-      if newest then begin
-        Hashtbl.replace t.sl.sl_desc_versions nm version;
-        if not (Lru.Str.mem t.sl.sl_tdesc_cache nm) then
-          ignore
-            (Checker.note_new_type ~witness:d.Td.ty_guid t.sl.sl_checker
-               (Td.qualified_name d))
+  let name = Td.qualified_name d in
+  let nm = lc name in
+  let key = if version > 0 then pinned_key name version else nm in
+  if not (Lru.Str.mem t.sl.sl_tdesc_cache key) then begin
+    Lru.Str.put t.sl.sl_tdesc_cache key d;
+    let new_knowledge =
+      if version <= 0 then true
+      else begin
+        let newest =
+          match Hashtbl.find_opt t.sl.sl_desc_versions nm with
+          | Some v -> version > v
+          | None -> true
+        in
+        if newest then Hashtbl.replace t.sl.sl_desc_versions nm version;
+        newest && not (Lru.Str.mem t.sl.sl_tdesc_cache nm)
       end
-    end
-  end
-  else begin
-    let key = lc (Td.qualified_name d) in
-    if not (Lru.Str.mem t.sl.sl_tdesc_cache key) then begin
-      Lru.Str.put t.sl.sl_tdesc_cache key d;
-      (* New knowledge can overturn verdicts that failed on this missing
-         type — and only those. The GUID witness additionally keeps any
-         verdict that already resolved this very description. *)
+    in
+    if new_knowledge then
       ignore
-        (Checker.note_new_type ~witness:d.Td.ty_guid t.sl.sl_checker
-           (Td.qualified_name d))
-    end
+        (Checker.note_new_type ~witness:d.Td.ty_guid t.sl.sl_checker name)
   end
 
 (* Qualified names a description refers to — what else we may need. *)
@@ -425,8 +436,7 @@ let request_tdesc ?retries ?(version = 0) t ~from name k =
 (* [request_tdesc] behind the in-flight join, keyed host|name[@vN]. *)
 let request_tdesc_shared ?(version = 0) t ~from name k =
   let key =
-    from ^ "|" ^ lc name
-    ^ if version > 0 then Printf.sprintf "@v%d" version else ""
+    from ^ "|" ^ if version > 0 then pinned_key name version else lc name
   in
   join t.tdesc_inflight key k (request_tdesc ~version t ~from name)
 
@@ -459,20 +469,10 @@ let ensure_descs ?(pins = []) t ~from names k =
   let pin_of key = List.assoc_opt key pins in
   let local key name =
     match pin_of key with
-    | Some (v, guid) when v > 0 -> (
-        match Registry.find_by_guid t.sh.sh_reg guid with
-        | Some cd -> Some (Td.of_class cd)
-        | None -> (
-            match
-              Lru.Str.find t.sl.sl_tdesc_cache (Printf.sprintf "%s@v%d" key v)
-            with
-            | Some d -> Some d
-            | None -> (
-                (* A bare cached description still satisfies the pin when
-                   it is the pinned revision. *)
-                match local_desc t name with
-                | Some d when Pti_util.Guid.equal d.Td.ty_guid guid -> Some d
-                | _ -> None)))
+    | Some (version, guid) when version > 0 -> (
+        match find_desc t ~guid ~version name with
+        | Some d when Pti_util.Guid.equal d.Td.ty_guid guid -> Some d
+        | _ -> None)
     | _ -> local_desc t name
   in
   let steps = fan_in k in
@@ -741,17 +741,8 @@ let env_desc t (env : Envelope.t) name =
       env.Envelope.env_types
   with
   | None -> local_desc t name
-  | Some e -> (
-      match Registry.find_by_guid t.sh.sh_reg e.Envelope.te_guid with
-      | Some cd -> Some (Td.of_class cd)
-      | None -> (
-          let versioned =
-            if e.Envelope.te_version > 0 then
-              Lru.Str.find t.sl.sl_tdesc_cache
-                (Printf.sprintf "%s@v%d" (lc name) e.Envelope.te_version)
-            else None
-          in
-          match versioned with Some d -> Some d | None -> local_desc t name))
+  | Some e ->
+      find_desc t ~guid:e.Envelope.te_guid ~version:e.Envelope.te_version name
 
 (* Decode and deliver to every conformant interest. Conformance is
    re-checked here even after a slow-path check: an interest
@@ -1046,34 +1037,28 @@ let handle t ~src msg =
          falling back to the version-pinned cache, then best-effort to
          the bare resolution (a peer with no chain knowledge answers as
          before; the requester's GUID pin still vets what comes back). *)
-      let pinned () =
-        let rec scan = function
-          | [] -> None
-          | (asm_name, _) :: rest -> (
-              match
-                Repository.resolve t.sh.sh_repo
-                  ~pin:(Repository.Version version) asm_name
-              with
-              | Some ve -> (
-                  match
-                    Assembly.find_class ve.Repository.ve_assembly type_name
-                  with
-                  | Some cd -> Some (Td.of_class cd)
-                  | None -> scan rest)
-              | None -> scan rest)
-        in
-        match scan (Repository.chain_digests t.sh.sh_repo) with
-        | Some _ as d -> d
-        | None -> (
+      let rec scan = function
+        | [] -> None
+        | (asm_name, _) :: rest -> (
             match
-              Lru.Str.find t.sl.sl_tdesc_cache
-                (Printf.sprintf "%s@v%d" (lc type_name) version)
+              Repository.resolve t.sh.sh_repo
+                ~pin:(Repository.Version version) asm_name
             with
-            | Some _ as d -> d
-            | None -> local_desc t type_name)
+            | Some ve -> (
+                match
+                  Assembly.find_class ve.Repository.ve_assembly type_name
+                with
+                | Some cd -> Some (Td.of_class cd)
+                | None -> scan rest)
+            | None -> scan rest)
       in
       let resolved =
-        if version > 0 then pinned () else local_desc t type_name
+        match
+          if version > 0 then scan (Repository.chain_digests t.sh.sh_repo)
+          else None
+        with
+        | Some _ as d -> d
+        | None -> pinned_desc t ~version type_name
       in
       let desc =
         Option.map
@@ -1230,8 +1215,7 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
               (* No bare binding: serve the newest version-pinned entry, so
                  nested references inside pinned envelopes resolve. *)
               match Hashtbl.find_opt desc_versions key with
-              | Some v ->
-                  Lru.Str.find tdesc_cache (Printf.sprintf "%s@v%d" key v)
+              | Some v -> Lru.Str.find tdesc_cache (pinned_key name v)
               | None -> None))
     in
     let checker =

@@ -9,8 +9,6 @@ let rec type_of_value reg v =
       None
 
 let methods cd = cd.Meta.td_methods
-let fields cd = cd.Meta.td_fields
-let constructors cd = cd.Meta.td_ctors
 
 let all_methods reg cd =
   let chain = cd :: Registry.super_chain reg cd in
@@ -29,14 +27,6 @@ let all_methods reg cd =
           end)
         c.Meta.td_methods)
     chain
-
-let all_fields reg cd = Registry.all_fields reg cd
-
-let supertype_names reg cd =
-  List.map Meta.qualified_name (Registry.super_chain reg cd)
-
-let interface_names reg cd =
-  List.map Meta.qualified_name (Registry.all_interfaces reg cd)
 
 let referenced_types cd =
   let names = ref [] in

@@ -16,15 +16,6 @@ val all_methods : Registry.t -> Meta.class_def -> Meta.method_def list
 (** Own + inherited methods; an override (same name and arity) hides the
     inherited one. Document order: most-derived first. *)
 
-val fields : Meta.class_def -> Meta.field_def list
-val all_fields : Registry.t -> Meta.class_def -> Meta.field_def list
-val constructors : Meta.class_def -> Meta.ctor_def list
-
-val supertype_names : Registry.t -> Meta.class_def -> string list
-(** Qualified names of the transitive superclasses, nearest first. *)
-
-val interface_names : Registry.t -> Meta.class_def -> string list
-
 val referenced_types : Meta.class_def -> string list
 (** Qualified names appearing anywhere in the class surface (sorted,
     deduplicated) — the closure seed for assembly packaging. *)

@@ -19,12 +19,6 @@ let visibility_of_string = function
   | "private" -> Some Private
   | _ -> None
 
-let pp_mods ppf m =
-  Format.fprintf ppf "%s%s%s"
-    (visibility_to_string m.visibility)
-    (if m.static then " static" else "")
-    (if m.virtual_ then " virtual" else "")
-
 type param = { param_name : string; param_ty : Ty.t }
 
 type field_def = {
@@ -77,8 +71,6 @@ let params_string ps =
 let signature m =
   Printf.sprintf "%s(%s) : %s" m.m_name (params_string m.m_params)
     (Ty.to_string m.m_return)
-
-let ctor_signature c = Printf.sprintf "ctor(%s)" (params_string c.c_params)
 
 let kind_to_string = function Class -> "class" | Interface -> "interface"
 

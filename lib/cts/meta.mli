@@ -14,8 +14,6 @@ val public_mods : member_mods
 
 val equal_mods : member_mods -> member_mods -> bool
 
-val pp_mods : Format.formatter -> member_mods -> unit
-
 type param = { param_name : string; param_ty : Ty.t }
 
 type field_def = {
@@ -61,8 +59,6 @@ val arity : method_def -> int
 
 val signature : method_def -> string
 (** Human-readable [name(ty, ..) : ret] string for diagnostics. *)
-
-val ctor_signature : ctor_def -> string
 
 val visibility_to_string : visibility -> string
 val visibility_of_string : string -> visibility option

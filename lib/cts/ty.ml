@@ -33,11 +33,6 @@ let rec compare a b =
   | Array x, Array y -> compare x y
   | _ -> Stdlib.compare (rank a) (rank b)
 
-let rec is_primitive = function
-  | Void | Bool | Int | Float | String | Char -> true
-  | Named _ -> false
-  | Array e -> is_primitive e
-
 let rec to_string = function
   | Void -> "void"
   | Bool -> "bool"
@@ -70,8 +65,6 @@ let of_string_exn s =
   match of_string s with
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Ty.of_string_exn: %S" s)
-
-let element_type = function Array e -> Some e | _ -> None
 
 let rec named_roots = function
   | Void | Bool | Int | Float | String | Char -> []

@@ -21,9 +21,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val is_primitive : t -> bool
-(** True for everything except [Named] and arrays over [Named]. *)
-
 val to_string : t -> string
 (** Wire rendering: primitives by keyword, arrays with a ["[]"] suffix. *)
 
@@ -32,9 +29,6 @@ val of_string : string -> t option
     ["[]"]). *)
 
 val of_string_exn : string -> t
-
-val element_type : t -> t option
-(** [Some e] when the reference is [Array e]. *)
 
 val named_roots : t -> string list
 (** The qualified names mentioned by the reference (at most one today, but

@@ -54,13 +54,6 @@ let get_field o name = Hashtbl.find_opt o.fields (String.lowercase_ascii name)
 let set_field o name v =
   Hashtbl.replace o.fields (String.lowercase_ascii name) v
 
-let truthy = function
-  | Vbool b -> b
-  | v ->
-      invalid_arg
-        (Printf.sprintf "condition evaluated to %s, expected bool"
-           (type_name v))
-
 let equal_shallow a b =
   match a, b with
   | Vnull, Vnull -> true

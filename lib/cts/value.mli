@@ -47,10 +47,6 @@ val get_field : obj -> string -> value option
 
 val set_field : obj -> string -> value -> unit
 
-val truthy : value -> bool
-(** [Vbool true] only; anything else raises. Conditions must be booleans.
-    @raise Invalid_argument *)
-
 val equal_shallow : value -> value -> bool
 (** Primitive equality; objects/arrays/proxies compare by identity. *)
 

@@ -7,7 +7,6 @@ module S = Pti_util.Strutil
 type context = { cx_reg : Registry.t; cx_checker : Checker.t }
 
 let create_context reg checker = { cx_reg = reg; cx_checker = checker }
-let context_registry cx = cx.cx_reg
 
 let rec unwrap = function
   | Value.Vproxy p -> unwrap p.Value.px_target
@@ -17,12 +16,9 @@ let is_proxy = function Value.Vproxy _ -> true | _ -> false
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Eval.Runtime_error s)) fmt
 
-(* Look up the description of a qualified name through the checker's own
-   resolver (registry-backed on a peer), falling back to local code. *)
-let desc_of cx name =
-  match Registry.find cx.cx_reg name with
-  | Some cd -> Some (Td.of_class cd)
-  | None -> None
+(* The description of a qualified name, from the code loaded in the
+   context's registry. *)
+let desc_of cx name = Td.registry_resolver cx.cx_reg name
 
 let rec wrap cx ~interest ~mapping target =
   let px_invoke name args = dispatch cx interest mapping target name args in

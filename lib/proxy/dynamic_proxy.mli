@@ -20,7 +20,6 @@ type context
     invocations and the checker that derives nested mappings on demand. *)
 
 val create_context : Registry.t -> Pti_conformance.Checker.t -> context
-val context_registry : context -> Registry.t
 
 val wrap : context -> interest:string -> mapping:Pti_conformance.Mapping.t ->
   Value.value -> Value.value

@@ -276,9 +276,9 @@ let body_of_xml tag x =
           Ok (Some expr)
       | _ -> Error (Printf.sprintf "<%s> expects one child" tag))
 
-let class_to_xml (cd : Meta.class_def) =
+let class_to_xml ?(root = "class") (cd : Meta.class_def) =
   let open Xml in
-  elt "class"
+  elt root
     ~attrs:
       [
         ("name", cd.Meta.td_name);
@@ -320,9 +320,9 @@ let class_to_xml (cd : Meta.class_def) =
            cd.Meta.td_methods;
        ])
 
-let class_of_xml x =
+let class_of_xml ?(root = "class") x =
   match Xml.tag x with
-  | Some "class" ->
+  | Some tag when String.equal tag root ->
       let* name = attr "name" x in
       let* ns_s = attr "namespace" x in
       let td_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
@@ -402,7 +402,7 @@ let class_of_xml x =
           td_methods;
           td_assembly;
         }
-  | Some other -> Error (Printf.sprintf "expected <class>, got <%s>" other)
+  | Some other -> Error (Printf.sprintf "expected <%s>, got <%s>" root other)
   | None -> Error "expected an element"
 
 (* --- assemblies ------------------------------------------------------- *)

@@ -98,7 +98,8 @@ module Reader = struct
 
   let string t =
     let n = varint t in
-    if t.pos + n > String.length t.src then raise (Underflow "string past end");
+    (* A hostile length can read as negative, or overflow [pos + n]. *)
+    if n < 0 || n > remaining t then raise (Underflow "string past end");
     let s = String.sub t.src t.pos n in
     t.pos <- t.pos + n;
     s

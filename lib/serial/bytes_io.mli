@@ -66,6 +66,9 @@ module Reader : sig
   val zigzag : t -> int
   val f64 : t -> float
   val string : t -> string
+  (** A length-prefixed string. A length that is negative or longer than
+      the bytes left raises [Underflow], never [Invalid_argument]. *)
+
   val bool : t -> bool
   val expect_magic : t -> string -> unit
 end

@@ -134,9 +134,6 @@ let make ?(version_of = fun ~assembly:_ -> 0) reg ~codec ~download_path v =
 
 let required_classes t = List.map (fun e -> e.te_name) t.env_types
 
-let payload_codec t =
-  match t.env_payload with Psoap _ -> Soap | Pbinary _ -> Binary
-
 (* Version-pinned class resolution: a payload class named by the
    envelope decodes against the exact description the sender stamped (by
    GUID), not whatever the name happens to resolve to at decode time — a

@@ -62,8 +62,6 @@ val make : ?version_of:(assembly:string -> int) -> Registry.t ->
 val required_classes : t -> string list
 (** Names the receiver must have loaded before the payload can decode. *)
 
-val payload_codec : t -> codec
-
 val decode_payload : Registry.t -> t -> (Value.value, error) result
 (** Fails with [Unknown_type] when a class is not (yet) loaded — the signal
     that triggers the download subprotocol. Classes named by the

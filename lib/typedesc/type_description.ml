@@ -193,180 +193,15 @@ let equivalent a b = String.equal (fingerprint a) (fingerprint b)
 
 (* --- XML codec -------------------------------------------------------- *)
 
-let mods_attrs (m : Meta.member_mods) =
-  [
-    ("visibility", Meta.visibility_to_string m.Meta.visibility);
-    ("static", string_of_bool m.Meta.static);
-    ("virtual", string_of_bool m.Meta.virtual_);
-  ]
-
-let params_to_xml ps =
-  List.map
-    (fun p ->
-      Xml.elt "param"
-        ~attrs:[ ("name", p.pd_name); ("type", Ty.to_string p.pd_ty) ]
-        [])
-    ps
+(* A description is its body-less class under its own root element, so
+   the assembly codec's class codec reads and writes it. *)
+let xml_root = "typeDescription"
 
 let to_xml t =
-  let open Xml in
-  elt "typeDescription"
-    ~attrs:
-      [
-        ("name", t.ty_name);
-        ("namespace", String.concat "." t.ty_namespace);
-        ("guid", Guid.to_string t.ty_guid);
-        ("kind", Meta.kind_to_string t.ty_kind);
-        ("assembly", t.ty_assembly);
-      ]
-    (List.concat
-       [
-         (match t.ty_super with
-         | None -> []
-         | Some s -> [ elt "super" ~attrs:[ ("name", s) ] [] ]);
-         List.map
-           (fun i -> elt "interface" ~attrs:[ ("name", i) ] [])
-           t.ty_interfaces;
-         List.map
-           (fun f ->
-             elt "field"
-               ~attrs:
-                 (("name", f.fd_name) :: ("type", Ty.to_string f.fd_ty)
-                 :: mods_attrs f.fd_mods)
-               [])
-           t.ty_fields;
-         List.map
-           (fun c ->
-             elt "constructor" ~attrs:(mods_attrs c.cd_mods)
-               (params_to_xml c.cd_params))
-           t.ty_ctors;
-         List.map
-           (fun m ->
-             elt "method"
-               ~attrs:
-                 (("name", m.md_name)
-                 :: ("return", Ty.to_string m.md_return)
-                 :: mods_attrs m.md_mods)
-               (params_to_xml m.md_params))
-           t.ty_methods;
-       ])
-
-let ( let* ) = Result.bind
-
-let attr_req name x =
-  match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing attribute %S" name)
-
-let ty_attr name x =
-  let* s = attr_req name x in
-  match Ty.of_string s with
-  | Some ty -> Ok ty
-  | None -> Error (Printf.sprintf "bad type reference %S" s)
-
-let bool_attr name x =
-  let* s = attr_req name x in
-  match bool_of_string_opt s with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "bad boolean %S for %S" s name)
-
-let mods_of_xml x =
-  let* vis_s = attr_req "visibility" x in
-  let* visibility =
-    match Meta.visibility_of_string vis_s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad visibility %S" vis_s)
-  in
-  let* static = bool_attr "static" x in
-  let* virtual_ = bool_attr "virtual" x in
-  Ok { Meta.visibility; static; virtual_ }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let params_of_xml x =
-  map_result
-    (fun p ->
-      let* name = attr_req "name" p in
-      let* ty = ty_attr "type" p in
-      Ok { pd_name = name; pd_ty = ty })
-    (Xml.childs "param" x)
+  Pti_serial.Assembly_xml.class_to_xml ~root:xml_root (to_class t)
 
 let of_xml x =
-  match Xml.tag x with
-  | Some "typeDescription" ->
-      let* name = attr_req "name" x in
-      let* ns_s = attr_req "namespace" x in
-      let ty_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
-      let* guid_s = attr_req "guid" x in
-      let* ty_guid =
-        match Guid.of_string guid_s with
-        | Some g -> Ok g
-        | None -> Error (Printf.sprintf "bad guid %S" guid_s)
-      in
-      let* kind_s = attr_req "kind" x in
-      let* ty_kind =
-        match Meta.kind_of_string kind_s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "bad kind %S" kind_s)
-      in
-      let* ty_assembly = attr_req "assembly" x in
-      let* ty_super =
-        match Xml.child "super" x with
-        | None -> Ok None
-        | Some s ->
-            let* n = attr_req "name" s in
-            Ok (Some n)
-      in
-      let* ty_interfaces =
-        map_result (attr_req "name") (Xml.childs "interface" x)
-      in
-      let* ty_fields =
-        map_result
-          (fun f ->
-            let* fd_name = attr_req "name" f in
-            let* fd_ty = ty_attr "type" f in
-            let* fd_mods = mods_of_xml f in
-            Ok { fd_name; fd_ty; fd_mods })
-          (Xml.childs "field" x)
-      in
-      let* ty_ctors =
-        map_result
-          (fun c ->
-            let* cd_params = params_of_xml c in
-            let* cd_mods = mods_of_xml c in
-            Ok { cd_params; cd_mods })
-          (Xml.childs "constructor" x)
-      in
-      let* ty_methods =
-        map_result
-          (fun m ->
-            let* md_name = attr_req "name" m in
-            let* md_return = ty_attr "return" m in
-            let* md_params = params_of_xml m in
-            let* md_mods = mods_of_xml m in
-            Ok { md_name; md_params; md_return; md_mods })
-          (Xml.childs "method" x)
-      in
-      Ok
-        {
-          ty_name = name;
-          ty_namespace;
-          ty_guid;
-          ty_kind;
-          ty_super;
-          ty_interfaces;
-          ty_fields;
-          ty_ctors;
-          ty_methods;
-          ty_assembly;
-        }
-  | Some other -> Error (Printf.sprintf "expected <typeDescription>, got <%s>" other)
-  | None -> Error "expected an element"
+  Result.map of_class (Pti_serial.Assembly_xml.class_of_xml ~root:xml_root x)
 
 (* The compact wire rendering carries an integrity digest; the pretty
    rendering is for display and stays digest-free (whitespace would not
@@ -531,28 +366,6 @@ let of_binary_string s =
 
 (* Self-describing parse: binary by magic, XML otherwise. *)
 let of_wire_string s = if is_binary s then of_binary_string s else of_xml_string s
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s %s [%a] asm=%s@,"
-    (Meta.kind_to_string t.ty_kind)
-    (qualified_name t) Guid.pp t.ty_guid t.ty_assembly;
-  (match t.ty_super with
-  | Some s -> Format.fprintf ppf "  super %s@," s
-  | None -> ());
-  List.iter (fun i -> Format.fprintf ppf "  implements %s@," i) t.ty_interfaces;
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "  field %s : %s@," f.fd_name (Ty.to_string f.fd_ty))
-    t.ty_fields;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "  ctor(%s)@,"
-        (String.concat ", "
-           (List.map (fun p -> Ty.to_string p.pd_ty) c.cd_params)))
-    t.ty_ctors;
-  List.iter (fun m -> Format.fprintf ppf "  method %s@," (signature m))
-    t.ty_methods;
-  Format.fprintf ppf "@]"
 
 type resolver = string -> t option
 

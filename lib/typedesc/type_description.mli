@@ -6,7 +6,12 @@
     constructor signatures — and the assembly (download unit) implementing
     it. Deliberately {e non-recursive}: field/parameter types are referenced
     by name only, so a description stays small and the receiver can reuse
-    descriptions it already holds (§5.2). *)
+    descriptions it already holds (§5.2).
+
+    A description is exactly a class without its code: {!t} has no place
+    for a body, and its XML form is the body-less class rendered by
+    [Pti_serial.Assembly_xml]'s class codec under its own root element,
+    [<typeDescription>]. *)
 
 open Pti_cts
 
@@ -44,7 +49,8 @@ val of_class : Meta.class_def -> t
 (** Introspection: project a loaded class onto its description. *)
 
 val to_class : t -> Meta.class_def
-(** The body-less skeleton (for tests and diagnostics; not loadable code). *)
+(** The body-less class the description stands for — what {!to_xml}
+    renders. Not loadable code. *)
 
 val qualified_name : t -> string
 
@@ -71,11 +77,14 @@ val size_bytes : t -> int
 (** {1 XML codec (§5.2)} *)
 
 val to_xml : t -> Pti_xml.Xml.t
+(** {!to_class} under [<typeDescription>]. *)
+
 val of_xml : Pti_xml.Xml.t -> (t, string) result
+(** A [<typeDescription>] element read as a class; any [<init>]/[<body>]
+    children must parse and are dropped. *)
+
 val to_xml_string : ?pretty:bool -> t -> string
 val of_xml_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Binary codec}
 

@@ -236,7 +236,9 @@ let test_ctor_mapping_recorded () =
 
 let test_proxy_overhead_exists_but_small () =
   (* Sanity for E1: proxy call must cost more than a direct call, but stay
-     within a couple orders of magnitude. *)
+     within a couple orders of magnitude. Each side's time is its best of
+     five interleaved rounds, so one descheduled round cannot flip the
+     comparison. *)
   let direct = Demo.make_social_person registry ~name:"T" ~age:1 in
   let p = social_as_news "T" 1 in
   let time f =
@@ -246,8 +248,13 @@ let test_proxy_overhead_exists_but_small () =
     done;
     Sys.time () -. t0
   in
-  let td = time (fun () -> Eval.call registry direct "getname" []) in
-  let tp = time (fun () -> Eval.call registry p "getName" []) in
+  let td = ref infinity and tp = ref infinity in
+  for _ = 1 to 5 do
+    let d = time (fun () -> Eval.call registry direct "getname" []) in
+    td := Float.min !td d;
+    tp := Float.min !tp (time (fun () -> Eval.call registry p "getName" []))
+  done;
+  let td = !td and tp = !tp in
   Alcotest.(check bool) "proxy slower than direct" true (tp > td);
   Alcotest.(check bool) "but not absurdly slower" true (tp < td *. 1000.)
 

@@ -47,6 +47,54 @@ let test_bytes_io_underflow () =
   | _ -> Alcotest.fail "expected underflow"
   | exception Bio.Reader.Underflow _ -> ()
 
+(* A string length whose varint has bit 63 set reads as negative, and
+   one near [max_int] overflows [pos + n]. Each binary decoder of
+   untrusted bytes must answer such a frame with its error, not raise:
+   the seal does not help, since anyone can seal anything. Each body puts
+   the hostile length where the decoder reads its first string. *)
+let test_hostile_string_length () =
+  let negative = "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01abc" in
+  let huge = "\xff\xff\xff\xff\xff\xff\xff\xff\x3fabc" in
+  let rejects name decode =
+    match decode () with
+    | true -> ()
+    | false -> Alcotest.failf "%s: decoded a hostile string length" name
+    | exception e ->
+        Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+  in
+  List.iter
+    (fun bad ->
+      rejects "PTID" (fun () ->
+          Result.is_error
+            (Pti_typedesc.Type_description.of_binary_string
+               (Bio.seal ~magic:"PTID\x01" bad)));
+      (* 8 digest bytes, no slots, then a binary payload *)
+      rejects "PTIE" (fun () ->
+          Result.is_error
+            (Env.of_string_h
+               ~resolve:(fun _ -> None)
+               (Bio.seal ~magic:"PTIE\x01"
+                  (String.make 9 '\x00' ^ "\x01" ^ bad))));
+      (* one binding, handle 0, then its entry's name *)
+      rejects "PTIH" (fun () ->
+          Result.is_error
+            (Pti_serial.Handle_table.decode_bindings
+               (Bio.seal ~magic:"PTIH\x01" ("\x01\x00" ^ bad))));
+      (* one part, then its envelope *)
+      rejects "PTIF" (fun () ->
+          Result.is_error
+            (Pti_serial.Batch_frame.decode
+               (Bio.seal ~magic:"PTIF\x01" ("\x01" ^ bad))));
+      (* a string tag *)
+      rejects "PTIB" (fun () ->
+          Result.is_error
+            (Bin.decode (reg ()) (Bio.seal ~magic:"PTIB\x02" ("\x04" ^ bad))));
+      (* the stream codec, unsealed: an object message's envelope *)
+      rejects "PTIM" (fun () ->
+          Result.is_error
+            (Pti_core.Message_wire.decode ("PTIM\x01\x00" ^ bad))))
+    [ negative; huge ]
+
 (* Every failure of [unseal] is reported, in check order: too short for
    the header, wrong magic, checksum over a changed body. *)
 let test_seal_unseal () =
@@ -849,6 +897,22 @@ let test_golden_wire_pins () =
       ("PTIB", "be42c86c6561125f", Bin.encode (sample_person r));
     ]
 
+(* The assembly XML of the sample Person's assembly and of one workload
+   family, pinned the same way. The class codec inside also renders type
+   descriptions, whose XML is pinned in test_typedesc. *)
+let test_golden_xml_pins () =
+  List.iter
+    (fun (name, pin, asm) ->
+      Alcotest.(check string)
+        name pin
+        (Pti_util.Fnv.hash_hex (Axml.to_string asm)))
+    [
+      ("news-asm", "f10a3a9cd5297e0b", Demo.news_assembly ());
+      ( "family 0",
+        "4d9d61cb2e04d5d1",
+        Pti_demo.Workload.(family ~index:0 ~flavor:Conformant) );
+    ]
+
 (* --------------------------- batch frames -------------------------- *)
 
 let test_batch_frame_roundtrip () =
@@ -1025,6 +1089,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_bytes_io_roundtrip;
           Alcotest.test_case "underflow" `Quick test_bytes_io_underflow;
           Alcotest.test_case "seal / unseal" `Quick test_seal_unseal;
+          Alcotest.test_case "hostile string length" `Quick
+            test_hostile_string_length;
         ] );
       ( "codecs",
         [
@@ -1088,7 +1154,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_frame_flip_always_detected;
         ] );
       ( "golden",
-        [ Alcotest.test_case "wire pins" `Quick test_golden_wire_pins ] );
+        [
+          Alcotest.test_case "wire pins" `Quick test_golden_wire_pins;
+          Alcotest.test_case "assembly xml pins" `Quick test_golden_xml_pins;
+        ] );
       ( "framing",
         [
           Alcotest.test_case "split at every byte boundary" `Quick

@@ -31,7 +31,7 @@ let skip_unless_sockets domain =
   | fd -> Unix.close fd
   | exception Unix.Unix_error _ -> Alcotest.skip ()
 
-let fresh_unix_fabric ?reliability () =
+let fresh_dir () =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -39,6 +39,10 @@ let fresh_unix_fabric ?reliability () =
   in
   (try Unix.mkdir dir 0o700
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  dir
+
+let fresh_unix_fabric ?reliability () =
+  let dir = fresh_dir () in
   (Transport.create_unix ~dir ?reliability ~codec:string_codec (), dir)
 
 let fabric_of_kind = function
@@ -248,6 +252,56 @@ let test_dead_connection_counts_queued_frames () =
     (Transport.lost_messages ta > 0);
   Transport.close ta
 
+(* A raw dialer sends a hello, then one data frame whose PTIM body
+   declares a string length that reads as negative. That must cost the
+   receiving fabric one integrity drop and nothing more: [poll] returns,
+   and a later send from a real endpoint is still delivered. *)
+let test_hostile_frame_dropped kind () =
+  let tr =
+    match kind with
+    | Transport.Unix_socket ->
+        skip_unless_sockets Unix.PF_UNIX;
+        Transport.create_unix ~dir:(fresh_dir ()) ~codec:Message_wire.codec ()
+    | Transport.Tcp ->
+        skip_unless_sockets Unix.PF_INET;
+        Transport.create_tcp ~codec:Message_wire.codec ()
+    | Transport.Sim -> invalid_arg "stream kinds only"
+  in
+  let got = ref 0 in
+  let a = Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> ()) in
+  ignore (Transport.add_endpoint tr "b" ~handler:(fun ~src:_ _ -> incr got));
+  let spec = Option.get (Transport.listen_spec tr "b") in
+  let raw, addr =
+    match kind with
+    | Transport.Tcp ->
+        let i = String.rindex spec ':' in
+        let host = String.sub spec 0 i in
+        let port = String.sub spec (i + 1) (String.length spec - i - 1) in
+        ( Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0,
+          Unix.ADDR_INET (Unix.inet_addr_of_string host, int_of_string port) )
+    | _ -> (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX spec)
+  in
+  Unix.connect raw addr;
+  let frame = Pti_serial.Framing.encode in
+  let hostile = "PTIM\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01abc" in
+  (* hello, then data: category 0, an 8-byte send stamp, the body *)
+  let bytes =
+    frame "\x48raw" ^ frame ("\x44\x00" ^ String.make 8 '\x00' ^ hostile)
+  in
+  ignore (Unix.write_substring raw bytes 0 (String.length bytes));
+  let within pred =
+    Transport.drive_until tr ~deadline_ms:(Transport.now_ms tr +. 10_000.) pred
+  in
+  Alcotest.(check bool) "hostile frame dropped" true
+    (within (fun () -> Transport.integrity_drops tr = 1));
+  Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1
+    (Pti_core.Message.Gossip { kind = "k"; body = "after" });
+  Alcotest.(check bool) "later send delivered" true
+    (within (fun () -> !got = 1));
+  Alcotest.(check int) "one integrity drop" 1 (Transport.integrity_drops tr);
+  Unix.close raw;
+  Transport.close tr
+
 (* ------------------------------------------------------------------ *)
 (* Two processes over a unix socket: publish -> conform -> invoke      *)
 (* ------------------------------------------------------------------ *)
@@ -400,6 +454,10 @@ let () =
             test_one_plan_both_backends;
           Alcotest.test_case "dead connection counts queued frames" `Quick
             test_dead_connection_counts_queued_frames;
+          Alcotest.test_case "unix hostile frame dropped" `Quick
+            (test_hostile_frame_dropped Transport.Unix_socket);
+          Alcotest.test_case "tcp hostile frame dropped" `Quick
+            (test_hostile_frame_dropped Transport.Tcp);
         ] );
       ( "two-process",
         [

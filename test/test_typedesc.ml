@@ -77,6 +77,38 @@ let test_of_xml_rejects_malformed () =
        assembly=\"a\"/>";
     ]
 
+(* A description element that carries code (a class's [<init>]/[<body>]
+   children, as in an assembly) is read with the code dropped; the code
+   must still parse. *)
+let test_of_xml_drops_code () =
+  let module X = Pti_xml.Xml in
+  let cd = Registry.find_exn registry Demo.news_person in
+  let with_code =
+    Pti_serial.Assembly_xml.class_to_xml ~root:"typeDescription" cd
+  in
+  (match Td.of_xml with_code with
+  | Ok d -> Alcotest.(check bool) "code dropped" true (d = Td.of_class cd)
+  | Error e -> Alcotest.failf "description with code rejected: %s" e);
+  let bad_body =
+    match with_code with
+    | X.Element (tag, attrs, _) ->
+        X.Element
+          ( tag,
+            attrs,
+            [
+              X.elt "method"
+                ~attrs:
+                  [ ("name", "m"); ("return", "void");
+                    ("visibility", "public"); ("static", "false");
+                    ("virtual", "true") ]
+                [ X.elt "body" [ X.elt "nonsense" [] ] ];
+            ] )
+    | other -> other
+  in
+  match Td.of_xml bad_body with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an unparsable body was accepted"
+
 let test_equals_is_guid_identity () =
   let d1 = person_desc () in
   let d2 = Td.of_class (Registry.find_exn registry Demo.social_person) in
@@ -217,6 +249,15 @@ let test_binary_golden_pin () =
   Alcotest.(check string) "PTID" "401816b598e8f2d5"
     (Pti_util.Fnv.hash_hex (Td.to_binary_string (person_desc ())))
 
+(* Its XML renderings, pinned the same way: the compact wire form (with
+   its integrity digest) and the pretty display form. *)
+let test_xml_golden_pins () =
+  let d = person_desc () in
+  Alcotest.(check string) "compact" "8ef882035ae86949"
+    (Pti_util.Fnv.hash_hex (Td.to_xml_string d));
+  Alcotest.(check string) "pretty" "3b1131aeaa1fc480"
+    (Pti_util.Fnv.hash_hex (Td.to_xml_string ~pretty:true d))
+
 let () =
   Alcotest.run "typedesc"
     [
@@ -236,6 +277,8 @@ let () =
           Alcotest.test_case "pretty parses" `Quick test_xml_pretty_parses_too;
           Alcotest.test_case "malformed rejected" `Quick
             test_of_xml_rejects_malformed;
+          Alcotest.test_case "code dropped" `Quick test_of_xml_drops_code;
+          Alcotest.test_case "golden pins" `Quick test_xml_golden_pins;
           Alcotest.test_case "size" `Quick test_size_bytes_positive_and_stable;
         ] );
       ( "identity",
