@@ -48,8 +48,24 @@ type stats = {
    statements about bytes that have not changed and survive, while
    verdicts that saw a different version — or failed on the miss — are
    dropped. Dependency keys encode the witness as
-   ["<lowercased-name>\x00<guid>"] (miss marker ["?"]). *)
+   ["<lowercased-name>\x00<guid>"] (miss marker ["?"]).
+
+   The cache itself is keyed by the pair (actual GUID, interest GUID): a
+   GUID names one description, and the configuration is fixed when the
+   checker is created and the cache is private to it, so the config
+   never tells two entries apart. A cache hit hashes and compares the
+   two GUIDs and formats no string. *)
 type entry = { e_verdict : verdict; e_deps : string list }
+
+module Pair = struct
+  type t = Guid.t * Guid.t
+
+  let equal (a, i) (a', i') = Guid.equal a a' && Guid.equal i i'
+  let hash (a, i) = ((Guid.hash a * 31) + Guid.hash i) land max_int
+end
+
+module Cache = Lru.Make (Pair)
+module Pair_tbl = Hashtbl.Make (Pair)
 
 let dep_sep = '\x00'
 let dep_miss name = Printf.sprintf "%s%c?" (String.lowercase_ascii name) dep_sep
@@ -68,9 +84,9 @@ let dep_has_prefix ~prefix key =
 type t = {
   cfg : Config.t;
   resolve : Td.resolver;
-  cache : entry Lru.Str.t;
-  (* lowercased type name -> set of cache keys whose entry depends on it *)
-  dep_index : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+  cache : entry Cache.t;
+  (* dependency key -> set of cache keys whose entry depends on it *)
+  dep_index : (string, unit Pair_tbl.t) Hashtbl.t;
   (* dependency-name accumulator of the in-flight top-level computation *)
   mutable cur_deps : (string, unit) Hashtbl.t option;
   st : stats_mut;
@@ -84,8 +100,8 @@ let unindex_deps dep_index key deps =
       match Hashtbl.find_opt dep_index dep with
       | None -> ()
       | Some keys ->
-          Hashtbl.remove keys key;
-          if Hashtbl.length keys = 0 then Hashtbl.remove dep_index dep)
+          Pair_tbl.remove keys key;
+          if Pair_tbl.length keys = 0 then Hashtbl.remove dep_index dep)
     deps
 
 let create ?(config = Config.strict)
@@ -95,7 +111,7 @@ let create ?(config = Config.strict)
     cfg = config;
     resolve = resolver;
     cache =
-      Lru.Str.create ~capacity:cache_capacity
+      Cache.create ~capacity:cache_capacity
         ~on_evict:(fun key e -> unindex_deps dep_index key e.e_deps)
         ();
     dep_index;
@@ -108,22 +124,22 @@ let create ?(config = Config.strict)
 let config t = t.cfg
 
 let stats t =
-  let c = Lru.Str.counters t.cache in
+  let c = Cache.counters t.cache in
   {
     checks = t.st.m_checks;
     pair_checks = t.st.m_pair_checks;
     cache_hits = c.Lru.hits;
     cache_misses = c.Lru.misses;
     cache_evictions = c.Lru.evictions;
-    cache_size = Lru.Str.length t.cache;
-    cache_capacity = Lru.Str.capacity t.cache;
+    cache_size = Cache.length t.cache;
+    cache_capacity = Cache.capacity t.cache;
     resolver_misses = t.st.m_resolver_misses;
     top_hits = t.st.m_top_hits;
     top_computes = t.st.m_top_computes;
     invalidated = t.st.m_invalidated;
   }
 
-let cache_counters t = Lru.Str.counters t.cache
+let cache_counters t = Cache.counters t.cache
 
 let reuse_rate t =
   (* The paper's headline cost lever at population scale: what fraction
@@ -133,7 +149,7 @@ let reuse_rate t =
   else float_of_int t.st.m_top_hits /. float_of_int total
 
 let clear_cache t =
-  Lru.Str.clear t.cache;
+  Cache.clear t.cache;
   Hashtbl.reset t.dep_index
 
 let note_new_type ?witness t name =
@@ -156,20 +172,21 @@ let note_new_type ?witness t name =
   match stale_deps with
   | [] -> 0
   | _ ->
-      let doomed = Hashtbl.create 16 in
+      let doomed = Pair_tbl.create 16 in
       List.iter
         (fun dep ->
           match Hashtbl.find_opt t.dep_index dep with
           | None -> ()
-          | Some keys -> Hashtbl.iter (fun k () -> Hashtbl.replace doomed k ()) keys)
+          | Some keys ->
+              Pair_tbl.iter (fun k () -> Pair_tbl.replace doomed k ()) keys)
         stale_deps;
-      let n = Lru.Str.invalidate_where t.cache (Hashtbl.mem doomed) in
+      let n = Cache.invalidate_where t.cache (Pair_tbl.mem doomed) in
       (* on_evict already pruned the per-dep key sets entry by entry;
          drop any now-empty dep rows. *)
       List.iter
         (fun dep ->
           match Hashtbl.find_opt t.dep_index dep with
-          | Some keys when Hashtbl.length keys = 0 ->
+          | Some keys when Pair_tbl.length keys = 0 ->
               Hashtbl.remove t.dep_index dep
           | _ -> ())
         stale_deps;
@@ -200,14 +217,8 @@ let names_conform t ~interest_name actual =
   names_conform_raw t.cfg ~interest_name actual
 
 (* ---------------------------------------------------------------- *)
-(* Identity keys and resolution                                       *)
+(* Resolution                                                         *)
 (* ---------------------------------------------------------------- *)
-
-let id_of (d : Td.t) = Guid.to_string d.Td.ty_guid
-
-let pair_key t (actual : Td.t) (interest : Td.t) =
-  Printf.sprintf "%s<=%s|%s" (id_of actual) (id_of interest)
-    (Config.key t.cfg)
 
 let note_dep_key t key =
   match t.cur_deps with
@@ -281,30 +292,31 @@ let explicit_conforms_desc t (actual : Td.t) (interest : Td.t) =
 (* The core recursive check                                           *)
 (* ---------------------------------------------------------------- *)
 
-type assum = (string, unit) Hashtbl.t
+type assum = unit Pair_tbl.t
 
 let ok = Ok ()
 
 let fail context fmt =
   Printf.ksprintf (fun message -> Error [ { context; message } ]) fmt
 
+let pair_context (actual : Td.t) (interest : Td.t) =
+  Printf.sprintf "%s <= %s" (Td.qualified_name actual)
+    (Td.qualified_name interest)
+
 let rec conforms_desc t (assum : assum) depth (actual : Td.t)
     (interest : Td.t) : (Mapping.t, failure list) result =
   t.st.m_pair_checks <- t.st.m_pair_checks + 1;
-  let ctx =
-    Printf.sprintf "%s <= %s" (Td.qualified_name actual)
-      (Td.qualified_name interest)
-  in
-  if depth > t.cfg.Config.max_depth then fail ctx "max recursion depth exceeded"
+  if depth > t.cfg.Config.max_depth then
+    fail (pair_context actual interest) "max recursion depth exceeded"
   else if Td.equals actual interest then
     Ok
       (Mapping.identity_mapping
          ~interest:(Td.qualified_name interest)
          ~actual:(Td.qualified_name actual))
   else begin
-    let key = pair_key t actual interest in
-    let fresh = Hashtbl.length assum = 0 in
-    match Lru.Str.find t.cache key with
+    let key = (actual.Td.ty_guid, interest.Td.ty_guid) in
+    let fresh = Pair_tbl.length assum = 0 in
+    match Cache.find t.cache key with
     | Some e ->
         if fresh then t.st.m_top_hits <- t.st.m_top_hits + 1
         else
@@ -315,14 +327,14 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
         | Conformant m -> Ok m
         | Not_conformant fs -> Error fs)
     | None ->
-        if Hashtbl.mem assum key then
+        if Pair_tbl.mem assum key then
           (* Co-inductive assumption: this pair is already under test. *)
           Ok
             (Mapping.identity_mapping
                ~interest:(Td.qualified_name interest)
                ~actual:(Td.qualified_name actual))
         else begin
-          Hashtbl.add assum key ();
+          Pair_tbl.add assum key ();
           (* Track resolver traffic for the top-level pair so the cached
              verdict knows which type names it depends on. *)
           let saved_deps = t.cur_deps in
@@ -336,8 +348,11 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
                {!note_new_type}'s witnesses exist to prevent. *)
             t.cur_deps <- Some (Hashtbl.create 16)
           end;
-          let result = conforms_desc_uncached t assum depth actual interest ctx in
-          Hashtbl.remove assum key;
+          let result =
+            conforms_desc_uncached t assum depth actual interest
+              (pair_context actual interest)
+          in
+          Pair_tbl.remove assum key;
           (* Only cache results computed without outstanding assumptions:
              results under assumptions may depend on pairs still in flight. *)
           if fresh then begin
@@ -356,18 +371,18 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
                 e_deps = deps;
               }
             in
-            Lru.Str.put t.cache key entry;
+            Cache.put t.cache key entry;
             List.iter
               (fun dep ->
                 let keys =
                   match Hashtbl.find_opt t.dep_index dep with
                   | Some ks -> ks
                   | None ->
-                      let ks = Hashtbl.create 4 in
+                      let ks = Pair_tbl.create 4 in
                       Hashtbl.replace t.dep_index dep ks;
                       ks
                 in
-                Hashtbl.replace keys key ())
+                Pair_tbl.replace keys key ())
               deps
           end;
           result
@@ -723,7 +738,7 @@ and ty_conforms t assum depth ~actual ~interest =
 
 let check t ~actual ~interest =
   t.st.m_checks <- t.st.m_checks + 1;
-  let assum : assum = Hashtbl.create 8 in
+  let assum : assum = Pair_tbl.create 8 in
   match conforms_desc t assum 0 actual interest with
   | Ok m -> Conformant m
   | Error fs -> Not_conformant fs
@@ -731,19 +746,19 @@ let check t ~actual ~interest =
 let conforms t ~actual ~interest = verdict_ok (check t ~actual ~interest)
 
 let check_ty t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
+  let assum : assum = Pair_tbl.create 8 in
   ty_conforms t assum 0 ~actual ~interest
 
 let explicit_conforms t ~actual ~interest = explicit_conforms_desc t actual interest
 
 let viable_methods t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
+  let assum : assum = Pair_tbl.create 8 in
   viable_method_matches t assum 0 actual interest
 
 let viable_ctors t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
+  let assum : assum = Pair_tbl.create 8 in
   viable_ctor_matches t assum 0 actual interest
 
 let permutation t ~interest_params ~actual_params =
-  let assum : assum = Hashtbl.create 8 in
+  let assum : assum = Pair_tbl.create 8 in
   find_permutation t assum 0 ~interest_params ~actual_params

@@ -41,22 +41,3 @@ let name_only =
 
 let relaxed ~distance = { strict with name_distance = distance }
 let with_wildcards = { strict with allow_wildcards = true }
-
-let ambiguity_name = function
-  | First_match -> "first"
-  | Best_score -> "best"
-  | Reject_ambiguous -> "reject"
-
-let key t =
-  Printf.sprintf "d%d%c%c%c%c%c%c%c%c%s%d" t.name_distance
-    (if t.allow_wildcards then 'w' else '-')
-    (if t.compare_namespaces then 'n' else '-')
-    (if t.check_fields then 'f' else '-')
-    (if t.check_supertypes then 's' else '-')
-    (if t.check_methods then 'm' else '-')
-    (if t.check_ctors then 'c' else '-')
-    (if t.check_modifiers then 'o' else '-')
-    (if t.consider_permutations then 'p' else '-')
-    (ambiguity_name t.ambiguity) t.max_depth
-
-let pp ppf t = Format.fprintf ppf "config(%s)" (key t)

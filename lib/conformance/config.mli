@@ -48,8 +48,3 @@ val relaxed : distance:int -> t
 
 val with_wildcards : t
 (** [strict] plus wildcard name patterns. *)
-
-val key : t -> string
-(** Stable digest of the configuration, used in cache keys. *)
-
-val pp : Format.formatter -> t -> unit

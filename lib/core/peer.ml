@@ -12,6 +12,7 @@ module Ht = Pti_serial.Handle_table
 module Bf = Pti_serial.Batch_frame
 module S = Pti_util.Strutil
 module Lru = Pti_obs.Lru
+module Guid_lru = Lru.Make (Pti_util.Guid)
 module Ring = Pti_obs.Ring
 module Metrics = Pti_obs.Metrics
 
@@ -111,6 +112,9 @@ type batch_buf = {
    bit-identically to the historical unsharded layout. *)
 type slot = {
   sl_tdesc_cache : Td.t Lru.Str.t;
+  (* Descriptions of registry classes, by GUID, filled on lookup (see
+     [class_desc]); bounded like [sl_tdesc_cache]. *)
+  sl_class_descs : Td.t Guid_lru.t;
   sl_checker : Checker.t;
   sl_known_paths : string Lru.Str.t;  (* assembly name -> path *)
   sl_px : Proxy.context;
@@ -275,10 +279,24 @@ let log_event t e =
 
 let lc = String.lowercase_ascii
 
+(* The description of a registry class, memoised by GUID. Sound because
+   a registry never binds a GUID to a second definition ([register],
+   [upgrade] and [shadow] raise [Duplicate]), so a GUID's description
+   never changes; an upgrade registers a new GUID. Only registry classes
+   go through here: a repository chain entry's class need not be
+   registered. *)
+let class_desc memo (cd : Meta.class_def) =
+  match Guid_lru.find memo cd.Meta.td_guid with
+  | Some d -> d
+  | None ->
+      let d = Td.of_class cd in
+      Guid_lru.put memo cd.Meta.td_guid d;
+      d
+
 (* Description lookup: local code first, then the description cache. *)
 let local_desc t name =
   match Registry.find t.sh.sh_reg name with
-  | Some cd -> Some (Td.of_class cd)
+  | Some cd -> Some (class_desc t.sl.sl_class_descs cd)
   | None -> Lru.Str.find t.sl.sl_tdesc_cache (lc name)
 
 (* The description-cache key of [name] pinned to chain revision
@@ -299,7 +317,7 @@ let pinned_desc t ~version name =
    GUID, else [name] as pinned to the entry's version. *)
 let find_desc t ~guid ~version name =
   match Registry.find_by_guid t.sh.sh_reg guid with
-  | Some cd -> Some (Td.of_class cd)
+  | Some cd -> Some (class_desc t.sl.sl_class_descs cd)
   | None -> pinned_desc t ~version name
 
 (* A version-pinned entry ([version > 0]) never shadows or overturns an
@@ -1203,10 +1221,11 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
     let tdesc_cache =
       Lru.Str.create ~capacity:(per tdesc_cache_capacity) ()
     in
+    let class_descs = Guid_lru.create ~capacity:(per tdesc_cache_capacity) () in
     let desc_versions = Hashtbl.create 16 in
     let resolver name =
       match Registry.find reg name with
-      | Some cd -> Some (Td.of_class cd)
+      | Some cd -> Some (class_desc class_descs cd)
       | None -> (
           let key = lc name in
           match Lru.Str.find tdesc_cache key with
@@ -1225,6 +1244,7 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
     in
     {
       sl_tdesc_cache = tdesc_cache;
+      sl_class_descs = class_descs;
       sl_checker = checker;
       sl_known_paths = Lru.Str.create ~capacity:(per known_paths_capacity) ();
       sl_px = Proxy.create_context reg checker;

@@ -196,6 +196,17 @@ let resolve t addr =
 let socket_domain t =
   match t.family with Unix_socket -> Unix.PF_UNIX | Tcp -> Unix.PF_INET
 
+(* A connection carries small frames, each written whole. Under Nagle's
+   algorithm a frame written while the previous one is unacknowledged
+   waits for that ACK, which the receiver delays: tens of milliseconds
+   per exchange. Only latency is at stake, so a refusal is ignored. *)
+let set_nodelay t fd =
+  match t.family with
+  | Tcp -> (
+      try Unix.setsockopt fd Unix.TCP_NODELAY true
+      with Unix.Unix_error _ -> ())
+  | Unix_socket -> ()
+
 let ensure_dir d = try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
 let make_listener t addr =
@@ -335,6 +346,7 @@ let rec try_dial t ~src ~dst =
                 with
                 | fd ->
                     Unix.set_nonblock fd;
+                    set_nodelay t fd;
                     let c =
                       {
                         fd;
@@ -494,6 +506,7 @@ let service_accept t ep =
     match Unix.accept ep.ep_listen with
     | fd, _ ->
         Unix.set_nonblock fd;
+        set_nodelay t fd;
         let c =
           {
             fd;

@@ -1,12 +1,17 @@
 let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
+(* A [for] loop over a local [ref] keeps the accumulator unboxed; a
+   closure capturing it (as [String.iter] needs) boxes it at every
+   byte. *)
 let hash64 ?(init = offset_basis) s =
   let h = ref init in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
   !h
 
 let to_hex h = Printf.sprintf "%016Lx" h

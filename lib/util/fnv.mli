@@ -9,7 +9,8 @@
 
 val hash64 : ?init:int64 -> string -> int64
 (** FNV-1a over the bytes of the string. [init] defaults to the standard
-    offset basis; pass a previous result to chain several fragments. *)
+    offset basis; pass a previous result to chain several fragments.
+    Allocates only its boxed result, whatever the length. *)
 
 val to_hex : int64 -> string
 (** 16 lowercase hex digits, zero padded. *)

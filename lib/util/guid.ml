@@ -17,41 +17,28 @@ let make rng =
   draw ()
 
 (* FNV-1a 64-bit, run twice with distinct offsets to fill 128 bits. *)
-let fnv1a offset s =
-  let prime = 0x100000001B3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 let of_name s =
-  let hi = fnv1a 0xCBF29CE484222325L s in
-  let lo = fnv1a 0x9AE16A3B2F90404FL s in
+  let hi = Fnv.hash64 s in
+  let lo = Fnv.hash64 ~init:0x9AE16A3B2F90404FL s in
   let g = { hi; lo } in
   if equal g nil then { hi = 1L; lo = 1L } else g
 
+let hex_digits = "0123456789abcdef"
+
 let to_string { hi; lo } =
-  let b = Bytes.create 16 in
-  for i = 0 to 7 do
-    Bytes.set b i
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical hi ((7 - i) * 8)) land 0xff))
+  let b = Bytes.make 36 '-' in
+  let pos = ref 0 in
+  for k = 0 to 15 do
+    if k = 4 || k = 6 || k = 8 || k = 10 then incr pos;
+    let w = if k < 8 then hi else lo in
+    let byte =
+      Int64.to_int (Int64.shift_right_logical w (8 * (7 - (k land 7)))) land 0xff
+    in
+    Bytes.unsafe_set b !pos hex_digits.[byte lsr 4];
+    Bytes.unsafe_set b (!pos + 1) hex_digits.[byte land 0xf];
+    pos := !pos + 2
   done;
-  for i = 0 to 7 do
-    Bytes.set b (8 + i)
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical lo ((7 - i) * 8)) land 0xff))
-  done;
-  let hex = Buffer.create 36 in
-  Bytes.iteri
-    (fun i c ->
-      if i = 4 || i = 6 || i = 8 || i = 10 then Buffer.add_char hex '-';
-      Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
-    b;
-  Buffer.contents hex
+  Bytes.unsafe_to_string b
 
 let hex_val c =
   match c with

@@ -19,7 +19,8 @@ val of_name : string -> t
     agrees on their identity without coordination. *)
 
 val to_string : t -> string
-(** Canonical [xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx] rendering. *)
+(** Canonical [xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx] rendering, lowercase.
+    Allocates only the string. *)
 
 val of_string : string -> t option
 (** Parses the canonical rendering (case-insensitive); [None] if malformed. *)

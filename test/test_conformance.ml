@@ -542,6 +542,24 @@ let test_cache_and_stats () =
     "second check did no extra pair work" true
     (s2.Checker.pair_checks - s1.Checker.pair_checks <= 1)
 
+(* A repeated check of a conformant pair is answered by a probe of the
+   verdict cache: no key or failure context is formatted on the way. *)
+let test_cached_check_is_lookup () =
+  let checker = make_checker () in
+  let a = desc Demo.social_person and i = desc Demo.news_person in
+  let first = Checker.check checker ~actual:a ~interest:i in
+  Alcotest.(check bool) "conformant" true (Checker.verdict_ok first);
+  let hits = (Checker.stats checker).Checker.top_hits in
+  let before = Gc.minor_words () in
+  let again = Checker.check checker ~actual:a ~interest:i in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "same verdict" true (again = first);
+  Alcotest.(check int) "one more top-level hit" (hits + 1)
+    (Checker.stats checker).Checker.top_hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "cached check allocates %.0f words (at most 100)" words)
+    true (words <= 100.)
+
 let test_name_rule_direct () =
   let checker = make_checker () in
   Alcotest.(check bool) "case-insensitive equal" true
@@ -731,6 +749,8 @@ let () =
           Alcotest.test_case "deep explicit chain" `Quick
             test_deep_explicit_chain;
           Alcotest.test_case "cache and stats" `Quick test_cache_and_stats;
+          Alcotest.test_case "cached check is a lookup" `Quick
+            test_cached_check_is_lookup;
           Alcotest.test_case "clear_cache" `Quick test_clear_cache;
           Alcotest.test_case "keyed invalidation" `Quick
             test_keyed_invalidation;

@@ -134,6 +134,38 @@ let test_registry_duplicate () =
   | () -> Alcotest.fail "conflicting registration accepted"
   | exception Registry.Duplicate _ -> ()
 
+(* A peer memoises the description of a loaded class by GUID, which is
+   sound only while a registry never binds a GUID to a second
+   definition, through any of its three entry points. *)
+let test_registry_guid_keeps_definition () =
+  let r = Registry.create () in
+  let cd = B.class_ ~ns:[ "d" ] ~assembly:"d" "C" |> B.property "x" Ty.Int |> B.build in
+  Registry.register r cd;
+  let guid = cd.Meta.td_guid in
+  let changed =
+    B.class_ ~ns:[ "d" ] ~guid ~assembly:"d" "C" |> B.property "y" Ty.Int |> B.build
+  in
+  let renamed =
+    B.class_ ~ns:[ "d" ] ~guid ~assembly:"d" "D" |> B.property "x" Ty.Int |> B.build
+  in
+  List.iter
+    (fun (what, bind, other) ->
+      match bind r other with
+      | () -> Alcotest.failf "%s rebound a registered GUID" what
+      | exception Registry.Duplicate _ -> ())
+    [
+      ("upgrade", Registry.upgrade, changed);
+      ("shadow", Registry.shadow, changed);
+      ("register", Registry.register, renamed);
+    ];
+  (* The identical definition is still accepted everywhere. *)
+  Registry.register r cd;
+  Registry.upgrade r cd;
+  Registry.shadow r cd;
+  Alcotest.(check int) "one entry" 1 (Registry.cardinal r);
+  Alcotest.(check bool) "the GUID keeps its definition" true
+    (Registry.find_by_guid r guid = Some cd)
+
 let test_registry_hierarchy () =
   let r = Registry.create () in
   let base =
@@ -458,6 +490,8 @@ let () =
         [
           Alcotest.test_case "lookup" `Quick test_registry_lookup;
           Alcotest.test_case "duplicates" `Quick test_registry_duplicate;
+          Alcotest.test_case "a GUID keeps its definition" `Quick
+            test_registry_guid_keeps_definition;
           Alcotest.test_case "hierarchy" `Quick test_registry_hierarchy;
           Alcotest.test_case "missing deps" `Quick test_missing_dependencies;
           Alcotest.test_case "copy isolation" `Quick

@@ -6,6 +6,14 @@ module B64 = Pti_util.Base64
 module Pq = Pti_util.Pqueue
 module S = Pti_util.Strutil
 module Sm = Pti_util.Splitmix
+module Fnv = Pti_util.Fnv
+
+(* Minor-heap words [f] allocates, after one warm-up call. *)
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
 
 (* ------------------------------- levenshtein ---------------------- *)
 
@@ -106,6 +114,39 @@ let test_guid_malformed () =
 let test_guid_nil () =
   Alcotest.(check string) "nil rendering"
     "00000000-0000-0000-0000-000000000000" (Guid.to_string Guid.nil)
+
+(* The pin was rendered by an independent implementation, one
+   [sprintf "%02x"] per byte. *)
+let test_guid_rendering () =
+  let g = Guid.of_name "demo.Person" in
+  Alcotest.(check string) "pinned rendering"
+    "67060154-9d9f-838d-dd11-d32c17f3c8a3" (Guid.to_string g);
+  let words = minor_words_of (fun () -> Guid.to_string g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "to_string allocates %.0f words (at most 16)" words)
+    true (words <= 16.)
+
+(* ------------------------------- fnv ------------------------------ *)
+
+let test_fnv_vectors () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%S" input) expected
+        (Fnv.hash_hex input))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8") ]
+
+let test_fnv_chaining () =
+  let a = "type-description:" and b = "demo.Person@v3" in
+  Alcotest.(check int64) "init chains fragments" (Fnv.hash64 (a ^ b))
+    (Fnv.hash64 ~init:(Fnv.hash64 a) b)
+
+let test_fnv_allocation () =
+  let s = String.init 4096 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let words = minor_words_of (fun () -> Fnv.hash64 s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "hash64 of 4 KiB allocates %.0f words (< 16)" words)
+    true (words < 16.)
 
 (* ------------------------------- base64 --------------------------- *)
 
@@ -330,6 +371,13 @@ let () =
             test_guid_of_name_deterministic;
           Alcotest.test_case "malformed" `Quick test_guid_malformed;
           Alcotest.test_case "nil" `Quick test_guid_nil;
+          Alcotest.test_case "rendering" `Quick test_guid_rendering;
+        ] );
+      ( "fnv",
+        [
+          Alcotest.test_case "reference vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "chaining" `Quick test_fnv_chaining;
+          Alcotest.test_case "allocation" `Quick test_fnv_allocation;
         ] );
       ( "base64",
         [
