@@ -244,7 +244,7 @@ let e2 () =
 let e3 () =
   let p = sample_person () in
   let soap_wire = Soap.encode p in
-  let bin_wire = Bin.encode p in
+  let bin_wire, _ = Bin.encode p in
   let results =
     bench_group
       "E3 (§7.3) object (de)serialization of a Person (with nested Address)"

@@ -123,20 +123,9 @@ let rec construct_impl reg qname args =
   in
   if cd.Meta.td_kind = Meta.Interface then
     fail "cannot instantiate interface %s" qname;
-  let o =
-    { Value.oid = Value.fresh_oid (); cls = Meta.qualified_name cd;
-      fields = Hashtbl.create 8 }
-  in
+  let o, chain = Registry.fresh_object reg cd in
   let self = Value.Vobj o in
-  (* Field defaults and initializers, base class first. *)
-  let chain = List.rev (cd :: Registry.super_chain reg cd) in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun f ->
-          Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
-        c.Meta.td_fields)
-    chain;
+  (* Field initializers, base class first, over the defaults. *)
   List.iter
     (fun c ->
       List.iter

@@ -84,7 +84,7 @@ let super_chain t cd =
           | None -> List.rev acc
           | Some super -> go (k :: seen) super (super :: acc))
   in
-  go [ key cd ] cd []
+  if cd.Meta.td_super = None then [] else go [ key cd ] cd []
 
 let all_interfaces t cd =
   let seen = Hashtbl.create 8 in
@@ -117,56 +117,40 @@ let is_subtype t ~sub ~super =
         in
         List.exists (fun n -> S.equal_ci n super) names
 
+(* Every class the walk can reach is bound by name, so an acyclic chain
+   has at most [cardinal t] superclasses: the counter ends a cyclic one
+   without the visited set [super_chain] allocates. *)
 let find_method t cd name arity =
   let matches m =
     S.equal_ci m.Meta.m_name name && Meta.arity m = arity
   in
-  let rec go cd =
+  let rec go budget cd =
     match List.find_opt matches cd.Meta.td_methods with
     | Some m -> Some (cd, m)
     | None -> (
         match cd.Meta.td_super with
-        | None -> None
-        | Some s -> ( match find t s with None -> None | Some sc -> go sc))
+        | Some s when budget > 0 -> (
+            match find t s with None -> None | Some sc -> go (budget - 1) sc)
+        | _ -> None)
   in
-  go cd
+  go (cardinal t) cd
 
-let find_field t cd name =
-  let matches f = S.equal_ci f.Meta.f_name name in
-  let rec go cd =
-    match List.find_opt matches cd.Meta.td_fields with
-    | Some f -> Some (cd, f)
-    | None -> (
-        match cd.Meta.td_super with
-        | None -> None
-        | Some s -> ( match find t s with None -> None | Some sc -> go sc))
+let fresh_object t cd =
+  let o =
+    { Value.oid = Value.fresh_oid (); cls = Meta.qualified_name cd;
+      fields = Hashtbl.create 8 }
   in
-  go cd
-
-let all_fields t cd =
-  let chain = List.rev (cd :: super_chain t cd) in
-  (* Base class first; a derived field shadows a base field of same name. *)
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
+  let lineage = List.rev (cd :: super_chain t cd) in
+  (* Base class first: a derived field of the same name overwrites the
+     base default in place. *)
   List.iter
     (fun c ->
       List.iter
         (fun f ->
-          let k = String.lowercase_ascii f.Meta.f_name in
-          if Hashtbl.mem seen k then
-            (* Replace the shadowed entry in place. *)
-            out :=
-              List.map
-                (fun g ->
-                  if S.equal_ci g.Meta.f_name f.Meta.f_name then f else g)
-                !out
-          else begin
-            Hashtbl.add seen k ();
-            out := !out @ [ f ]
-          end)
+          Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
         c.Meta.td_fields)
-    chain;
-  !out
+    lineage;
+  (o, lineage)
 
 let missing_dependencies t cd =
   let wanted = Hashtbl.create 8 in

@@ -67,13 +67,24 @@ val is_subtype : t -> sub:string -> super:string -> bool
 val find_method : t -> Meta.class_def -> string -> int ->
   (Meta.class_def * Meta.method_def) option
 (** [find_method t cd name arity] resolves a method by case-insensitive name
-    and arity along the superclass chain (virtual dispatch resolution). *)
+    and arity along the superclass chain (virtual dispatch resolution).
+    The walk follows at most {!cardinal}[ t] superclass links — more than
+    any acyclic chain has — so a class that names itself (or a
+    descendant) as its superclass ends the search with [None] instead of
+    looping. The bound costs a counter, not an allocation. *)
 
-val find_field : t -> Meta.class_def -> string ->
-  (Meta.class_def * Meta.field_def) option
+val fresh_object : t -> Meta.class_def -> Value.obj * Meta.class_def list
+(** [fresh_object t cd] is a new object of class [cd] holding exactly the
+    fields [cd] declares or inherits, each at the default of its type
+    ({!Value.default_of}). The fields are installed base class first over
+    {!super_chain}, so a derived field shadows a base field of the same
+    (case-insensitive) name and keeps the derived type's default. The
+    list is that chain, base class first and [cd] last — what
+    {!Eval.construct} runs field initializers over.
 
-val all_fields : t -> Meta.class_def -> Meta.field_def list
-(** Inherited then own fields, shadowed names keeping the most-derived. *)
+    Its callers are {!Eval.construct} and the two payload decoders, which
+    keep a payload field only if the object already holds it
+    ({!Value.update_field}). *)
 
 val missing_dependencies : t -> Meta.class_def -> string list
 (** Qualified names referenced by the class (super, interfaces, field types,

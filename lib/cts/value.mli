@@ -47,6 +47,11 @@ val get_field : obj -> string -> value option
 
 val set_field : obj -> string -> value -> unit
 
+val update_field : obj -> string -> value -> unit
+(** {!set_field} for a field the object already holds (case-insensitive);
+    any other name is ignored. How a decoder drops a payload field its
+    loaded class does not declare. *)
+
 val equal_shallow : value -> value -> bool
 (** Primitive equality; objects/arrays/proxies compare by identity. *)
 

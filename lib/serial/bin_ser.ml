@@ -36,6 +36,7 @@ type intern = {
   mutable next_name : int;
   seen : (int, int) Hashtbl.t;  (* oid -> wire id *)
   mutable next_id : int;
+  mutable classes : string list;  (* distinct, case-insensitively; reversed *)
 }
 
 let intern_name st s =
@@ -83,6 +84,8 @@ let rec write st v =
           let id = st.next_id in
           st.next_id <- id + 1;
           Hashtbl.add st.seen o.Value.oid id;
+          if not (Pti_util.Strutil.mem_ci o.Value.cls st.classes) then
+            st.classes <- o.Value.cls :: st.classes;
           W.u8 st.w t_obj;
           W.varint st.w id;
           intern_name st o.Value.cls;
@@ -106,10 +109,11 @@ let encode v =
       next_name = 0;
       seen = Hashtbl.create 16;
       next_id = 0;
+      classes = [];
     }
   in
   write st v;
-  Bytes_io.seal ~magic (W.contents st.w)
+  (Bytes_io.seal ~magic (W.contents st.w), List.rev st.classes)
 
 type outern = {
   r : R.t;
@@ -168,23 +172,15 @@ let rec read ?resolve reg st =
       | Some cd -> cd
       | None -> raise (Unknown cls)
     in
-    let o =
-      { Value.oid = Value.fresh_oid (); cls = Meta.qualified_name cd;
-        fields = Hashtbl.create 8 }
-    in
-    (* Install declared defaults first so missing payload fields are sane. *)
-    List.iter
-      (fun f ->
-        Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
-      (Registry.all_fields reg cd);
+    (* Declared defaults first, so missing payload fields are sane and
+       undeclared ones are dropped. *)
+    let o, _ = Registry.fresh_object reg cd in
     Hashtbl.add st.objects id o;
     let n = R.varint st.r in
     for _ = 1 to n do
       let fname = read_name st in
       let v = read ~resolve reg st in
-      (* Drop fields the loaded class does not declare. *)
-      if Registry.find_field reg cd fname <> None then
-        Value.set_field o fname v
+      Value.update_field o fname v
     done;
     Value.Vobj o
   end
@@ -205,49 +201,3 @@ let decode ?resolve reg s =
       with
       | R.Underflow m -> Error (Malformed m)
       | Unknown cls -> Error (Unknown_type cls))
-
-(* Walk the payload structure without materializing values. *)
-let class_names_body body =
-  let st =
-    { r = R.create body; rev_names = Hashtbl.create 16;
-      objects = Hashtbl.create 16 }
-  in
-  let found = ref [] in
-  let rec skip () =
-    let tag = R.u8 st.r in
-    if tag = t_null then ()
-    else if tag = t_bool then ignore (R.bool st.r)
-    else if tag = t_int then ignore (R.zigzag st.r)
-    else if tag = t_float then ignore (R.f64 st.r)
-    else if tag = t_string then ignore (R.string st.r)
-    else if tag = t_char then ignore (R.u8 st.r)
-    else if tag = t_arr then begin
-      ignore (R.string st.r);
-      let n = R.varint st.r in
-      for _ = 1 to n do
-        skip ()
-      done
-    end
-    else if tag = t_ref then ignore (R.varint st.r)
-    else if tag = t_obj then begin
-      ignore (R.varint st.r);
-      let cls = read_name st in
-      if not (List.exists (String.equal cls) !found) then
-        found := cls :: !found;
-      let n = R.varint st.r in
-      for _ = 1 to n do
-        ignore (read_name st);
-        skip ()
-      done
-    end
-    else raise (R.Underflow (Printf.sprintf "unknown tag %d" tag))
-  in
-  try
-    skip ();
-    Ok (List.rev !found)
-  with R.Underflow m -> Error (Malformed m)
-
-let class_names s =
-  match Bytes_io.unseal ~magic s with
-  | Error e -> Error (unseal_error e)
-  | Ok body -> class_names_body body

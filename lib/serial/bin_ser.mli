@@ -21,20 +21,22 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val encode : Value.value -> string
-(** Proxies are serialized through their wrapped target (a proxy is a local
-    artifact; what travels is the real object).
-    @raise Invalid_argument if the graph contains no serializable form. *)
+val encode : Value.value -> string * string list
+(** The payload bytes, and the distinct classes of the objects the walk
+    met: in first-visit order (fields in name order), compared
+    case-insensitively, each recorded as the walk enters its object.
+    {!Envelope.make} builds its type entries from that list, so a send
+    walks its graph once. Proxies are serialized through their wrapped
+    target (a proxy is a local artifact; what travels is the real
+    object). *)
 
 val decode : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
   string -> (Value.value, error) result
-(** Rebuilds the graph with fresh object ids. Fields not declared by the
-    (loaded) class are dropped; declared fields missing from the payload
+(** Rebuilds the graph with fresh object ids. Each object starts as
+    {!Registry.fresh_object} of its (loaded) class: fields the class does
+    not declare are dropped, declared fields missing from the payload
     keep their default values. [resolve] overrides class-by-name lookup
     (default [Registry.find reg]) — the envelope layer passes a
     version-pinned resolver so an upgraded registry still decodes
     in-flight payloads against the version they were encoded with. *)
 
-val class_names : string -> (string list, error) result
-(** The distinct class names mentioned by an encoded payload, without
-    decoding values — how a receiver learns what it must resolve. *)

@@ -69,35 +69,18 @@ let canonical t =
 
 let digest t = Pti_util.Fnv.hash_hex (canonical t)
 
-(* Distinct class names reachable from a value, in first-visit order. *)
-let graph_classes v =
-  let seen_obj = Hashtbl.create 16 in
-  let found = ref [] in
-  let rec go v =
-    match v with
-    | Value.Vnull | Value.Vbool _ | Value.Vint _ | Value.Vfloat _
-    | Value.Vstring _ | Value.Vchar _ ->
-        ()
-    | Value.Vproxy p -> go p.Value.px_target
-    | Value.Varr a -> Array.iter go a.Value.items
-    | Value.Vobj o ->
-        if not (Hashtbl.mem seen_obj o.Value.oid) then begin
-          Hashtbl.add seen_obj o.Value.oid ();
-          if not (List.exists (Pti_util.Strutil.equal_ci o.Value.cls) !found)
-          then found := o.Value.cls :: !found;
-          (* Visit fields in name order: [Hashtbl.iter] order depends on
-             stdlib hash internals, which would leak into envelope bytes
-             (and digests) via the type-entry list. *)
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.iter (fun (_, v) -> go v)
-        end
-  in
-  go v;
-  List.rev !found
-
+(* The payload walk also lists the graph's distinct classes, root's
+   first: one walk serves both halves of the envelope. *)
 let make ?(version_of = fun ~assembly:_ -> 0) reg ~codec ~download_path v =
-  let classes = graph_classes v in
+  let env_payload, classes =
+    match codec with
+    | Soap ->
+        let x, classes = Soap_ser.encode_xml v in
+        (Psoap x, classes)
+    | Binary ->
+        let b, classes = Bin_ser.encode v in
+        (Pbinary b, classes)
+  in
   let env_types =
     List.map
       (fun cls ->
@@ -117,18 +100,15 @@ let make ?(version_of = fun ~assembly:_ -> 0) reg ~codec ~download_path v =
   in
   (* Deterministic emission order: the root's class stays first (the
      receiver's fast path and eager prefetch key off it), the tail is
-     sorted by qualified name. *)
+     sorted by qualified name. The walk visits fields in name order, not
+     [Hashtbl] order, so the list never depends on stdlib hash
+     internals. *)
   let env_types =
     match env_types with
     | root :: rest ->
         root
         :: List.sort (fun a b -> String.compare a.te_name b.te_name) rest
     | [] -> []
-  in
-  let env_payload =
-    match codec with
-    | Soap -> Psoap (Soap_ser.encode_xml v)
-    | Binary -> Pbinary (Bin_ser.encode v)
   in
   { env_types; env_payload }
 

@@ -53,8 +53,11 @@ val digest : t -> string
 val make : ?version_of:(assembly:string -> int) -> Registry.t ->
   codec:codec -> download_path:(assembly:string -> string) ->
   Value.value -> t
-(** Serializes the value with the chosen codec and collects a [type_entry]
-    per distinct class in the graph (graph order). [version_of] supplies
+(** Serializes the value with the chosen codec and builds a [type_entry]
+    per class of the list that codec's walk returns ({!Bin_ser.encode},
+    {!Soap_ser.encode_xml}): the graph's distinct classes, met in the same
+    single walk that writes the payload. The root's class comes first,
+    the rest sorted by qualified name. [version_of] supplies
     the published chain version per assembly (default: 0, unversioned).
     @raise Invalid_argument if a class in the graph is not registered on
     the sending host. *)

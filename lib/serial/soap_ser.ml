@@ -9,7 +9,12 @@ let pp_error ppf = function
 
 let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
 
-let rec value_to_xml seen v =
+type walk = {
+  seen : (int, int) Hashtbl.t;  (* oid -> id *)
+  mutable classes : string list;  (* distinct, case-insensitively; reversed *)
+}
+
+let rec value_to_xml st v =
   match strip v with
   | Value.Vnull -> Xml.elt "null" []
   | Value.Vbool b -> Xml.leaf "bool" (string_of_bool b)
@@ -20,13 +25,17 @@ let rec value_to_xml seen v =
   | Value.Varr a ->
       Xml.elt "array"
         ~attrs:[ ("elemType", Ty.to_string a.Value.elem_ty) ]
-        (Array.to_list (Array.map (value_to_xml seen) a.Value.items))
+        (Array.to_list (Array.map (value_to_xml st) a.Value.items))
   | Value.Vobj o -> (
-      match Hashtbl.find_opt seen o.Value.oid with
+      match Hashtbl.find_opt st.seen o.Value.oid with
       | Some id -> Xml.elt "ref" ~attrs:[ ("href", string_of_int id) ] []
       | None ->
-          let id = Hashtbl.length seen + 1 in
-          Hashtbl.add seen o.Value.oid id;
+          let id = Hashtbl.length st.seen + 1 in
+          Hashtbl.add st.seen o.Value.oid id;
+          (* Recorded here, before the fields are walked: the arguments
+             of [Xml.elt] evaluate in an unspecified order. *)
+          if not (Pti_util.Strutil.mem_ci o.Value.cls st.classes) then
+            st.classes <- o.Value.cls :: st.classes;
           let bindings =
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
             |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -36,17 +45,20 @@ let rec value_to_xml seen v =
             (List.map
                (fun (k, v) ->
                  Xml.elt "field" ~attrs:[ ("name", k) ]
-                   [ value_to_xml seen v ])
+                   [ value_to_xml st v ])
                bindings))
   | Value.Vproxy _ -> assert false
 
-let encode_xml v = value_to_xml (Hashtbl.create 16) v
+let encode_xml v =
+  let st = { seen = Hashtbl.create 16; classes = [] } in
+  let x = value_to_xml st v in
+  (x, List.rev st.classes)
 
 let encode v =
   Xml.to_string
     (Xml.elt "soap:Envelope"
        ~attrs:[ ("xmlns:soap", "http://schemas.xmlsoap.org/soap/envelope/") ]
-       [ Xml.elt "soap:Body" [ encode_xml v ] ])
+       [ Xml.elt "soap:Body" [ fst (encode_xml v) ] ])
 
 exception Fail of error
 
@@ -128,15 +140,7 @@ let rec xml_to_value ?resolve reg objects x =
       match resolve cls with
       | None -> raise (Fail (Unknown_type cls))
       | Some cd ->
-          let o =
-            { Value.oid = Value.fresh_oid ();
-              cls = Meta.qualified_name cd;
-              fields = Hashtbl.create 8 }
-          in
-          List.iter
-            (fun f ->
-              Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
-            (Registry.all_fields reg cd);
+          let o, _ = Registry.fresh_object reg cd in
           Hashtbl.add objects id o;
           List.iter
             (fun c ->
@@ -148,8 +152,7 @@ let rec xml_to_value ?resolve reg objects x =
                     | None -> fail "field without name"
                   in
                   let v = xml_to_value ~resolve reg objects (one_child c) in
-                  if Registry.find_field reg cd name <> None then
-                    Value.set_field o name v
+                  Value.update_field o name v
               | Some other -> fail "unexpected <%s> inside obj" other
               | None -> ())
             (Xml.children x);
@@ -174,16 +177,3 @@ let decode ?resolve reg s =
           (* Also accept a bare payload element. *)
           decode_xml ?resolve reg root
       | None -> Error (Malformed "no root element"))
-
-let class_names x =
-  let found = ref [] in
-  let rec go x =
-    (match Xml.tag x, Xml.attr "type" x with
-    | Some "obj", Some cls ->
-        if not (List.exists (String.equal cls) !found) then
-          found := cls :: !found
-    | _ -> ());
-    List.iter go (Xml.children x)
-  in
-  go x;
-  List.rev !found

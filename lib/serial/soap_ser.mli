@@ -14,7 +14,12 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val encode_xml : Value.value -> Pti_xml.Xml.t
+val encode_xml : Value.value -> Pti_xml.Xml.t * string list
+(** The payload element, and the distinct classes of the objects the walk
+    met, exactly as {!Bin_ser.encode} lists them: first-visit order,
+    compared case-insensitively, each recorded as the walk enters its
+    object. *)
+
 val encode : Value.value -> string
 (** The XML text of {!encode_xml}, wrapped in a [<soap:Envelope>]. *)
 
@@ -22,8 +27,6 @@ val decode_xml : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
   Pti_xml.Xml.t -> (Value.value, error) result
 val decode : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
   string -> (Value.value, error) result
-(** [resolve] overrides class-by-name lookup (default [Registry.find reg]);
-    see {!Bin_ser.decode}. *)
-
-val class_names : Pti_xml.Xml.t -> string list
-(** Distinct class names mentioned by an encoded payload element. *)
+(** Objects start as {!Registry.fresh_object} and keep only the payload
+    fields their class declares, as in {!Bin_ser.decode}. [resolve]
+    overrides class-by-name lookup (default [Registry.find reg]). *)

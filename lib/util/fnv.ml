@@ -14,7 +14,15 @@ let hash64 ?(init = offset_basis) s =
   done;
   !h
 
-let to_hex h = Printf.sprintf "%016Lx" h
+let to_hex h =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    Bytes.unsafe_set b i
+      (Strutil.hex_digit
+         (Int64.to_int (Int64.shift_right_logical h (4 * (15 - i))) land 0xf))
+  done;
+  Bytes.unsafe_to_string b
+
 let hash_hex s = to_hex (hash64 s)
 
 let hash_bytes s =

@@ -13,7 +13,7 @@ val hash64 : ?init:int64 -> string -> int64
     Allocates only its boxed result, whatever the length. *)
 
 val to_hex : int64 -> string
-(** 16 lowercase hex digits, zero padded. *)
+(** 16 lowercase hex digits, zero padded. Allocates only the string. *)
 
 val hash_hex : string -> string
 (** [to_hex (hash64 s)]. *)

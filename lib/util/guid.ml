@@ -23,8 +23,6 @@ let of_name s =
   let g = { hi; lo } in
   if equal g nil then { hi = 1L; lo = 1L } else g
 
-let hex_digits = "0123456789abcdef"
-
 let to_string { hi; lo } =
   let b = Bytes.make 36 '-' in
   let pos = ref 0 in
@@ -34,50 +32,31 @@ let to_string { hi; lo } =
     let byte =
       Int64.to_int (Int64.shift_right_logical w (8 * (7 - (k land 7)))) land 0xff
     in
-    Bytes.unsafe_set b !pos hex_digits.[byte lsr 4];
-    Bytes.unsafe_set b (!pos + 1) hex_digits.[byte land 0xf];
+    Bytes.unsafe_set b !pos (Strutil.hex_digit (byte lsr 4));
+    Bytes.unsafe_set b (!pos + 1) (Strutil.hex_digit (byte land 0xf));
     pos := !pos + 2
   done;
   Bytes.unsafe_to_string b
 
-let hex_val c =
-  match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
-
+(* Local refs in a [for] loop keep both halves unboxed, as in
+   [Fnv.hash64]: the parse allocates only its result. *)
 let of_string s =
   if String.length s <> 36 then None
   else begin
-    let ok = ref true in
-    let nibbles = Array.make 32 0 in
-    let k = ref 0 in
-    String.iteri
-      (fun i c ->
-        match i with
-        | 8 | 13 | 18 | 23 -> if c <> '-' then ok := false
-        | _ -> (
-            match hex_val c with
-            | Some v ->
-                if !k < 32 then begin
-                  nibbles.(!k) <- v;
-                  incr k
-                end
-                else ok := false
-            | None -> ok := false))
-      s;
-    if (not !ok) || !k <> 32 then None
-    else begin
-      let word off =
-        let v = ref 0L in
-        for i = off to off + 15 do
-          v := Int64.logor (Int64.shift_left !v 4) (Int64.of_int nibbles.(i))
-        done;
-        !v
-      in
-      Some { hi = word 0; lo = word 16 }
-    end
+    let ok = ref true and hi = ref 0L and lo = ref 0L and k = ref 0 in
+    for i = 0 to 35 do
+      let c = String.unsafe_get s i in
+      if i = 8 || i = 13 || i = 18 || i = 23 then (if c <> '-' then ok := false)
+      else begin
+        let v = Strutil.hex_value c in
+        if v < 0 then ok := false
+        else if !k < 16 then
+          hi := Int64.logor (Int64.shift_left !hi 4) (Int64.of_int v)
+        else lo := Int64.logor (Int64.shift_left !lo 4) (Int64.of_int v);
+        incr k
+      end
+    done;
+    if !ok then Some { hi = !hi; lo = !lo } else None
   end
 
 let of_string_exn s =

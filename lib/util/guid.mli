@@ -23,7 +23,8 @@ val to_string : t -> string
     Allocates only the string. *)
 
 val of_string : string -> t option
-(** Parses the canonical rendering (case-insensitive); [None] if malformed. *)
+(** Parses the canonical rendering (case-insensitive); [None] if malformed.
+    Allocates only its result. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)

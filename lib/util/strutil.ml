@@ -12,6 +12,17 @@ let equal_ci a b =
 let compare_ci a b =
   String.compare (String.lowercase_ascii a) (String.lowercase_ascii b)
 
+let mem_ci s l = List.exists (equal_ci s) l
+
+let hex_digits = "0123456789abcdef"
+let hex_digit n = hex_digits.[n]
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
 let is_identifier s =
   let ok_first = function 'A' .. 'Z' | 'a' .. 'z' | '_' -> true | _ -> false in
   let ok_rest = function

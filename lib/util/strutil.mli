@@ -12,6 +12,16 @@ val equal_ci : string -> string -> bool
 
 val compare_ci : string -> string -> int
 
+val mem_ci : string -> string list -> bool
+(** Whether the list holds a string {!equal_ci} to the first. *)
+
+val hex_digit : int -> char
+(** The lowercase hex digit of a nibble ([0 <= n < 16]). *)
+
+val hex_value : char -> int
+(** The nibble a hex digit (either case) stands for; [-1] for any other
+    character. *)
+
 val is_identifier : string -> bool
 (** True for [\[A-Za-z_\]\[A-Za-z0-9_\]*] — validity check used by the class
     builder DSL. *)

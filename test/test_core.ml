@@ -496,6 +496,47 @@ let test_request_timeout_degrades_to_rejection () =
       Alcotest.(check string) "reason" "type description unavailable" reason
   | _ -> Alcotest.fail "expected exactly one rejection"
 
+(* A hostile sender adds a class that names itself as its superclass and
+   hangs an object of it, carrying one field the class does not declare,
+   off a conformant Person. The receiver must come back from the payload
+   decode; whether it delivers the mistyped [home] is not settled here. *)
+let test_self_supertype_payload_returns () =
+  let module Workload = Pti_demo.Workload in
+  let loop =
+    Builder.class_ ~ns:[ "evil" ] ~assembly:"evil" "Loop" ~super:"evil.Loop"
+    |> Builder.build
+  in
+  let run ~extra =
+    let net = make_net () in
+    let sender = Peer.create ~net "sender" in
+    let receiver = Peer.create ~net "receiver" in
+    Peer.publish_assembly sender
+      (Workload.family ~index:3 ~flavor:Workload.Conformant);
+    Peer.publish_assembly sender (Assembly.make ~name:"evil" [ loop ]);
+    Peer.install_assembly receiver (Workload.interest_assembly ());
+    let delivered = ref 0 in
+    Peer.register_interest receiver ~interest:Workload.interest_person
+      (fun ~from:_ _ -> incr delivered);
+    let fields = Hashtbl.create 1 in
+    if extra then Hashtbl.replace fields "extra" (Value.Vint 1);
+    let p =
+      Workload.make_person (Peer.registry sender) ~index:3
+        ~flavor:Workload.Conformant ~name:"Eve" ~age:3
+    in
+    (match p with
+    | Value.Vobj o ->
+        Value.set_field o "home"
+          (Value.Vobj
+             { Value.oid = Value.fresh_oid (); cls = "evil.Loop"; fields })
+    | _ -> Alcotest.fail "expected an object");
+    Peer.send_value sender ~dst:"receiver" p;
+    Net.run net;
+    !delivered
+  in
+  Alcotest.(check int) "without the extra field it delivers" 1
+    (run ~extra:false);
+  ignore (run ~extra:true)
+
 let test_primitive_payload_goes_to_sink () =
   let net = make_net () in
   let sender = Peer.create ~net "sender" in
@@ -953,6 +994,8 @@ let () =
             test_request_timeout_degrades_to_rejection;
           Alcotest.test_case "primitive payloads reach the sink" `Quick
             test_primitive_payload_goes_to_sink;
+          Alcotest.test_case "self-supertype payload returns" `Quick
+            test_self_supertype_payload_returns;
         ] );
       ( "observability",
         [

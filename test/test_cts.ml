@@ -194,9 +194,23 @@ let test_registry_hierarchy () =
     (Registry.is_subtype r ~sub:"h.Derived" ~super:"h.IThing");
   Alcotest.(check bool) "not subtype" false
     (Registry.is_subtype r ~sub:"h.Base" ~super:"h.Derived");
-  (* Inherited fields. *)
-  let fields = Registry.all_fields r derived in
-  Alcotest.(check int) "all fields" 2 (List.length fields);
+  (* Inherited fields, base class first. *)
+  let o, lineage = Registry.fresh_object r derived in
+  Alcotest.(check int) "all fields" 2 (Hashtbl.length o.Value.fields);
+  Alcotest.(check (list string)) "lineage" [ "h.Base"; "h.Derived" ]
+    (List.map Meta.qualified_name lineage);
+  (* A derived field shadows the base field of the same name, whatever
+     its case, and starts at the derived type's default. *)
+  let shadow =
+    B.class_ ~ns:[ "h" ] ~assembly:"h" "Shadow" ~super:"h.Base"
+    |> B.field "ID" Ty.String |> B.build
+  in
+  Registry.register r shadow;
+  let o, _ = Registry.fresh_object r shadow in
+  Alcotest.(check int) "shadowed field counted once" 1
+    (Hashtbl.length o.Value.fields);
+  Alcotest.(check bool) "derived default" true
+    (Value.get_field o "id" = Some (Value.Vstring ""));
   (* Inherited method resolution. *)
   Alcotest.(check bool) "find inherited" true
     (Registry.find_method r derived "go" 0 <> None)
@@ -263,6 +277,18 @@ let test_runtime_errors () =
   expect_error (fun () -> Eval.eval r ~this:None ~locals:[] E.This);
   expect_error (fun () ->
       Eval.eval r ~this:None ~locals:[] (E.Field_get (E.null, "x")))
+
+(* A class may name itself as its superclass; a lookup of a method it
+   does not declare must end, not walk the self-link for ever. *)
+let test_self_supertype_call_ends () =
+  let r = Registry.create () in
+  Registry.register r
+    (B.class_ ~ns:[ "evil" ] ~assembly:"evil" "Loop" ~super:"evil.Loop"
+    |> B.field "kept" Ty.Int |> B.build);
+  let o = Eval.construct r "evil.Loop" [] in
+  match Eval.call r o "undeclared" [] with
+  | _ -> Alcotest.fail "expected Runtime_error"
+  | exception Eval.Runtime_error _ -> ()
 
 let test_control_flow () =
   let r = Registry.create () in
@@ -503,6 +529,8 @@ let () =
             test_construct_and_accessors;
           Alcotest.test_case "field defaults" `Quick test_field_defaults;
           Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
+          Alcotest.test_case "self-supertype call ends" `Quick
+            test_self_supertype_call_ends;
           Alcotest.test_case "control flow" `Quick test_control_flow;
           Alcotest.test_case "arrays" `Quick test_arrays;
           Alcotest.test_case "static methods" `Quick test_static_methods;

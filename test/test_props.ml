@@ -8,6 +8,8 @@ module Checker = Pti_conformance.Checker
 module Mapping = Pti_conformance.Mapping
 module Xml = Pti_xml.Xml
 module Bin = Pti_serial.Bin_ser
+module Soap = Pti_serial.Soap_ser
+module Env = Pti_serial.Envelope
 module Idl = Pti_idl.Idl
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
@@ -280,6 +282,122 @@ let prop_protocol_delivery_counts_match_conformance =
       in
       rejected = expected_rejected && delivered = objects - expected_rejected)
 
+(* --------------------------- envelope walk ------------------------- *)
+
+(* The distinct classes of a value graph in first-visit order, as a
+   walk separate from either codec once listed them for the envelope. *)
+let graph_classes v =
+  let seen_obj = Hashtbl.create 16 in
+  let found = ref [] in
+  let rec go v =
+    match v with
+    | Value.Vnull | Value.Vbool _ | Value.Vint _ | Value.Vfloat _
+    | Value.Vstring _ | Value.Vchar _ ->
+        ()
+    | Value.Vproxy p -> go p.Value.px_target
+    | Value.Varr a -> Array.iter go a.Value.items
+    | Value.Vobj o ->
+        if not (Hashtbl.mem seen_obj o.Value.oid) then begin
+          Hashtbl.add seen_obj o.Value.oid ();
+          if not (List.exists (Pti_util.Strutil.equal_ci o.Value.cls) !found)
+          then found := o.Value.cls :: !found;
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+          |> List.iter (fun (_, v) -> go v)
+        end
+  in
+  go v;
+  List.rev !found
+
+let walk_registry =
+  let r = Registry.create () in
+  List.iter
+    (fun n ->
+      Registry.register r (Builder.class_ ~ns:[ "walk" ] n |> Builder.build))
+    [ "Alpha"; "Beta"; "Gamma" ];
+  r
+
+(* A random graph over up to six objects: shared references, cycles,
+   proxies (possibly of proxies), arrays of objects, and each class
+   spelled in three cases. Field names are not in insertion order. *)
+let random_graph seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let spellings =
+    [|
+      [| "walk.Alpha"; "WALK.ALPHA"; "walk.alpha" |];
+      [| "walk.Beta"; "Walk.BETA"; "walk.beta" |];
+      [| "walk.Gamma"; "walk.GAMMA"; "wALK.gamma" |];
+    |]
+  in
+  let n = 1 + int 6 in
+  let objs =
+    Array.init n (fun _ ->
+        { Value.oid = Value.fresh_oid (); cls = spellings.(int 3).(int 3);
+          fields = Hashtbl.create 4 })
+  in
+  let obj () = Value.Vobj objs.(int n) in
+  let rec proxy depth =
+    Value.Vproxy
+      { Value.px_interface = "walk.I";
+        px_target =
+          (if depth > 0 && int 2 = 0 then proxy (depth - 1) else obj ());
+        px_invoke = (fun _ _ -> Value.Vnull) }
+  in
+  let objects () =
+    Value.Varr
+      { Value.elem_ty = Ty.Named "object";
+        items =
+          Array.init (int 4) (fun _ -> if int 4 = 0 then proxy 1 else obj ()) }
+  in
+  let value () =
+    match int 6 with
+    | 0 -> Value.Vint (int 100)
+    | 1 -> Value.Vnull
+    | 2 | 3 -> obj ()
+    | 4 -> proxy 2
+    | _ -> objects ()
+  in
+  Array.iter
+    (fun o ->
+      for _ = 1 to int 5 do
+        let name = [| "zeta"; "b"; "a10"; "a2"; "m" |].(int 5) in
+        Hashtbl.replace o.Value.fields name (value ())
+      done)
+    objs;
+  match int 4 with
+  | 0 -> objects ()
+  | 1 -> proxy 2
+  | _ -> Value.Vobj objs.(0)
+
+let prop_envelope_lists_walk_classes =
+  QCheck.Test.make ~name:"envelope lists the payload walk's classes" ~count:300
+    QCheck.int
+    (fun seed ->
+      let v = random_graph seed in
+      let reference = graph_classes v in
+      let expected =
+        match
+          List.map
+            (fun c -> Meta.qualified_name (Registry.find_exn walk_registry c))
+            reference
+        with
+        | root :: rest -> root :: List.sort String.compare rest
+        | [] -> []
+      in
+      let entries codec =
+        let env =
+          Env.make walk_registry ~codec
+            ~download_path:(fun ~assembly -> assembly)
+            v
+        in
+        List.map (fun e -> e.Env.te_name) env.Env.env_types
+      in
+      snd (Bin.encode v) = reference
+      && snd (Soap.encode_xml v) = reference
+      && entries Env.Binary = expected
+      && entries Env.Soap = expected)
+
 let () =
   Alcotest.run "properties"
     [
@@ -292,6 +410,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_idl_parser_total;
           QCheck_alcotest.to_alcotest prop_idl_parser_total_on_mutations;
         ] );
+      ( "envelope",
+        [ QCheck_alcotest.to_alcotest prop_envelope_lists_walk_classes ] );
       ( "conformance",
         [
           QCheck_alcotest.to_alcotest prop_conformant_families_conform;

@@ -3,7 +3,13 @@
 
 open Pti_cts
 module Demo = Pti_demo.Demo_types
-module Bin = Pti_serial.Bin_ser
+(* Most tests here need the payload bytes alone; the class list
+   [Bin_ser.encode] also returns is checked by "class names probe". *)
+module Bin = struct
+  include Pti_serial.Bin_ser
+
+  let encode v = fst (encode v)
+end
 module Soap = Pti_serial.Soap_ser
 module Env = Pti_serial.Envelope
 module Axml = Pti_serial.Assembly_xml
@@ -266,19 +272,43 @@ let test_binary_array_length_bounded () =
     (Printf.sprintf "allocated %.0f bytes" allocated)
     true (allocated < 1e6)
 
-let test_class_names_without_decoding () =
+(* Both encoders list the graph's classes from the walk that writes the
+   payload: the root's first, then each class as its first object is
+   entered. *)
+let test_class_names_from_walk () =
   let r = reg () in
   let v = sample_person r in
-  (match Bin.class_names (Bin.encode v) with
-  | Ok names ->
-      Alcotest.(check bool) "person listed" true
-        (List.mem Demo.news_person names);
-      Alcotest.(check bool) "address listed" true
-        (List.mem Demo.news_address names)
-  | Error _ -> Alcotest.fail "class_names failed");
-  let names = Soap.class_names (Soap.encode_xml v) in
-  Alcotest.(check bool) "soap person listed" true
-    (List.mem Demo.news_person names)
+  let expected = [ Demo.news_person; Demo.news_address ] in
+  Alcotest.(check (list string)) "binary walk" expected
+    (snd (Pti_serial.Bin_ser.encode v));
+  Alcotest.(check (list string)) "soap walk" expected
+    (snd (Soap.encode_xml v))
+
+(* A hostile class names itself as its superclass, and its object carries
+   a field the class does not declare: both decoders return, the
+   declared field kept and the other dropped. *)
+let test_self_supertype_decodes () =
+  let r = Registry.create () in
+  Registry.register r
+    (Builder.class_ ~ns:[ "evil" ] ~assembly:"evil" "Loop" ~super:"evil.Loop"
+    |> Builder.field "kept" Ty.Int |> Builder.build);
+  let fields = Hashtbl.create 2 in
+  Hashtbl.replace fields "kept" (Value.Vint 5);
+  Hashtbl.replace fields "extra" (Value.Vint 1);
+  let v =
+    Value.Vobj { Value.oid = Value.fresh_oid (); cls = "evil.Loop"; fields }
+  in
+  let check codec = function
+    | Ok (Value.Vobj o) ->
+        Alcotest.(check bool) (codec ^ " keeps the declared field") true
+          (Value.get_field o "kept" = Some (Value.Vint 5));
+        Alcotest.(check bool) (codec ^ " drops the undeclared field") true
+          (Value.get_field o "extra" = None)
+    | Ok _ -> Alcotest.failf "%s: expected an object" codec
+    | Error _ -> Alcotest.failf "%s: decode failed" codec
+  in
+  check "binary" (Bin.decode r (Bin.encode v));
+  check "soap" (Soap.decode r (Soap.encode v))
 
 let test_proxy_serializes_as_target () =
   let r = reg () in
@@ -897,6 +927,24 @@ let test_golden_wire_pins () =
       ("PTIB", "be42c86c6561125f", Bin.encode (sample_person r));
     ]
 
+(* The classic XML envelope of the sample Person with either payload,
+   and its SOAP payload alone, pinned the same way. *)
+let test_golden_classic_pins () =
+  let r = reg () in
+  let v = sample_person r in
+  let env codec =
+    Env.to_string
+      (Env.make r ~codec ~download_path:(fun ~assembly -> assembly) v)
+  in
+  List.iter
+    (fun (name, pin, wire) ->
+      Alcotest.(check string) name pin (Pti_util.Fnv.hash_hex wire))
+    [
+      ("envelope, binary payload", "38bbff9aeecd0fb3", env Env.Binary);
+      ("envelope, soap payload", "86ba2df73ff0fbb1", env Env.Soap);
+      ("soap payload", "99c762a6eb0d9fe0", Soap.encode v);
+    ]
+
 (* The assembly XML of the sample Person's assembly and of one workload
    family, pinned the same way. The class codec inside also renders type
    descriptions, whose XML is pinned in test_typedesc. *)
@@ -1105,7 +1153,9 @@ let () =
           Alcotest.test_case "array length bounded by input" `Quick
             test_binary_array_length_bounded;
           Alcotest.test_case "class names probe" `Quick
-            test_class_names_without_decoding;
+            test_class_names_from_walk;
+          Alcotest.test_case "self-supertype decodes" `Quick
+            test_self_supertype_decodes;
           Alcotest.test_case "proxy encodes as target" `Quick
             test_proxy_serializes_as_target;
         ] );
@@ -1156,6 +1206,8 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "wire pins" `Quick test_golden_wire_pins;
+          Alcotest.test_case "classic envelope pins" `Quick
+            test_golden_classic_pins;
           Alcotest.test_case "assembly xml pins" `Quick test_golden_xml_pins;
         ] );
       ( "framing",

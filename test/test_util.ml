@@ -126,6 +126,20 @@ let test_guid_rendering () =
     (Printf.sprintf "to_string allocates %.0f words (at most 16)" words)
     true (words <= 16.)
 
+(* Parsing, like rendering, allocates only its result: the option, the
+   record and its two boxed halves (11 words). *)
+let test_guid_parse_allocation () =
+  let s = "67060154-9D9F-838d-dd11-d32c17f3c8a3" in
+  Alcotest.(check string) "parses either case"
+    "67060154-9d9f-838d-dd11-d32c17f3c8a3"
+    (match Guid.of_string s with
+    | Some g -> Guid.to_string g
+    | None -> "malformed");
+  let words = minor_words_of (fun () -> Guid.of_string s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "of_string allocates %.0f words (at most 16)" words)
+    true (words <= 16.)
+
 (* ------------------------------- fnv ------------------------------ *)
 
 let test_fnv_vectors () =
@@ -140,6 +154,19 @@ let test_fnv_chaining () =
   let a = "type-description:" and b = "demo.Person@v3" in
   Alcotest.(check int64) "init chains fragments" (Fnv.hash64 (a ^ b))
     (Fnv.hash64 ~init:(Fnv.hash64 a) b)
+
+(* The hex rendering every digest pays allocates only its 16-byte
+   string (4 words). *)
+let test_fnv_hex_allocation () =
+  Alcotest.(check string) "zero padded" "00000000000000ff" (Fnv.to_hex 0xffL);
+  Alcotest.(check string) "all digits" "0123456789abcdef"
+    (Fnv.to_hex 0x0123456789abcdefL);
+  Alcotest.(check string) "top bit" "fedcba9876543210"
+    (Fnv.to_hex 0xfedcba9876543210L);
+  let words = minor_words_of (fun () -> Fnv.to_hex 0xfedcba9876543210L) in
+  Alcotest.(check bool)
+    (Printf.sprintf "to_hex allocates %.0f words (at most 8)" words)
+    true (words <= 8.)
 
 let test_fnv_allocation () =
   let s = String.init 4096 (fun i -> Char.chr (i * 7 land 0xff)) in
@@ -372,12 +399,15 @@ let () =
           Alcotest.test_case "malformed" `Quick test_guid_malformed;
           Alcotest.test_case "nil" `Quick test_guid_nil;
           Alcotest.test_case "rendering" `Quick test_guid_rendering;
+          Alcotest.test_case "parse allocation" `Quick
+            test_guid_parse_allocation;
         ] );
       ( "fnv",
         [
           Alcotest.test_case "reference vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "chaining" `Quick test_fnv_chaining;
           Alcotest.test_case "allocation" `Quick test_fnv_allocation;
+          Alcotest.test_case "hex allocation" `Quick test_fnv_hex_allocation;
         ] );
       ( "base64",
         [
