@@ -42,20 +42,31 @@ type stats = {
    invalidation instead of clearing the cache.
 
    Each dependency is {e witnessed}: a successful resolution records the
-   GUID of the description it returned, a miss records a miss marker.
+   GUID of the description it returned, a miss records [None].
    Version-aware invalidation falls out: when [name] is (re)announced
    with GUID [g], verdicts that resolved [name] to that same [g] are
    statements about bytes that have not changed and survive, while
    verdicts that saw a different version — or failed on the miss — are
-   dropped. Dependency keys encode the witness as
-   ["<lowercased-name>\x00<guid>"] (miss marker ["?"]).
+   dropped. A dependency is the pair (lowercased name, witness).
 
    The cache itself is keyed by the pair (actual GUID, interest GUID): a
    GUID names one description, and the configuration is fixed when the
    checker is created and the cache is private to it, so the config
    never tells two entries apart. A cache hit hashes and compares the
    two GUIDs and formats no string. *)
-type entry = { e_verdict : verdict; e_deps : string list }
+module Dep = struct
+  type t = string * Guid.t option
+
+  let equal (n, g) (n', g') = String.equal n n' && Option.equal Guid.equal g g'
+
+  let hash (n, g) =
+    ((Hashtbl.hash n * 31) + match g with None -> 0 | Some g -> Guid.hash g)
+    land max_int
+end
+
+module Dep_tbl = Hashtbl.Make (Dep)
+
+type entry = { e_verdict : verdict; e_deps : Dep.t list }
 
 module Pair = struct
   type t = Guid.t * Guid.t
@@ -67,28 +78,14 @@ end
 module Cache = Lru.Make (Pair)
 module Pair_tbl = Hashtbl.Make (Pair)
 
-let dep_sep = '\x00'
-let dep_miss name = Printf.sprintf "%s%c?" (String.lowercase_ascii name) dep_sep
-
-let dep_witnessed name guid =
-  Printf.sprintf "%s%c%s"
-    (String.lowercase_ascii name)
-    dep_sep (Guid.to_string guid)
-
-let dep_prefix name = Printf.sprintf "%s%c" (String.lowercase_ascii name) dep_sep
-
-let dep_has_prefix ~prefix key =
-  String.length key >= String.length prefix
-  && String.equal (String.sub key 0 (String.length prefix)) prefix
-
 type t = {
   cfg : Config.t;
   resolve : Td.resolver;
   cache : entry Cache.t;
-  (* dependency key -> set of cache keys whose entry depends on it *)
-  dep_index : (string, unit Pair_tbl.t) Hashtbl.t;
-  (* dependency-name accumulator of the in-flight top-level computation *)
-  mutable cur_deps : (string, unit) Hashtbl.t option;
+  (* dependency -> set of cache keys whose entry depends on it *)
+  dep_index : unit Pair_tbl.t Dep_tbl.t;
+  (* dependency accumulator of the in-flight top-level computation *)
+  mutable cur_deps : unit Dep_tbl.t option;
   st : stats_mut;
 }
 
@@ -97,16 +94,16 @@ let default_cache_capacity = 2048
 let unindex_deps dep_index key deps =
   List.iter
     (fun dep ->
-      match Hashtbl.find_opt dep_index dep with
+      match Dep_tbl.find_opt dep_index dep with
       | None -> ()
       | Some keys ->
           Pair_tbl.remove keys key;
-          if Pair_tbl.length keys = 0 then Hashtbl.remove dep_index dep)
+          if Pair_tbl.length keys = 0 then Dep_tbl.remove dep_index dep)
     deps
 
 let create ?(config = Config.strict)
     ?(cache_capacity = default_cache_capacity) ~resolver () =
-  let dep_index = Hashtbl.create 64 in
+  let dep_index = Dep_tbl.create 64 in
   {
     cfg = config;
     resolve = resolver;
@@ -150,23 +147,22 @@ let reuse_rate t =
 
 let clear_cache t =
   Cache.clear t.cache;
-  Hashtbl.reset t.dep_index
+  Dep_tbl.reset t.dep_index
 
 let note_new_type ?witness t name =
-  let prefix = dep_prefix name in
-  let keep =
-    (* The arriving description's GUID: a dependency that witnessed
-       exactly these bytes is still valid and must not be dropped. *)
-    match witness with Some g -> Some (dep_witnessed name g) | None -> None
+  let name = String.lowercase_ascii name in
+  (* A dependency that witnessed exactly the arriving description's
+     GUID is still valid and must not be dropped. *)
+  let stale (n, g) =
+    String.equal n name
+    && not
+         (match witness, g with
+         | Some w, Some g -> Guid.equal w g
+         | _ -> false)
   in
   let stale_deps =
-    Hashtbl.fold
-      (fun dep _ acc ->
-        if
-          dep_has_prefix ~prefix dep
-          && not (Option.equal String.equal keep (Some dep))
-        then dep :: acc
-        else acc)
+    Dep_tbl.fold
+      (fun dep _ acc -> if stale dep then dep :: acc else acc)
       t.dep_index []
   in
   match stale_deps with
@@ -175,7 +171,7 @@ let note_new_type ?witness t name =
       let doomed = Pair_tbl.create 16 in
       List.iter
         (fun dep ->
-          match Hashtbl.find_opt t.dep_index dep with
+          match Dep_tbl.find_opt t.dep_index dep with
           | None -> ()
           | Some keys ->
               Pair_tbl.iter (fun k () -> Pair_tbl.replace doomed k ()) keys)
@@ -185,9 +181,9 @@ let note_new_type ?witness t name =
          drop any now-empty dep rows. *)
       List.iter
         (fun dep ->
-          match Hashtbl.find_opt t.dep_index dep with
+          match Dep_tbl.find_opt t.dep_index dep with
           | Some keys when Pair_tbl.length keys = 0 ->
-              Hashtbl.remove t.dep_index dep
+              Dep_tbl.remove t.dep_index dep
           | _ -> ())
         stale_deps;
       t.st.m_invalidated <- t.st.m_invalidated + n;
@@ -197,21 +193,39 @@ let note_new_type ?witness t name =
 (* Rule (i): names                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let simple_name qname =
-  match List.rev (S.split_on '.' qname) with
-  | last :: _ -> last
-  | [] -> qname
+(* Where the simple name starts in a qualified name: after its last
+   dot. *)
+let rec after_last_dot qname i =
+  if i < 0 then 0
+  else if Char.equal (String.unsafe_get qname i) '.' then i + 1
+  else after_last_dot qname (i - 1)
 
+let simple_start qname = after_last_dot qname (String.length qname - 1)
+
+let from qname k = String.sub qname k (String.length qname - k)
+let simple_name qname = from qname (simple_start qname)
+
+(* At distance 0 without a wildcard, rule (i) is case-insensitive
+   equality, compared in place; the Levenshtein and wildcard matchers
+   serve the relaxed configurations. *)
 let names_conform_raw cfg ~interest_name actual_name =
-  let i, a =
-    if cfg.Config.compare_namespaces then interest_name, actual_name
-    else simple_name interest_name, simple_name actual_name
+  let i0, a0 =
+    if cfg.Config.compare_namespaces then (0, 0)
+    else (simple_start interest_name, simple_start actual_name)
   in
-  if
+  let wild =
     cfg.Config.allow_wildcards
-    && (String.contains i '*' || String.contains i '?')
-  then Lev.wildcard_match ~pattern:i a
-  else Lev.within ~limit:cfg.Config.name_distance i a
+    && (String.contains_from interest_name i0 '*'
+       || String.contains_from interest_name i0 '?')
+  in
+  if cfg.Config.name_distance = 0 && not wild then
+    let n = String.length actual_name - a0 in
+    String.length interest_name - i0 = n
+    && S.equal_ci_sub interest_name i0 actual_name a0 n
+  else
+    let i = from interest_name i0 and a = from actual_name a0 in
+    if wild then Lev.wildcard_match ~pattern:i a
+    else Lev.within ~limit:cfg.Config.name_distance i a
 
 let names_conform t ~interest_name actual =
   names_conform_raw t.cfg ~interest_name actual
@@ -220,10 +234,14 @@ let names_conform t ~interest_name actual =
 (* Resolution                                                         *)
 (* ---------------------------------------------------------------- *)
 
-let note_dep_key t key =
+let note_dep_key t dep =
   match t.cur_deps with
   | None -> ()
-  | Some deps -> Hashtbl.replace deps key ()
+  | Some deps -> Dep_tbl.replace deps dep ()
+
+let note_dep t name witness =
+  if Option.is_some t.cur_deps then
+    note_dep_key t (String.lowercase_ascii name, witness)
 
 let resolve t name =
   (* Recorded whether the lookup hits or misses: a verdict that failed on
@@ -231,17 +249,17 @@ let resolve t name =
      while a hit witnesses the GUID of the description it actually saw. *)
   match t.resolve name with
   | Some d ->
-      note_dep_key t (dep_witnessed name d.Td.ty_guid);
+      note_dep t name (Some d.Td.ty_guid);
       Some d
   | None ->
-      note_dep_key t (dep_miss name);
+      note_dep t name None;
       t.st.m_resolver_misses <- t.st.m_resolver_misses + 1;
       None
 
 (* Explicit conformance: [interest] is reachable from [actual] through the
    declared supertype/interface graph (by GUID or, failing that, by equal
    qualified name). *)
-let explicit_conforms_desc t (actual : Td.t) (interest : Td.t) =
+let explicit_reachable t (actual : Td.t) (interest : Td.t) =
   let target_guid = interest.Td.ty_guid in
   let target_name = Td.qualified_name interest in
   let seen = Hashtbl.create 8 in
@@ -288,6 +306,13 @@ let explicit_conforms_desc t (actual : Td.t) (interest : Td.t) =
           | None -> false)
         parents)
 
+(* A type that declares no supertype reaches nothing: no resolver call,
+   no table. *)
+let explicit_conforms_desc t (actual : Td.t) (interest : Td.t) =
+  match actual.Td.ty_super, actual.Td.ty_interfaces with
+  | None, [] -> false
+  | _ -> explicit_reachable t actual interest
+
 (* ---------------------------------------------------------------- *)
 (* The core recursive check                                           *)
 (* ---------------------------------------------------------------- *)
@@ -296,18 +321,23 @@ type assum = unit Pair_tbl.t
 
 let ok = Ok ()
 
-let fail context fmt =
-  Printf.ksprintf (fun message -> Error [ { context; message } ]) fmt
-
+(* A failure names the pair it was found in; the name is formatted only
+   when a failure is reported. *)
 let pair_context (actual : Td.t) (interest : Td.t) =
   Printf.sprintf "%s <= %s" (Td.qualified_name actual)
     (Td.qualified_name interest)
+
+let fail actual interest fmt =
+  Printf.ksprintf
+    (fun message ->
+      Error [ { context = pair_context actual interest; message } ])
+    fmt
 
 let rec conforms_desc t (assum : assum) depth (actual : Td.t)
     (interest : Td.t) : (Mapping.t, failure list) result =
   t.st.m_pair_checks <- t.st.m_pair_checks + 1;
   if depth > t.cfg.Config.max_depth then
-    fail (pair_context actual interest) "max recursion depth exceeded"
+    fail actual interest "max recursion depth exceeded"
   else if Td.equals actual interest then
     Ok
       (Mapping.identity_mapping
@@ -346,19 +376,16 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
                the pair's own names here would make a v2 publish drop
                still-valid verdicts about v1 — the over-drop
                {!note_new_type}'s witnesses exist to prevent. *)
-            t.cur_deps <- Some (Hashtbl.create 16)
+            t.cur_deps <- Some (Dep_tbl.create 16)
           end;
-          let result =
-            conforms_desc_uncached t assum depth actual interest
-              (pair_context actual interest)
-          in
+          let result = conforms_desc_uncached t assum depth actual interest in
           Pair_tbl.remove assum key;
           (* Only cache results computed without outstanding assumptions:
              results under assumptions may depend on pairs still in flight. *)
           if fresh then begin
             let deps =
               match t.cur_deps with
-              | Some h -> Hashtbl.fold (fun d () acc -> d :: acc) h []
+              | Some h -> Dep_tbl.fold (fun d () acc -> d :: acc) h []
               | None -> []
             in
             t.cur_deps <- saved_deps;
@@ -375,11 +402,11 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
             List.iter
               (fun dep ->
                 let keys =
-                  match Hashtbl.find_opt t.dep_index dep with
+                  match Dep_tbl.find_opt t.dep_index dep with
                   | Some ks -> ks
                   | None ->
                       let ks = Pair_tbl.create 4 in
-                      Hashtbl.replace t.dep_index dep ks;
+                      Dep_tbl.replace t.dep_index dep ks;
                       ks
                 in
                 Pair_tbl.replace keys key ())
@@ -389,7 +416,7 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
         end
   end
 
-and conforms_desc_uncached t assum depth actual interest ctx =
+and conforms_desc_uncached t assum depth actual interest =
   if Td.equivalent actual interest then
     Ok
       (Mapping.identity_mapping
@@ -405,16 +432,16 @@ and conforms_desc_uncached t assum depth actual interest ctx =
     let interest_name = Td.qualified_name interest in
     let actual_name = Td.qualified_name actual in
     if not (names_conform_raw t.cfg ~interest_name actual_name) then
-      fail ctx "name %S does not conform to %S (rule i)"
+      fail actual interest "name %S does not conform to %S (rule i)"
         (simple_name actual_name) (simple_name interest_name)
     else
       let ( >>= ) r f = match r with Ok () -> f () | Error e -> Error e in
-      check_supertypes t assum depth actual interest ctx >>= fun () ->
-      check_fields t assum depth actual interest ctx >>= fun () ->
-      match check_ctors t assum depth actual interest ctx with
+      check_supertypes t assum depth actual interest >>= fun () ->
+      check_fields t assum depth actual interest >>= fun () ->
+      match check_ctors t assum depth actual interest with
       | Error e -> Error e
       | Ok ctor_maps -> (
-          match check_methods t assum depth actual interest ctx with
+          match check_methods t assum depth actual interest with
           | Error e -> Error e
           | Ok method_maps ->
               Ok
@@ -428,14 +455,15 @@ and conforms_desc_uncached t assum depth actual interest ctx =
   end
 
 (* Aspect (iii): supertypes. *)
-and check_supertypes t assum depth actual interest ctx =
+and check_supertypes t assum depth actual interest =
   if not t.cfg.Config.check_supertypes then ok
   else begin
     let super_ok =
       match interest.Td.ty_super, actual.Td.ty_super with
       | None, _ -> ok
       | Some si, None ->
-          fail ctx "interest has superclass %s but actual has none (rule iii)"
+          fail actual interest
+            "interest has superclass %s but actual has none (rule iii)"
             si
       | Some si, Some sa ->
           if S.equal_ci si sa then ok
@@ -446,14 +474,14 @@ and check_supertypes t assum depth actual interest ctx =
                 | Ok _ -> ok
                 | Error fs ->
                     Error
-                      ({ context = ctx;
+                      ({ context = pair_context actual interest;
                          message =
                            Printf.sprintf
                              "superclass %s does not conform to %s (rule iii)"
                              sa si }
                       :: fs))
-            | None, _ -> fail ctx "unresolvable supertype %S" si
-            | _, None -> fail ctx "unresolvable supertype %S" sa)
+            | None, _ -> fail actual interest "unresolvable supertype %S" si
+            | _, None -> fail actual interest "unresolvable supertype %S" sa)
     in
     match super_ok with
     | Error e -> Error e
@@ -478,13 +506,15 @@ and check_supertypes t assum depth actual interest ctx =
                   candidates
               in
               if matched then each rest
-              else fail ctx "no interface of actual conforms to %S (rule iii)" iface
+              else
+                fail actual interest
+                  "no interface of actual conforms to %S (rule iii)" iface
         in
         each interest.Td.ty_interfaces
   end
 
 (* Aspect (ii): fields (invariant in the field's type). *)
-and check_fields t assum depth actual interest ctx =
+and check_fields t assum depth actual interest =
   if not t.cfg.Config.check_fields then ok
   else
     let rec each = function
@@ -507,16 +537,18 @@ and check_fields t assum depth actual interest ctx =
           let matching = List.filter ty_ok candidates in
           (match matching, t.cfg.Config.ambiguity with
           | [], _ ->
-              fail ctx "no field of actual matches %s : %s (rule ii)"
+              fail actual interest
+                "no field of actual matches %s : %s (rule ii)"
                 f.Td.fd_name (Ty.to_string f.Td.fd_ty)
           | _ :: _ :: _, Config.Reject_ambiguous ->
-              fail ctx "field %s matches ambiguously (rule ii)" f.Td.fd_name
+              fail actual interest "field %s matches ambiguously (rule ii)"
+                f.Td.fd_name
           | _ -> each rest)
     in
     each interest.Td.ty_fields
 
 (* Aspect (v): constructors. Returns the chosen witnesses. *)
-and check_ctors t assum depth actual interest ctx =
+and check_ctors t assum depth actual interest =
   if not t.cfg.Config.check_ctors then Ok []
   else
     let rec each acc = function
@@ -527,9 +559,11 @@ and check_ctors t assum depth actual interest ctx =
           let with_perm = viable_ctor_matches t assum depth actual c in
           (match with_perm, t.cfg.Config.ambiguity with
           | [], _ ->
-              fail ctx "no constructor of actual matches ctor/%d (rule v)" arity
+              fail actual interest
+                "no constructor of actual matches ctor/%d (rule v)" arity
           | _ :: _ :: _, Config.Reject_ambiguous ->
-              fail ctx "constructor/%d matches ambiguously (rule v)" arity
+              fail actual interest "constructor/%d matches ambiguously (rule v)"
+                arity
           | (c', perm) :: _, _ ->
               let cm =
                 {
@@ -545,13 +579,13 @@ and check_ctors t assum depth actual interest ctx =
     each [] interest.Td.ty_ctors
 
 (* Aspect (iv): methods. Returns the chosen method maps. *)
-and check_methods t assum depth actual interest ctx =
+and check_methods t assum depth actual interest =
   if not t.cfg.Config.check_methods then Ok []
   else
     let rec each acc = function
       | [] -> Ok (List.rev acc)
       | (m : Td.method_desc) :: rest -> (
-          match match_method t assum depth actual m ctx with
+          match match_method t assum depth actual interest m with
           | Ok mm -> each (mm :: acc) rest
           | Error e -> Error e)
     in
@@ -607,7 +641,7 @@ and viable_ctor_matches t assum depth (actual : Td.t) (c : Td.ctor_desc) =
       |> Option.map (fun perm -> (c', perm)))
     candidates
 
-and match_method t assum depth (actual : Td.t) (m : Td.method_desc) ctx =
+and match_method t assum depth (actual : Td.t) interest (m : Td.method_desc) =
   let arity = Td.method_arity m in
   let interest_params = List.map (fun p -> p.Td.pd_ty) m.Td.md_params in
   let viable = viable_method_matches t assum depth actual m in
@@ -648,9 +682,10 @@ and match_method t assum depth (actual : Td.t) (m : Td.method_desc) ctx =
   | None -> (
       match viable with
       | _ :: _ :: _ ->
-          fail ctx "method %s matches ambiguously (rule iv)" (Td.signature m)
+          fail actual interest "method %s matches ambiguously (rule iv)"
+            (Td.signature m)
       | _ ->
-          fail ctx "no method of actual matches %s (rule iv)"
+          fail actual interest "no method of actual matches %s (rule iv)"
             (Td.signature m))
 
 (* Find a bijection sending each actual-parameter position [j] to a caller
@@ -677,29 +712,25 @@ and find_permutation t assum depth ~interest_params ~actual_params =
     else begin
       let used = Array.make n false in
       let perm = Array.make n (-1) in
-      let rec assign j =
-        if j >= n then true
+      (* Position [j]'s candidates, in order: [j] itself first, for
+         stable, readable mappings, then every other argument position
+         in ascending order. *)
+      let rec assign j = j >= n || try_candidate j 0
+      and try_candidate j k =
+        if k >= n then false
         else begin
-          (* Try the identity choice first for stable, readable mappings. *)
-          let order =
-            j :: List.filter (fun i -> i <> j) (List.init n (fun i -> i))
-          in
-          let rec try_order = function
-            | [] -> false
-            | i :: rest ->
-                if (not used.(i)) && arg_ok i j then begin
-                  used.(i) <- true;
-                  perm.(j) <- i;
-                  if assign (j + 1) then true
-                  else begin
-                    used.(i) <- false;
-                    perm.(j) <- -1;
-                    try_order rest
-                  end
-                end
-                else try_order rest
-          in
-          try_order order
+          let i = if k = 0 then j else if k <= j then k - 1 else k in
+          if (not used.(i)) && arg_ok i j then begin
+            used.(i) <- true;
+            perm.(j) <- i;
+            if assign (j + 1) then true
+            else begin
+              used.(i) <- false;
+              perm.(j) <- -1;
+              try_candidate j (k + 1)
+            end
+          end
+          else try_candidate j (k + 1)
         end
       in
       if assign 0 then Some perm else None

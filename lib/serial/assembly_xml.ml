@@ -441,15 +441,13 @@ let of_xml x =
   | Some other -> Error (Printf.sprintf "expected <assembly>, got <%s>" other)
   | None -> Error "expected an element"
 
-(* Wire strings carry an integrity digest over the canonical rendering:
-   a byte flip that still parses as a (different) assembly would load
+(* Wire strings carry an integrity digest over the bytes as sent: a
+   byte flip that still parses as a (different) assembly would load
    mangled code, so corruption must be caught before loading. *)
-let to_string a = Xml.to_string (Pti_xml.Digest_attr.add (to_xml a))
+let to_string a = Pti_xml.Digest_attr.to_string (to_xml a)
 
 let of_string s =
-  match Xml.parse s with
-  | Error e -> Error (Format.asprintf "%a" Xml.pp_error e)
-  | Ok x -> (
-      match Pti_xml.Digest_attr.verify x with
-      | Error e -> Error ("corrupt assembly: " ^ e)
-      | Ok x -> of_xml x)
+  match Pti_xml.Digest_attr.of_string s with
+  | Error (`Syntax e) -> Error (Format.asprintf "%a" Xml.pp_error e)
+  | Error `Mismatch -> Error "corrupt assembly: digest mismatch"
+  | Ok x -> of_xml x

@@ -189,7 +189,11 @@ let fingerprint t =
   (* Digest the canonical text so fingerprints are small, stable keys. *)
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let equivalent a b = String.equal (fingerprint a) (fingerprint b)
+(* A fingerprint's first line is the lowercased qualified name, so two
+   differently named types are told apart before either is rendered. *)
+let equivalent a b =
+  S.equal_ci (qualified_name a) (qualified_name b)
+  && String.equal (fingerprint a) (fingerprint b)
 
 (* --- XML codec -------------------------------------------------------- *)
 
@@ -204,19 +208,16 @@ let of_xml x =
   Result.map of_class (Pti_serial.Assembly_xml.class_of_xml ~root:xml_root x)
 
 (* The compact wire rendering carries an integrity digest; the pretty
-   rendering is for display and stays digest-free (whitespace would not
-   survive a canonical re-render). *)
+   rendering is for display and stays digest-free. *)
 let to_xml_string ?(pretty = false) t =
   if pretty then Xml.to_string_pretty (to_xml t)
-  else Xml.to_string (Pti_xml.Digest_attr.add (to_xml t))
+  else Pti_xml.Digest_attr.to_string (to_xml t)
 
 let of_xml_string s =
-  match Xml.parse s with
-  | Error e -> Error (Format.asprintf "%a" Xml.pp_error e)
-  | Ok x -> (
-      match Pti_xml.Digest_attr.verify x with
-      | Error e -> Error ("corrupt type description: " ^ e)
-      | Ok x -> of_xml x)
+  match Pti_xml.Digest_attr.of_string s with
+  | Error (`Syntax e) -> Error (Format.asprintf "%a" Xml.pp_error e)
+  | Error `Mismatch -> Error "corrupt type description: digest mismatch"
+  | Ok x -> of_xml x
 
 let size_bytes t = Xml.size_bytes (to_xml t)
 

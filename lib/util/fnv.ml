@@ -4,15 +4,19 @@ let prime = 0x100000001b3L
 (* A [for] loop over a local [ref] keeps the accumulator unboxed; a
    closure capturing it (as [String.iter] needs) boxes it at every
    byte. *)
-let hash64 ?(init = offset_basis) s =
+let hash64_sub ?(init = offset_basis) s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Fnv.hash64_sub";
   let h = ref init in
-  for i = 0 to String.length s - 1 do
+  for i = pos to pos + len - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
         prime
   done;
   !h
+
+let hash64 ?init s = hash64_sub ?init s ~pos:0 ~len:(String.length s)
 
 let to_hex h =
   let b = Bytes.create 16 in

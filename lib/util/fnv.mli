@@ -12,6 +12,13 @@ val hash64 : ?init:int64 -> string -> int64
     offset basis; pass a previous result to chain several fragments.
     Allocates only its boxed result, whatever the length. *)
 
+val hash64_sub : ?init:int64 -> string -> pos:int -> len:int -> int64
+(** FNV-1a over the [len] bytes of the string from [pos], read in place:
+    [hash64_sub s ~pos ~len] is [hash64 (String.sub s pos len)] without
+    the copy, and chaining two slices with [init] hashes their
+    concatenation. Allocates only its boxed result.
+    @raise Invalid_argument if the range is not within the string. *)
+
 val to_hex : int64 -> string
 (** 16 lowercase hex digits, zero padded. Allocates only the string. *)
 

@@ -6,11 +6,38 @@ let split_on c s = String.split_on_char c s
 
 let join sep parts = String.concat sep parts
 
-let equal_ci a b =
-  String.equal (String.lowercase_ascii a) (String.lowercase_ascii b)
+(* The case-insensitive comparisons fold bytes in place: no lowercased
+   copies. *)
+let rec equal_ci_at a i b j n =
+  n = 0
+  || Char.equal
+       (Char.lowercase_ascii (String.unsafe_get a i))
+       (Char.lowercase_ascii (String.unsafe_get b j))
+     && equal_ci_at a (i + 1) b (j + 1) (n - 1)
 
-let compare_ci a b =
-  String.compare (String.lowercase_ascii a) (String.lowercase_ascii b)
+let equal_ci a b =
+  String.length a = String.length b && equal_ci_at a 0 b 0 (String.length a)
+
+let equal_ci_sub a i b j n =
+  if
+    i < 0 || j < 0 || n < 0
+    || i > String.length a - n
+    || j > String.length b - n
+  then invalid_arg "Strutil.equal_ci_sub";
+  equal_ci_at a i b j n
+
+let rec compare_ci_from a b i =
+  if i >= String.length a || i >= String.length b then
+    Int.compare (String.length a) (String.length b)
+  else
+    let c =
+      Int.compare
+        (Char.code (Char.lowercase_ascii (String.unsafe_get a i)))
+        (Char.code (Char.lowercase_ascii (String.unsafe_get b i)))
+    in
+    if c <> 0 then c else compare_ci_from a b (i + 1)
+
+let compare_ci a b = compare_ci_from a b 0
 
 let mem_ci s l = List.exists (equal_ci s) l
 

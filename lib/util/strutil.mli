@@ -8,9 +8,17 @@ val join : string -> string list -> string
 
 val equal_ci : string -> string -> bool
 (** ASCII case-insensitive equality; identifier comparison in the CTS is
-    case-insensitive, mirroring the paper's name rule. *)
+    case-insensitive, mirroring the paper's name rule. Compares folded
+    bytes in place and allocates nothing. *)
+
+val equal_ci_sub : string -> int -> string -> int -> int -> bool
+(** [equal_ci_sub a i b j n]: the [n] bytes of [a] from [i] are
+    {!equal_ci} to the [n] bytes of [b] from [j]. In place, allocation
+    free. @raise Invalid_argument if a range is not within its string. *)
 
 val compare_ci : string -> string -> int
+(** The order of the ASCII-lowercased strings ([String.compare] of both
+    folded), computed in place without allocating. *)
 
 val mem_ci : string -> string list -> bool
 (** Whether the list holds a string {!equal_ci} to the first. *)

@@ -1,25 +1,24 @@
 (** Integrity digests for XML wire documents.
 
-    A document element gains a [digest] attribute holding the FNV-1a
-    hash of its canonical (compact, digest-free) rendering. The reader
-    recomputes the hash from the {e parsed} tree, so verification is
-    position-independent: any byte flip that survives parsing but
-    changes what was said mismatches the digest, and any flip that
-    breaks parsing fails earlier. Documents without the attribute are
-    accepted unchecked (pre-digest writers, pretty-printed display
-    output).
-
-    Only compact renderings should carry digests: the parser preserves
-    whitespace text nodes, so a pretty-printed document would not
-    re-render to its canonical form. *)
+    A digested document carries a [digest] attribute on its root
+    element, holding the FNV-1a hash of the bytes as sent with that
+    attribute cut out. The writer renders once: it hashes the compact,
+    digest-free rendering and splices [ digest="…"] in after the root
+    tag name. The reader checks the bytes it received: it hashes the
+    input around the attribute's span, in place, so any byte changed
+    outside the span mismatches. A digest anywhere in the root's start
+    tag is checked, wherever it sits among the other attributes.
+    Documents without the attribute are accepted unchecked (pre-digest
+    writers, pretty-printed display output). *)
 
 val attr_name : string
 (** ["digest"]. *)
 
-val add : Xml.t -> Xml.t
-(** The element with a freshly computed [digest] attribute (replacing
-    any present). Non-elements pass through. *)
+val to_string : Xml.t -> string
+(** The compact rendering of an element with a [digest] attribute
+    spliced in first on its root, holding the hash of the rendering
+    without it. A non-element renders as {!Xml.to_string}. *)
 
-val verify : Xml.t -> (Xml.t, string) result
-(** [Ok] with the digest attribute stripped when absent or matching;
-    [Error] describing the mismatch otherwise. *)
+val of_string : string -> (Xml.t, [ `Syntax of Xml.error | `Mismatch ]) result
+(** Parses a document and checks its digest, if its root carries one.
+    The tree is returned as parsed, attribute included. *)

@@ -560,6 +560,31 @@ let test_cached_check_is_lookup () =
     (Printf.sprintf "cached check allocates %.0f words (at most 100)" words)
     true (words <= 100.)
 
+(* A cold check of workload family 7's Person against wnews.Person: a
+   fresh strict checker whose resolver returns prebuilt descriptions.
+   On the success path no fingerprint is rendered (the qualified names
+   differ), no name is split or lowercased for rule (i), and no failure
+   context is formatted: at most 5 000 words. *)
+let test_cold_check_allocation () =
+  let module W = Pti_demo.Workload in
+  let reg = Registry.create () in
+  Assembly.load reg (W.family ~index:7 ~flavor:W.Conformant);
+  Assembly.load reg (W.interest_assembly ());
+  let descs = List.map Td.of_class (Registry.all reg) in
+  let resolver = Td.table_resolver descs in
+  let actual =
+    Option.get (resolver (W.person_name ~index:7 ~flavor:W.Conformant))
+  in
+  let interest = Option.get (resolver W.interest_person) in
+  let check () = Checker.check (Checker.create ~resolver ()) ~actual ~interest in
+  Alcotest.(check bool) "conformant" true (Checker.verdict_ok (check ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (check ()));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold check allocates %.0f words (at most 5 000)" words)
+    true (words <= 5000.)
+
 let test_name_rule_direct () =
   let checker = make_checker () in
   Alcotest.(check bool) "case-insensitive equal" true
@@ -751,6 +776,8 @@ let () =
           Alcotest.test_case "cache and stats" `Quick test_cache_and_stats;
           Alcotest.test_case "cached check is a lookup" `Quick
             test_cached_check_is_lookup;
+          Alcotest.test_case "cold check allocation" `Quick
+            test_cold_check_allocation;
           Alcotest.test_case "clear_cache" `Quick test_clear_cache;
           Alcotest.test_case "keyed invalidation" `Quick
             test_keyed_invalidation;

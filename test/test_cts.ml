@@ -215,6 +215,25 @@ let test_registry_hierarchy () =
   Alcotest.(check bool) "find inherited" true
     (Registry.find_method r derived "go" 0 <> None)
 
+(* Every [Eval.call] dispatch resolves its method here: the scan
+   compares names in place. For the last of workload family 17's
+   Person's ten methods it allocates at most 20 words. *)
+let test_find_method_allocation () =
+  let module W = Pti_demo.Workload in
+  let r = Registry.create () in
+  Assembly.load r (W.family ~index:17 ~flavor:W.Conformant);
+  let cd = Registry.find_exn r (W.person_name ~index:17 ~flavor:W.Conformant) in
+  let last = List.nth cd.Meta.td_methods (List.length cd.Meta.td_methods - 1) in
+  let find () = Registry.find_method r cd last.Meta.m_name (Meta.arity last) in
+  Alcotest.(check bool) "found" true (find () <> None);
+  ignore (Sys.opaque_identity (find ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (find ()));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "find_method allocates %.0f words (at most 20)" words)
+    true (words <= 20.)
+
 let test_registry_copy_isolated () =
   let r = reg () in
   let snapshot = Registry.copy r in
@@ -522,6 +541,8 @@ let () =
           Alcotest.test_case "missing deps" `Quick test_missing_dependencies;
           Alcotest.test_case "copy isolation" `Quick
             test_registry_copy_isolated;
+          Alcotest.test_case "find_method allocation" `Quick
+            test_find_method_allocation;
         ] );
       ( "eval",
         [

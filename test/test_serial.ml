@@ -961,6 +961,82 @@ let test_golden_xml_pins () =
         Pti_demo.Workload.(family ~index:0 ~flavor:Conformant) );
     ]
 
+
+(* ------------------------- assembly digests ------------------------ *)
+
+let family7 () = Pti_demo.Workload.(family ~index:7 ~flavor:Conformant)
+
+(* Every single-byte flip of a digested assembly either fails to decode
+   or decodes to the assembly that was sent: the digest covers the bytes
+   as sent, and a flip inside the digest attribute's name only turns the
+   check off for a document that is otherwise intact. *)
+let test_assembly_flips_never_mangle () =
+  let asm = family7 () in
+  let s = Axml.to_string asm in
+  let decoded = ref 0 in
+  for pos = 0 to String.length s - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string s in
+        Bytes.set b pos (Char.chr (Char.code s.[pos] lxor mask));
+        match Axml.of_string (Bytes.to_string b) with
+        | Error _ -> ()
+        | Ok asm' ->
+            incr decoded;
+            if asm' <> asm then
+              Alcotest.failf "flip 0x%02x at byte %d decoded to another assembly"
+                mask pos)
+      [ 0x01; 0x20; 0xff ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d flips decoded, all intact" !decoded
+       (3 * String.length s))
+    true
+    (!decoded < String.length s)
+
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* The writer renders once and the reader parses once, checking the
+   digest over the bytes received: on family 7's assembly, at most
+   4 000 and 11 000 words. *)
+let test_assembly_codec_allocation () =
+  let asm = family7 () in
+  let s = Axml.to_string asm in
+  let enc = minor_words_of (fun () -> Axml.to_string asm) in
+  let dec = minor_words_of (fun () -> Axml.of_string s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "to_string allocates %.0f words (at most 4 000)" enc)
+    true (enc <= 4000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "of_string allocates %.0f words (at most 11 000)" dec)
+    true (dec <= 11000.)
+
+(* A method body nested past the XML depth limit is an error from the
+   decoder, never a deep recursion. *)
+let test_assembly_expression_depth_bounded () =
+  let body n =
+    let rec go k e = if k = 0 then e else go (k - 1) (E.Unop (E.Neg, e)) in
+    go n (E.int 1)
+  in
+  let asm n =
+    Assembly.make ~name:"deep"
+      [
+        Builder.class_ ~ns:[ "deep" ] ~assembly:"deep" "C"
+        |> Builder.method_ "m" [] Ty.Int ~body:(body n)
+        |> Builder.build;
+      ]
+  in
+  (match Axml.of_string (Axml.to_string (asm 100)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "100 nested expressions: %s" e);
+  match Axml.of_string (Axml.to_string (asm (2 * Pti_xml.Xml.max_depth))) with
+  | Ok _ -> Alcotest.fail "an expression past the depth limit decoded"
+  | Error _ -> ()
+
 (* --------------------------- batch frames -------------------------- *)
 
 let test_batch_frame_roundtrip () =
@@ -1166,6 +1242,11 @@ let () =
             test_assembly_xml_roundtrip;
           Alcotest.test_case "code still runs after wire" `Quick
             test_assembly_roundtrip_still_runs;
+          Alcotest.test_case "digest: no flip mangles" `Quick
+            test_assembly_flips_never_mangle;
+          Alcotest.test_case "allocation" `Quick test_assembly_codec_allocation;
+          Alcotest.test_case "expression depth bounded" `Quick
+            test_assembly_expression_depth_bounded;
         ] );
       ( "envelope",
         [

@@ -243,6 +243,27 @@ let prop_binary_flip_always_detected =
              honest). *)
           d' = person_desc ())
 
+(* Every single-byte flip of the demo Person's compact XML description
+   either fails to decode or decodes to the description sent: its digest
+   covers the bytes as sent. *)
+let test_xml_flips_never_mangle () =
+  let d = person_desc () in
+  let s = Td.to_xml_string d in
+  for pos = 0 to String.length s - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string s in
+        Bytes.set b pos (Char.chr (Char.code s.[pos] lxor mask));
+        match Td.of_xml_string (Bytes.to_string b) with
+        | Error _ -> ()
+        | Ok d' ->
+            if d' <> d then
+              Alcotest.failf
+                "flip 0x%02x at byte %d decoded to another description" mask
+                pos)
+      [ 0x01; 0x20; 0xff ]
+  done
+
 (* The PTID encoding of the demo Person, pinned by its FNV-1a: a change
    to the codec cannot move a byte unnoticed. *)
 let test_binary_golden_pin () =
@@ -279,6 +300,8 @@ let () =
             test_of_xml_rejects_malformed;
           Alcotest.test_case "code dropped" `Quick test_of_xml_drops_code;
           Alcotest.test_case "golden pins" `Quick test_xml_golden_pins;
+          Alcotest.test_case "digest: no flip mangles" `Quick
+            test_xml_flips_never_mangle;
           Alcotest.test_case "size" `Quick test_size_bytes_positive_and_stable;
         ] );
       ( "identity",

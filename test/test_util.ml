@@ -175,6 +175,25 @@ let test_fnv_allocation () =
     (Printf.sprintf "hash64 of 4 KiB allocates %.0f words (< 16)" words)
     true (words < 16.)
 
+let test_fnv_substring () =
+  let s = "prefix-type-description-suffix" in
+  Alcotest.(check int64) "a slice is its copy's hash"
+    (Fnv.hash64 (String.sub s 7 16))
+    (Fnv.hash64_sub s ~pos:7 ~len:16);
+  Alcotest.(check int64) "two chained slices hash their concatenation"
+    (Fnv.hash64 ("prefix-" ^ "-suffix"))
+    (Fnv.hash64_sub ~init:(Fnv.hash64_sub s ~pos:0 ~len:7) s ~pos:23 ~len:7);
+  Alcotest.(check int64) "empty slice at the end" (Fnv.hash64 "")
+    (Fnv.hash64_sub s ~pos:(String.length s) ~len:0);
+  Alcotest.check_raises "out of range" (Invalid_argument "Fnv.hash64_sub")
+    (fun () -> ignore (Fnv.hash64_sub s ~pos:20 ~len:11));
+  let big = String.make 4096 'x' in
+  let words = minor_words_of (fun () -> Fnv.hash64_sub big ~pos:1 ~len:4000) in
+  Alcotest.(check bool)
+    (Printf.sprintf "hash64_sub of 4 000 bytes allocates %.0f words (< 16)"
+       words)
+    true (words < 16.)
+
 (* ------------------------------- base64 --------------------------- *)
 
 let test_base64_vectors () =
@@ -335,6 +354,38 @@ let test_strutil () =
   Alcotest.(check bool) "truncate ellipsis" true
     (String.length t >= 3 && String.sub t 3 3 = "...")
 
+(* The case-insensitive comparisons agree with comparing lowercased
+   copies, and make none: [equal_ci] runs on every method dispatch. *)
+let prop_ci_agree_with_lowercase =
+  let gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; 'z'; '.'; '_'; '\xc9'; '\xe9' ])
+        (int_bound 6))
+  in
+  QCheck.Test.make ~name:"equal_ci/compare_ci = lowercased equal/compare"
+    ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen gen))
+    (fun (a, b) ->
+      let la = String.lowercase_ascii a and lb = String.lowercase_ascii b in
+      S.equal_ci a b = String.equal la lb
+      && S.compare_ci a b = String.compare la lb
+      && (String.length a > String.length b
+         || S.equal_ci_sub ("x." ^ a) 2 ("yy." ^ b) 3 (String.length a)
+            = String.equal la (String.sub lb 0 (String.length a))))
+
+let test_ci_allocation () =
+  let a = "abcdefghij" and b = "ABCDEFGHIJ" in
+  Alcotest.(check bool) "equal" true (S.equal_ci a b);
+  let words = minor_words_of (fun () -> S.equal_ci a b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "equal_ci allocates %.0f words (none)" words)
+    true (words = 0.);
+  let words = minor_words_of (fun () -> S.compare_ci a "ABCDEFGHIK") in
+  Alcotest.(check bool)
+    (Printf.sprintf "compare_ci allocates %.0f words (none)" words)
+    true (words = 0.)
+
 (* ------------------------------- splitmix --------------------------- *)
 
 let test_splitmix_deterministic () =
@@ -408,6 +459,7 @@ let () =
           Alcotest.test_case "chaining" `Quick test_fnv_chaining;
           Alcotest.test_case "allocation" `Quick test_fnv_allocation;
           Alcotest.test_case "hex allocation" `Quick test_fnv_hex_allocation;
+          Alcotest.test_case "substring" `Quick test_fnv_substring;
         ] );
       ( "base64",
         [
@@ -427,7 +479,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts_floats;
         ] );
-      ("strutil", [ Alcotest.test_case "helpers" `Quick test_strutil ]);
+      ( "strutil",
+        [
+          Alcotest.test_case "helpers" `Quick test_strutil;
+          Alcotest.test_case "ci allocation" `Quick test_ci_allocation;
+          QCheck_alcotest.to_alcotest prop_ci_agree_with_lowercase;
+        ] );
       ( "splitmix",
         [
           Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
