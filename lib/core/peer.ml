@@ -115,6 +115,9 @@ type slot = {
   (* Descriptions of registry classes, by GUID, filled on lookup (see
      [class_desc]); bounded like [sl_tdesc_cache]. *)
   sl_class_descs : Td.t Guid_lru.t;
+  (* The payload decoders' class layouts, read through a GUID memo
+     bounded like the description memo ([cached_layout]). *)
+  sl_layout : Meta.class_def -> Registry.layout;
   sl_checker : Checker.t;
   sl_known_paths : string Lru.Str.t;  (* assembly name -> path *)
   sl_px : Proxy.context;
@@ -292,6 +295,27 @@ let class_desc memo (cd : Meta.class_def) =
       let d = Td.of_class cd in
       Guid_lru.put memo cd.Meta.td_guid d;
       d
+
+(* The layouts of registry classes, memoised by GUID. Unlike a
+   description, a layout can go stale: its super chain resolves
+   superclass names, which [Registry.register], [upgrade] and [shadow]
+   can rebind, changing the registry's stamp. The memo holds layouts of
+   one stamp; the first lookup after the stamp moved empties it, so an
+   outdated layout is neither served nor kept (a code load outdates
+   every layout, and cold traffic loads code on most deliveries). *)
+type layouts = { mutable lm_stamp : int; lm_memo : Registry.layout Guid_lru.t }
+
+let cached_layout reg lm (cd : Meta.class_def) =
+  if lm.lm_stamp <> Registry.stamp reg then begin
+    Guid_lru.clear lm.lm_memo;
+    lm.lm_stamp <- Registry.stamp reg
+  end;
+  match Guid_lru.find lm.lm_memo cd.Meta.td_guid with
+  | Some ly -> ly
+  | None ->
+      let ly = Registry.layout reg cd in
+      Guid_lru.put lm.lm_memo cd.Meta.td_guid ly;
+      ly
 
 (* Description lookup: local code first, then the description cache. *)
 let local_desc t name =
@@ -748,6 +772,10 @@ let log_decode_error t ~from ~what = function
       let reason = Format.asprintf "%a" Envelope.pp_error e in
       log_event t (Decode_failed { from; reason })
 
+(* Every payload decodes through the slot's layout cache. *)
+let decode_payload t env =
+  Envelope.decode_payload ~layout:t.sl.sl_layout t.sh.sh_reg env
+
 (* Root description pinned to the sender's actual revision: the envelope
    entry names the GUID the sender serialized against, so conformance is
    judged against that description — not whatever the bare name happens
@@ -766,7 +794,7 @@ let env_desc t (env : Envelope.t) name =
    re-checked here even after a slow-path check: an interest
    unregistered during the assembly download must not receive. *)
 let decode_and_deliver t ~from (env : Envelope.t) root_name =
-  match Envelope.decode_payload t.sh.sh_reg env with
+  match decode_payload t env with
   | Error e -> log_decode_error t ~from ~what:"payload" e
   | Ok value -> (
       match env_desc t env root_name with
@@ -858,7 +886,7 @@ let process_envelope t ~from (env : Envelope.t) tdescs assemblies =
   match env.Envelope.env_types with
   | [] -> (
       (* No objects in the graph: nothing to conform, just decode. *)
-      match Envelope.decode_payload t.sh.sh_reg env with
+      match decode_payload t env with
       | Ok v -> deliver_primitive t ~from v
       | Error e -> log_decode_error t ~from ~what:"payload" e)
   | root_entry :: _ ->
@@ -964,7 +992,7 @@ let receive_value_envelope t ~from:_ env k =
   ensure_assemblies t env (function
     | Error reason -> k (Error reason)
     | Ok () -> (
-        match Envelope.decode_payload t.sh.sh_reg env with
+        match decode_payload t env with
         | Ok v -> k (Ok v)
         | Error e -> k (Error (Format.asprintf "%a" Envelope.pp_error e))))
 
@@ -1222,6 +1250,10 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
       Lru.Str.create ~capacity:(per tdesc_cache_capacity) ()
     in
     let class_descs = Guid_lru.create ~capacity:(per tdesc_cache_capacity) () in
+    let layouts =
+      { lm_stamp = Registry.stamp reg;
+        lm_memo = Guid_lru.create ~capacity:(per tdesc_cache_capacity) () }
+    in
     let desc_versions = Hashtbl.create 16 in
     let resolver name =
       match Registry.find reg name with
@@ -1245,6 +1277,7 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
     {
       sl_tdesc_cache = tdesc_cache;
       sl_class_descs = class_descs;
+      sl_layout = cached_layout reg layouts;
       sl_checker = checker;
       sl_known_paths = Lru.Str.create ~capacity:(per known_paths_capacity) ();
       sl_px = Proxy.create_context reg checker;

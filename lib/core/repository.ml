@@ -125,17 +125,21 @@ let publish_cas t ~host ~expect asm =
   let head = chain_head t name in
   let head_digest = Option.map (fun e -> e.ve_digest) head in
   (* Idempotence: bytes already on the chain succeed regardless of
-     [expect] — a retried publish must not conflict with itself. *)
-  let existing =
-    List.find_opt
-      (fun e ->
-        String.equal e.ve_digest (digest_of asm)
-        || String.equal e.ve_digest
-             (digest_of
-                { asm with
-                  Pti_cts.Assembly.asm_version = e.ve_version }))
-      (chain t name)
+     [expect] — a retried publish must not conflict with itself. An
+     entry holds those bytes when its assembly is [asm], as given or
+     re-versioned to the entry's version. The rendering is a function of
+     the assembly, and the codec reads back what it renders, so
+     comparing the assemblies themselves finds the entry without
+     rendering one candidate per entry ([compare], not [=], so a float
+     literal that is nan matches itself as its rendering does). *)
+  let holds e =
+    let a = e.ve_assembly in
+    compare a asm = 0
+    || a.Pti_cts.Assembly.asm_version = e.ve_version
+       && compare a { asm with Pti_cts.Assembly.asm_version = e.ve_version }
+          = 0
   in
+  let existing = List.find_opt holds (chain t name) in
   match existing with
   | Some e -> Ok e
   | None ->

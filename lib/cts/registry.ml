@@ -4,11 +4,24 @@ module Guid = Pti_util.Guid
 type t = {
   by_name : (string, Meta.class_def) Hashtbl.t;  (* key: lowercased qname *)
   by_guid : (Guid.t, Meta.class_def) Hashtbl.t;
+  (* Changes whenever a name is bound to another class, which is what a
+     layout's super chain depends on. Drawn from one process-wide
+     counter, so no two registries (or states of one) share a stamp. *)
+  mutable stamp : int;
 }
 
 exception Duplicate of string
 
-let create () = { by_name = Hashtbl.create 64; by_guid = Hashtbl.create 64 }
+let stamps = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add stamps 1
+
+let create () =
+  { by_name = Hashtbl.create 64; by_guid = Hashtbl.create 64;
+    stamp = fresh_stamp () }
+
+let bind_name t k cd =
+  Hashtbl.replace t.by_name k cd;
+  t.stamp <- fresh_stamp ()
 
 let key cd = String.lowercase_ascii (Meta.qualified_name cd)
 
@@ -23,7 +36,7 @@ let register t cd =
   | None ->
       if Hashtbl.mem t.by_guid cd.Meta.td_guid then
         raise (Duplicate (Meta.qualified_name cd));
-      Hashtbl.replace t.by_name k cd;
+      bind_name t k cd;
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* Live schema evolution: the new definition takes over the qualified
@@ -38,7 +51,10 @@ let upgrade t cd =
   | Some existing when existing = cd -> ()
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None -> ());
-  Hashtbl.replace t.by_name (key cd) cd;
+  let k = key cd in
+  (match Hashtbl.find_opt t.by_name k with
+  | Some bound when bound == cd -> ()
+  | _ -> bind_name t k cd);
   Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* The downgrade-safe counterpart: make the definition reachable by GUID
@@ -55,8 +71,7 @@ let shadow t cd =
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None ->
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd;
-      if not (Hashtbl.mem t.by_name (key cd)) then
-        Hashtbl.replace t.by_name (key cd) cd
+      if not (Hashtbl.mem t.by_name (key cd)) then bind_name t (key cd) cd
 
 let find t name = Hashtbl.find_opt t.by_name (String.lowercase_ascii name)
 
@@ -70,21 +85,22 @@ let all t = Hashtbl.fold (fun _ cd acc -> cd :: acc) t.by_name []
 let cardinal t = Hashtbl.length t.by_name
 
 let copy t =
-  { by_name = Hashtbl.copy t.by_name; by_guid = Hashtbl.copy t.by_guid }
+  { by_name = Hashtbl.copy t.by_name; by_guid = Hashtbl.copy t.by_guid;
+    stamp = fresh_stamp () }
+
+let rec chain_from t seen cd acc =
+  match cd.Meta.td_super with
+  | None -> List.rev acc
+  | Some super_name -> (
+      let k = String.lowercase_ascii super_name in
+      if List.mem k seen then List.rev acc
+      else
+        match find t super_name with
+        | None -> List.rev acc
+        | Some super -> chain_from t (k :: seen) super (super :: acc))
 
 let super_chain t cd =
-  let rec go seen cd acc =
-    match cd.Meta.td_super with
-    | None -> List.rev acc
-    | Some super_name -> (
-        let k = String.lowercase_ascii super_name in
-        if List.mem k seen then List.rev acc
-        else
-          match find t super_name with
-          | None -> List.rev acc
-          | Some super -> go (k :: seen) super (super :: acc))
-  in
-  if cd.Meta.td_super = None then [] else go [ key cd ] cd []
+  if cd.Meta.td_super = None then [] else chain_from t [ key cd ] cd []
 
 let all_interfaces t cd =
   let seen = Hashtbl.create 8 in
@@ -135,22 +151,131 @@ let find_method t cd name arity =
   in
   go (cardinal t) cd
 
-let fresh_object t cd =
-  let o =
-    { Value.oid = Value.fresh_oid (); cls = Meta.qualified_name cd;
-      fields = Hashtbl.create 8 }
-  in
+type layout = {
+  ly_name : string;
+  ly_lineage : Meta.class_def list;
+  ly_keys : string array;
+  ly_tys : Ty.t array;
+  ly_stamp : int;
+}
+
+(* [String.lowercase_ascii], without a copy of a name that has no
+   uppercase letter. *)
+let rec has_upper s i =
+  i < String.length s
+  && ((s.[i] >= 'A' && s.[i] <= 'Z') || has_upper s (i + 1))
+
+let lc s = if has_upper s 0 then String.lowercase_ascii s else s
+
+(* Insertion sort of the keys, carrying their types along: a class
+   declares a handful of fields, and an in-place sort allocates
+   nothing. *)
+let sort_slots keys tys =
+  for i = 1 to Array.length keys - 1 do
+    let k = keys.(i) and ty = tys.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && String.compare keys.(!j) k > 0 do
+      keys.(!j + 1) <- keys.(!j);
+      tys.(!j + 1) <- tys.(!j);
+      decr j
+    done;
+    keys.(!j + 1) <- k;
+    tys.(!j + 1) <- ty
+  done
+
+(* The slot of key [k] among the first [!used] keys, appended if
+   absent. *)
+let rec slot_of keys used k i =
+  if i = !used then begin
+    keys.(i) <- k;
+    incr used;
+    i
+  end
+  else if String.equal keys.(i) k then i
+  else slot_of keys used k (i + 1)
+
+(* Base class first: a derived field of the same name takes over the
+   base field's slot with its own type. *)
+let rec add_fields keys tys used = function
+  | [] -> ()
+  | f :: rest ->
+      tys.(slot_of keys used (lc f.Meta.f_name) 0) <- f.Meta.f_ty;
+      add_fields keys tys used rest
+
+let rec add_classes keys tys used = function
+  | [] -> ()
+  | c :: rest ->
+      add_fields keys tys used c.Meta.td_fields;
+      add_classes keys tys used rest
+
+let layout t cd =
   let lineage = List.rev (cd :: super_chain t cd) in
-  (* Base class first: a derived field of the same name overwrites the
-     base default in place. *)
-  List.iter
-    (fun c ->
-      List.iter
-        (fun f ->
-          Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
-        c.Meta.td_fields)
-    lineage;
-  (o, lineage)
+  let declared =
+    List.fold_left (fun n c -> n + List.length c.Meta.td_fields) 0 lineage
+  in
+  let keys = Array.make declared "" and tys = Array.make declared Ty.Void in
+  let used = ref 0 in
+  add_classes keys tys used lineage;
+  let n = !used in
+  let keys = if n = declared then keys else Array.sub keys 0 n in
+  let tys = if n = declared then tys else Array.sub tys 0 n in
+  sort_slots keys tys;
+  { ly_name = Meta.qualified_name cd; ly_lineage = lineage; ly_keys = keys;
+    ly_tys = tys; ly_stamp = t.stamp }
+
+let stamp t = t.stamp
+
+let instantiate ly =
+  let fields = Hashtbl.create 8 in
+  for i = 0 to Array.length ly.ly_keys - 1 do
+    Hashtbl.replace fields ly.ly_keys.(i) (Value.default_of ly.ly_tys.(i))
+  done;
+  { Value.oid = Value.fresh_oid (); cls = ly.ly_name; fields }
+
+let fresh_object t cd =
+  let ly = layout t cd in
+  (instantiate ly, ly.ly_lineage)
+
+let rec scan src at len keys i stop =
+  if i >= stop then -1
+  else if
+    String.length keys.(i) = len && S.equal_ci_sub src at keys.(i) 0 len
+  then i
+  else scan src at len keys (i + 1) stop
+
+let slot ly src ~pos ~len ~hint =
+  if pos < 0 || len < 0 || pos > String.length src - len then
+    invalid_arg "Registry.slot";
+  let keys = ly.ly_keys in
+  let n = Array.length keys in
+  let hint = max 0 (min hint n) in
+  let s = scan src pos len keys hint n in
+  if s >= 0 then s else scan src pos len keys 0 hint
+
+(* The root of every reference type: a slot declared [object] holds
+   anything. *)
+let is_root n = S.equal_ci n "object"
+
+let rec assignable t ~sub ~super =
+  match (sub, super) with
+  | _, Ty.Named n when is_root n -> true
+  | Ty.Named a, Ty.Named b -> is_subtype t ~sub:a ~super:b
+  | Ty.Array a, Ty.Array b -> assignable t ~sub:a ~super:b
+  | _ -> Ty.equal sub super
+
+let admits t ty v =
+  match (ty, v) with
+  | Ty.Named n, _ when is_root n -> true
+  | (Ty.Named _ | Ty.Array _ | Ty.Void), Value.Vnull -> true
+  | Ty.Named n, Value.Vobj o -> is_subtype t ~sub:o.Value.cls ~super:n
+  | Ty.Array d, Value.Varr a -> assignable t ~sub:a.Value.elem_ty ~super:d
+  | Ty.Bool, Value.Vbool _
+  | Ty.Int, Value.Vint _
+  | Ty.Float, Value.Vfloat _
+  | Ty.String, Value.Vstring _
+  | Ty.Char, Value.Vchar _ ->
+      true
+  | _ -> false
 
 let missing_dependencies t cd =
   let wanted = Hashtbl.create 8 in

@@ -73,18 +73,78 @@ val find_method : t -> Meta.class_def -> string -> int ->
     descendant) as its superclass ends the search with [None] instead of
     looping. The bound costs a counter, not an allocation. *)
 
-val fresh_object : t -> Meta.class_def -> Value.obj * Meta.class_def list
-(** [fresh_object t cd] is a new object of class [cd] holding exactly the
-    fields [cd] declares or inherits, each at the default of its type
-    ({!Value.default_of}). The fields are installed base class first over
-    {!super_chain}, so a derived field shadows a base field of the same
-    (case-insensitive) name and keeps the derived type's default. The
-    list is that chain, base class first and [cd] last — what
-    {!Eval.construct} runs field initializers over.
+(** {1 Object layouts} *)
 
-    Its callers are {!Eval.construct} and the two payload decoders, which
-    keep a payload field only if the object already holds it
-    ({!Value.update_field}). *)
+type layout = private {
+  ly_name : string;  (** {!Meta.qualified_name}: every instance's [cls]. *)
+  ly_lineage : Meta.class_def list;
+      (** {!super_chain} reversed, then the class: base class first. *)
+  ly_keys : string array;
+      (** The lowercased field keys the class declares or inherits, each
+          once, sorted by [String.compare]: the order the payload
+          encoders write an instance's fields in. *)
+  ly_tys : Ty.t array;
+      (** The declared type of each key, at the same index: the most
+          derived declaration of that name. *)
+  ly_stamp : int;  (** The registry's {!stamp} when it was built. *)
+}
+(** A class's field layout, compiled once: what every instance of the
+    class holds and what each field may hold. *)
+
+val layout : t -> Meta.class_def -> layout
+(** Compiles the layout of [cd]: walks {!super_chain} once, lowercases
+    each field name once and concatenates the qualified name once. The
+    layout depends on the class and on what its superclass names resolve
+    to, which {!register}, {!upgrade} and {!shadow} can change: it
+    records the registry's {!stamp} at build time in [ly_stamp]. *)
+
+val stamp : t -> int
+(** Changes whenever a name is bound to another class: a registration,
+    an upgrade, a shadow that claims a free name. No two registries
+    share a stamp (a {!copy} takes a new one). A layout is what
+    {!layout} would build now exactly when its [ly_stamp] is the
+    registry's stamp; a cache keeps layouts only while that holds. *)
+
+val instantiate : layout -> Value.obj
+(** A new object of the layout's class holding each of its keys at the
+    default of its type ({!Value.default_of}), under a fresh object
+    id. *)
+
+val fresh_object : t -> Meta.class_def -> Value.obj * Meta.class_def list
+(** [fresh_object t cd] is {!instantiate}[ (]{!layout}[ t cd)] and the
+    layout's {!ly_lineage}, for callers that hold no layout: a derived
+    field shadows a base field of the same (case-insensitive) name and
+    keeps the derived type's default; the lineage is what
+    {!Eval.construct} runs field initializers over. *)
+
+val slot : layout -> string -> pos:int -> len:int -> hint:int -> int
+(** [slot ly src ~pos ~len ~hint] is the index in {!ly_keys} of the
+    field named by the [len] bytes of [src] from [pos], compared
+    case-insensitively where they lie, or [-1] if the class declares no
+    such field. The search starts at [hint] and wraps around: a decoder
+    reading fields in key order passes the slot after the last one it
+    found and finds each field at its first probe. Allocates nothing.
+    @raise Invalid_argument if the range is not within [src]. *)
+
+(** {1 Value checks} *)
+
+val assignable : t -> sub:Ty.t -> super:Ty.t -> bool
+(** Whether a value of declared type [sub] may stand where [super] is
+    declared: any type where [super] is [object] (the root of every
+    type), a class or interface and a declared supertype of it
+    ({!is_subtype}), arrays whose element types are assignable, and a
+    primitive type only to itself. *)
+
+val admits : t -> Ty.t -> Value.value -> bool
+(** Whether a slot declared [ty] may hold [v], by [v]'s outer shape: a
+    primitive type needs the matching tag; a class, interface or array
+    type also takes [null]; a class or interface type takes an object
+    whose class is that type or a declared subtype of it; an array type
+    takes an array whose element type is {!assignable} to the declared
+    element type (the items are the decoder's to check, each against
+    the array's own element type); [object] takes anything. A decoder
+    calls it once per value read. On an exact class-name match it
+    allocates nothing. *)
 
 val missing_dependencies : t -> Meta.class_def -> string list
 (** Qualified names referenced by the class (super, interfaces, field types,

@@ -54,10 +54,6 @@ let get_field o name = Hashtbl.find_opt o.fields (String.lowercase_ascii name)
 let set_field o name v =
   Hashtbl.replace o.fields (String.lowercase_ascii name) v
 
-let update_field o name v =
-  let k = String.lowercase_ascii name in
-  if Hashtbl.mem o.fields k then Hashtbl.replace o.fields k v
-
 let equal_shallow a b =
   match a, b with
   | Vnull, Vnull -> true

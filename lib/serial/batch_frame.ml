@@ -26,7 +26,7 @@ type t = {
 let magic = "PTIF\x01"
 
 let encode t =
-  let w = W.create () in
+  let w = W.sealed ~magic () in
   W.varint w (List.length t.parts);
   List.iter
     (fun p ->
@@ -40,7 +40,7 @@ let encode t =
       W.string w kind;
       W.string w body)
     t.piggyback;
-  Bytes_io.seal ~magic (W.contents w)
+  W.seal w
 
 let read_list = Framing.read_list
 
@@ -49,9 +49,8 @@ let decode s =
   | Error `Short -> Error "truncated batch frame"
   | Error `Bad_magic -> Error "bad batch-frame magic"
   | Error `Bad_checksum -> Error "batch-frame checksum mismatch"
-  | Ok body -> (
+  | Ok r -> (
       try
-        let r = R.create body in
         let parts =
           read_list r (fun r ->
               let p_envelope = R.string r in

@@ -28,15 +28,40 @@ val encode : Value.value -> string * string list
     {!Envelope.make} builds its type entries from that list, so a send
     walks its graph once. Proxies are serialized through their wrapped
     target (a proxy is a local artifact; what travels is the real
-    object). *)
+    object).
 
-val decode : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
-  string -> (Value.value, error) result
+    Each object's fields are written in key order, whatever its class
+    declares: undeclared fields travel, missing ones do not; an
+    object's fields are gathered into arrays of its size and sorted as
+    a permutation. The walk works in per-domain scratch (the writer, the
+    interned names, the objects met), reset at the start of every
+    encode, and seals the frame in place: for a small object it
+    allocates little more than the frame, the class list and those
+    arrays. *)
+
+val decode :
+  ?resolve:(string -> Meta.class_def option) ->
+  ?layout:(Meta.class_def -> Registry.layout) ->
+  Registry.t -> string -> (Value.value, error) result
 (** Rebuilds the graph with fresh object ids. Each object starts as
-    {!Registry.fresh_object} of its (loaded) class: fields the class does
-    not declare are dropped, declared fields missing from the payload
-    keep their default values. [resolve] overrides class-by-name lookup
-    (default [Registry.find reg]) — the envelope layer passes a
-    version-pinned resolver so an upgraded registry still decodes
-    in-flight payloads against the version they were encoded with. *)
+    {!Registry.instantiate} of its (loaded) class's layout: fields the
+    class does not declare are dropped, declared fields missing from
+    the payload keep their default values. A payload field name is
+    matched against the layout's keys where it lies in the input
+    ({!Registry.slot}).
 
+    Every value is checked as it is read against the type its place
+    declares ({!Registry.admits}): a field against its slot's type, an
+    array item against the array's element type; the root and a field
+    the class does not declare take anything. A value its place does
+    not admit (a string in an [int] field, arrays in an [int[]], an
+    object of an unrelated class) fails the decode with [Corrupt].
+    Names and objects must be numbered in the order they first appear,
+    as {!encode} numbers them; any other id fails with [Malformed].
+
+    [resolve] overrides class-by-name lookup (default [Registry.find
+    reg]) — the envelope layer passes a version-pinned resolver so an
+    upgraded registry still decodes in-flight payloads against the
+    version they were encoded with. [layout] supplies each class's
+    layout (default {!Registry.layout}[ reg], compiled once per class
+    per decode); a caller that caches layouts passes its cache. *)

@@ -16,22 +16,26 @@
     damage is caught before any structure is parsed. *)
 
 val seal : magic:string -> string -> string
-(** [seal ~magic body] renders the frame. *)
+(** [seal ~magic body] renders the frame, writing its bytes once. An
+    encoder that builds its body in a {!Writer} seals it in place
+    instead ({!Writer.sealed}, {!Writer.seal}). *)
 
 type unseal_error = [ `Short | `Bad_magic | `Bad_checksum ]
 
-val unseal : magic:string -> string -> (string, unseal_error) result
-(** Returns the body of a frame, checking in this order: the input holds
-    at least the magic and the checksum ([`Short]), starts with [magic]
-    ([`Bad_magic]), and the checksum matches the body ([`Bad_checksum]).
-    Each format maps these to its own error constructor. *)
-
 module Writer : sig
   type t
+  (** A growable byte buffer. Writing allocates only when the buffer
+      grows: a varint, a float or a string's length costs no heap
+      words. *)
 
   val create : ?initial:int -> unit -> t
   val contents : t -> string
   val length : t -> int
+
+  val reset : t -> unit
+  (** Empty the writer for reuse, keeping its buffer (a buffer grown
+      past 64 KiB is dropped for a small one). *)
+
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   (** Unsigned LEB128; value must be >= 0. *)
@@ -45,6 +49,23 @@ module Writer : sig
 
   val raw : t -> string -> unit
   (** Append bytes verbatim (magic headers). *)
+
+  (** {3 Sealing in place} *)
+
+  val begin_seal : t -> magic:string -> unit
+  (** On an empty writer: write [magic] and leave room for the checksum;
+      the body follows.
+      @raise Invalid_argument if the writer is not empty. *)
+
+  val sealed : ?initial:int -> magic:string -> unit -> t
+  (** A fresh writer after {!begin_seal}. *)
+
+  val seal : t -> string
+  (** The frame {!Bytes_io.seal} would render for the bytes written
+      after {!begin_seal}: the checksum is computed over the buffer in
+      place and written into its room, and the frame is copied out
+      once.
+      @raise Invalid_argument on a writer that was not begun sealed. *)
 end
 
 module Reader : sig
@@ -53,8 +74,14 @@ module Reader : sig
   exception Underflow of string
   (** Raised on truncated or malformed input. *)
 
-  val create : string -> t
+  val create : ?pos:int -> string -> t
+  (** A reader of the string from [pos] (default 0) to its end.
+      @raise Invalid_argument if [pos] is outside the string. *)
+
   val pos : t -> int
+  val source : t -> string
+  (** The whole string read, of which {!pos} is the cursor. *)
+
   val at_end : t -> bool
 
   val remaining : t -> int
@@ -63,12 +90,27 @@ module Reader : sig
 
   val u8 : t -> int
   val varint : t -> int
+  (** Unsigned LEB128, read without allocating. *)
+
   val zigzag : t -> int
   val f64 : t -> float
   val string : t -> string
   (** A length-prefixed string. A length that is negative or longer than
       the bytes left raises [Underflow], never [Invalid_argument]. *)
 
+  val skip_string : t -> int
+  (** Step over a length-prefixed string, checked as {!string} checks
+      it, and return the position of its first byte: the bytes stay in
+      {!source}, where a caller can compare them in place. *)
+
   val bool : t -> bool
   val expect_magic : t -> string -> unit
 end
+
+val unseal : magic:string -> string -> (Reader.t, unseal_error) result
+(** Checks a frame in place, in this order: the input holds at least the
+    magic and the checksum ([`Short]), starts with [magic]
+    ([`Bad_magic]), and the checksum matches the body ([`Bad_checksum]).
+    On success the result reads the body where it lies, from just after
+    the checksum to the end of the input: nothing is copied. Each format
+    maps the errors to its own constructor. *)

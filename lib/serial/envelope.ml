@@ -2,6 +2,7 @@ open Pti_cts
 module Xml = Pti_xml.Xml
 module Guid = Pti_util.Guid
 module B64 = Pti_util.Base64
+module Fnv = Pti_util.Fnv
 
 type codec = Soap | Binary
 
@@ -35,39 +36,53 @@ let pp_error ppf = function
       Format.fprintf ppf "unknown type handles [%s]"
         (String.concat "; " (List.map string_of_int hs))
 
-(* Canonical content string the integrity digest is computed over: the
+(* The integrity digest covers the envelope's canonical content: the
    semantic fields of the envelope, not its XML rendering, so the check
    is immune to whitespace/attribute-order differences between writer
-   and reader. Every field is length-prefixed (netstring style): the
-   binary payload is arbitrary bytes, so no in-band separator is safe —
-   a 0x00/0x01 scheme let two distinct envelopes share a digest. *)
-let canonical t =
-  let b = Buffer.create 256 in
-  let field s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  List.iter
-    (fun e ->
-      field e.te_name;
-      field (Guid.to_string e.te_guid);
-      field e.te_assembly;
-      field e.te_download_path;
-      (* Versioned entries fold the version into the digest; version 0
-         stays absent so pre-evolution envelopes keep their digests. *)
-      if e.te_version > 0 then field ("v" ^ string_of_int e.te_version))
-    t.env_types;
+   and reader. Every field is length-prefixed (netstring style,
+   "<decimal length>:<bytes>"): the binary payload is arbitrary bytes, so
+   no in-band separator is safe — a 0x00/0x01 scheme let two distinct
+   envelopes share a digest. The fields are absorbed one by one into
+   one FNV-1a state, which hashes their concatenation without building
+   it or copying the payload. *)
+let absorb st s =
+  Fnv.feed_int st (String.length s);
+  Fnv.feed_char st ':';
+  Fnv.feed_string st s
+
+let rec decimal_digits n = if n < 10 then 1 else 1 + decimal_digits (n / 10)
+
+let rec absorb_entries st = function
+  | [] -> ()
+  | e :: rest ->
+      absorb st e.te_name;
+      absorb st (Guid.to_string e.te_guid);
+      absorb st e.te_assembly;
+      absorb st e.te_download_path;
+      (* Versioned entries fold the version into the digest, as the
+         field "v<version>"; version 0 stays absent so pre-evolution
+         envelopes keep their digests. *)
+      if e.te_version > 0 then begin
+        Fnv.feed_int st (1 + decimal_digits e.te_version);
+        Fnv.feed_char st ':';
+        Fnv.feed_char st 'v';
+        Fnv.feed_int st e.te_version
+      end;
+      absorb_entries st rest
+
+let digest_state t =
+  let st = Fnv.init () in
+  absorb_entries st t.env_types;
   (match t.env_payload with
   | Psoap x ->
-      field "soap";
-      field (Xml.to_string x)
+      absorb st "soap";
+      absorb st (Xml.to_string x)
   | Pbinary p ->
-      field "binary";
-      field p);
-  Buffer.contents b
+      absorb st "binary";
+      absorb st p);
+  st
 
-let digest t = Pti_util.Fnv.hash_hex (canonical t)
+let digest t = Fnv.to_hex (Fnv.value (digest_state t))
 
 (* The payload walk also lists the graph's distinct classes, root's
    first: one walk serves both halves of the envelope. *)
@@ -134,17 +149,18 @@ let pinned_resolve reg t name =
       | None -> Registry.find reg name)
   | None -> Registry.find reg name
 
-let decode_payload reg t =
+let decode_payload ?layout reg t =
   let resolve = pinned_resolve reg t in
   match t.env_payload with
   | Psoap x -> (
-      match Soap_ser.decode_xml ~resolve reg x with
-      | Ok v -> Ok v
+      match Soap_ser.decode_xml ~resolve ?layout reg x with
+      | Ok _ as ok -> ok
       | Error (Soap_ser.Malformed m) -> Error (Malformed m)
-      | Error (Soap_ser.Unknown_type ty) -> Error (Unknown_type ty))
+      | Error (Soap_ser.Unknown_type ty) -> Error (Unknown_type ty)
+      | Error (Soap_ser.Corrupt m) -> Error (Corrupt m))
   | Pbinary b -> (
-      match Bin_ser.decode ~resolve reg b with
-      | Ok v -> Ok v
+      match Bin_ser.decode ~resolve ?layout reg b with
+      | Ok _ as ok -> ok
       | Error (Bin_ser.Malformed m) -> Error (Malformed m)
       | Error (Bin_ser.Unknown_type ty) -> Error (Unknown_type ty)
       | Error (Bin_ser.Corrupt m) -> Error (Corrupt m))
@@ -331,11 +347,12 @@ let read_versions r binds = if R.at_end r then binds else versioned r [] binds
 
 let bin_magic = "PTIE\x01"
 let max_slots = 10_000
-let digest_raw t = Pti_util.Fnv.hash_bytes (canonical t)
 
 let to_string_h t ~form =
-  let w = W.create () in
-  W.raw w (digest_raw t);
+  let w = W.sealed ~magic:bin_magic () in
+  let digest8 = Bytes.create 8 in
+  Bytes.set_int64_be digest8 0 (Fnv.value (digest_state t));
+  W.raw w (Bytes.unsafe_to_string digest8);
   W.varint w (List.length t.env_types);
   (* Bind slots carry entries; their versions go in the trailing block. *)
   let bound = ref [] in
@@ -359,13 +376,14 @@ let to_string_h t ~form =
       W.u8 w 1;
       W.string w p);
   write_versions w (List.rev !bound);
-  Bytes_io.seal ~magic:bin_magic (W.contents w)
+  W.seal w
 
-(* Decode a PTIE body whose checksum already matched. *)
+(* Decode a PTIE body whose checksum already matched, where it lies:
+   [body] stands on its first byte, the raw digest. *)
 let of_body_h ~resolve body =
-  if String.length body < 8 then failwith "truncated envelope digest";
-  let digest8 = String.sub body 0 8 in
-  let r = R.create (String.sub body 8 (String.length body - 8)) in
+  if R.remaining body < 8 then failwith "truncated envelope digest";
+  let src = R.source body and digest_at = R.pos body in
+  let r = R.create ~pos:(digest_at + 8) src in
   let n = R.varint r in
   if n < 0 || n > max_slots then failwith "bad slot count";
   (* Explicit recursion: reads are effectful, evaluation order must be
@@ -421,7 +439,8 @@ let of_body_h ~resolve body =
       let t = { env_types; env_payload } in
       (* Semantic digest over the reconstruction: a wrong binding in the
          link table can never look like an intact envelope. *)
-      if String.equal digest8 (digest_raw t) then Ok (t, bindings)
+      if Fnv.equal_be (digest_state t) src ~pos:digest_at then
+        Ok (t, bindings)
       else Error (Corrupt "envelope digest mismatch")
 
 (* PTIE, or else the classic XML envelope, which carries no handles. *)

@@ -45,10 +45,18 @@ val pp_error : Format.formatter -> error -> unit
 
 val digest : t -> string
 (** FNV-1a (hex) over the envelope's canonical content — every type
-    entry field plus the serialized payload bytes. Written as a
+    entry field plus the serialized payload bytes, each as a
+    length-prefixed field ["<decimal length>:<bytes>"]. Written as a
     [digest] attribute by {!to_xml}; {!of_xml} recomputes and compares
     when the attribute is present (envelopes without one are accepted,
-    for pre-digest peers). *)
+    for pre-digest peers). The PTIE frame carries the same value, raw.
+
+    The fields are absorbed one by one into a single running hash
+    ({!Pti_util.Fnv.state}): the canonical content is never built and
+    the payload never copied, and the value is the one the hash of the
+    concatenated fields gives. A binary envelope's digest allocates the
+    hash state, each entry's GUID rendering and the result; a SOAP
+    payload is rendered once to be absorbed. *)
 
 val make : ?version_of:(assembly:string -> int) -> Registry.t ->
   codec:codec -> download_path:(assembly:string -> string) ->
@@ -65,9 +73,15 @@ val make : ?version_of:(assembly:string -> int) -> Registry.t ->
 val required_classes : t -> string list
 (** Names the receiver must have loaded before the payload can decode. *)
 
-val decode_payload : Registry.t -> t -> (Value.value, error) result
+val decode_payload :
+  ?layout:(Meta.class_def -> Registry.layout) ->
+  Registry.t -> t -> (Value.value, error) result
 (** Fails with [Unknown_type] when a class is not (yet) loaded — the signal
-    that triggers the download subprotocol. Classes named by the
+    that triggers the download subprotocol, and with [Corrupt] when a
+    value does not inhabit the type its place declares
+    ({!Bin_ser.decode}, {!Soap_ser.decode}). [layout] supplies class
+    layouts, as a per-peer cache does (default: compiled once per class
+    per decode). Classes named by the
     envelope's type entries decode {e version-pinned}: resolution goes by
     the entry's GUID first and falls back to by-name lookup only when
     that GUID was never registered — so a receiver that upgraded a type
@@ -101,7 +115,7 @@ val to_string_h : t -> form:(type_entry -> handle_form) -> string
 (** Renders with the per-entry form chosen by [form] — typically a
     lookup in the sender side of a {!Handle_table} — as a compact
     sealed binary frame ([PTIE] magic, raw payload bytes, no
-    base64). *)
+    base64), sealed in place ({!Bytes_io.Writer.seal}). *)
 
 val of_string_h :
   resolve:(int -> type_entry option) ->
@@ -111,7 +125,9 @@ val of_string_h :
     decodes exactly as {!of_string} does and returns no bindings. For
     PTIE, [resolve] consults the receiver's link table; bindings shipped
     in the same frame are visible to its own refs, and are returned so
-    the caller can install them. Fails with {!Unknown_handles} when refs
+    the caller can install them. The frame is checked and read where it
+    lies: its checksum and digest are compared in place, and only the
+    payload bytes are copied out. Fails with {!Unknown_handles} when refs
     cannot be resolved (wire-intact — the caller should NAK and park),
     with [Corrupt] on checksum or digest mismatch, and with [Malformed]
     on a checksum-valid frame whose body does not parse (an unknown

@@ -111,7 +111,7 @@ module R = Bytes_io.Reader
 let bind_magic = "PTIH\x01"
 
 let encode_bindings binds =
-  let w = W.create () in
+  let w = W.sealed ~magic:bind_magic () in
   W.varint w (List.length binds);
   List.iter
     (fun (h, e) ->
@@ -119,16 +119,15 @@ let encode_bindings binds =
       Envelope.write_entry w e)
     binds;
   Envelope.write_versions w binds;
-  Bytes_io.seal ~magic:bind_magic (W.contents w)
+  W.seal w
 
 let decode_bindings s =
   match Bytes_io.unseal ~magic:bind_magic s with
   | Error `Short -> Error "truncated bind frame"
   | Error `Bad_magic -> Error "bad bind-frame magic"
   | Error `Bad_checksum -> Error "bind-frame checksum mismatch"
-  | Ok body -> (
+  | Ok r -> (
       try
-        let r = R.create body in
         let binds =
           Envelope.read_versions r
             (Framing.read_list r (fun r ->

@@ -1,11 +1,12 @@
 open Pti_cts
 module Xml = Pti_xml.Xml
 
-type error = Malformed of string | Unknown_type of string
+type error = Malformed of string | Unknown_type of string | Corrupt of string
 
 let pp_error ppf = function
   | Malformed m -> Format.fprintf ppf "malformed SOAP payload: %s" m
   | Unknown_type t -> Format.fprintf ppf "unknown type %S" t
+  | Corrupt m -> Format.fprintf ppf "corrupt SOAP payload: %s" m
 
 let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
 
@@ -73,10 +74,65 @@ let one_child x =
   | [ c ] -> c
   | cs -> fail "expected exactly one element child, got %d" (List.length cs)
 
-let rec xml_to_value ?resolve reg objects x =
-  let resolve =
-    match resolve with Some f -> f | None -> Registry.find reg
-  in
+(* The declared type of a value nothing declares: the root, and a field
+   its class does not declare. *)
+let any = Ty.Named "object"
+
+(* One decode's state: objects by their sequential ids (the encoder
+   numbers them from 1 in document order), and the layout of each class
+   met, resolved once. *)
+type outern = {
+  reg : Registry.t;
+  resolve : string -> Meta.class_def option;
+  layout_of : Meta.class_def -> Registry.layout;
+  mutable objects : Value.obj array;  (* object [id] at [id - 1] *)
+  mutable nobjects : int;
+  mutable layouts : (string * Registry.layout) list;
+}
+
+let no_object = { Value.oid = -1; cls = ""; fields = Hashtbl.create 1 }
+
+let class_layout st cls =
+  match
+    List.find_opt (fun (c, _) -> Pti_util.Strutil.equal_ci c cls) st.layouts
+  with
+  | Some (_, ly) -> ly
+  | None -> (
+      match st.resolve cls with
+      | None -> raise (Fail (Unknown_type cls))
+      | Some cd ->
+          let ly = st.layout_of cd in
+          st.layouts <- (cls, ly) :: st.layouts;
+          ly)
+
+let check st ty v =
+  if not (Registry.admits st.reg ty v) then
+    raise
+      (Fail
+         (Corrupt
+            (Printf.sprintf "a %s value where %s is declared"
+               (Value.type_name v) (Ty.to_string ty))))
+
+let int_attr name x =
+  match Xml.attr name x with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some i -> i
+      | None -> fail "bad %s %S" name s)
+  | None -> fail "%s without %s" (Option.value ~default:"" (Xml.tag x)) name
+
+(* A value where [ty] is declared, checked as soon as its outer shape is
+   known, as {!Bin_ser} checks it. *)
+let rec read st ty x =
+  match Xml.tag x with
+  | Some "obj" -> read_object st ty x
+  | Some "array" -> read_array st ty x
+  | _ ->
+      let v = read_scalar st x in
+      check st ty v;
+      v
+
+and read_scalar st x =
   match Xml.tag x with
   | Some "null" -> Value.Vnull
   | Some "bool" -> (
@@ -96,74 +152,91 @@ let rec xml_to_value ?resolve reg objects x =
       match int_of_string_opt (String.trim (Xml.text_content x)) with
       | Some c when c >= 0 && c < 256 -> Value.Vchar (Char.chr c)
       | _ -> fail "bad char %S" (Xml.text_content x))
-  | Some "array" -> (
-      let ty_s =
-        match Xml.attr "elemType" x with
-        | Some s -> s
-        | None -> fail "array without elemType"
-      in
-      match Ty.of_string ty_s with
-      | None -> fail "bad elemType %S" ty_s
-      | Some elem_ty ->
-          let items =
-            Xml.children x
-            |> List.filter (function Xml.Element _ -> true | _ -> false)
-            |> List.map (xml_to_value ~resolve reg objects)
-          in
-          Value.Varr { Value.elem_ty; items = Array.of_list items })
-  | Some "ref" -> (
-      let id =
-        match Xml.attr "href" x with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some i -> i
-            | None -> fail "bad href %S" s)
-        | None -> fail "ref without href"
-      in
-      match Hashtbl.find_opt objects id with
-      | Some o -> Value.Vobj o
-      | None -> fail "dangling href %d" id)
-  | Some "obj" -> (
-      let id =
-        match Xml.attr "id" x with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some i -> i
-            | None -> fail "bad id %S" s)
-        | None -> fail "obj without id"
-      in
-      let cls =
-        match Xml.attr "type" x with
-        | Some s -> s
-        | None -> fail "obj without type"
-      in
-      match resolve cls with
-      | None -> raise (Fail (Unknown_type cls))
-      | Some cd ->
-          let o, _ = Registry.fresh_object reg cd in
-          Hashtbl.add objects id o;
-          List.iter
-            (fun c ->
-              match Xml.tag c with
-              | Some "field" ->
-                  let name =
-                    match Xml.attr "name" c with
-                    | Some n -> n
-                    | None -> fail "field without name"
-                  in
-                  let v = xml_to_value ~resolve reg objects (one_child c) in
-                  Value.update_field o name v
-              | Some other -> fail "unexpected <%s> inside obj" other
-              | None -> ())
-            (Xml.children x);
-          Value.Vobj o)
+  | Some "ref" ->
+      let id = int_attr "href" x in
+      if id >= 1 && id <= st.nobjects then Value.Vobj st.objects.(id - 1)
+      else fail "dangling href %d" id
   | Some other -> fail "unexpected element <%s>" other
   | None -> fail "expected an element"
 
-let decode_xml ?resolve reg x =
-  try Ok (xml_to_value ?resolve reg (Hashtbl.create 16) x) with Fail e -> Error e
+and read_array st ty x =
+  let ty_s =
+    match Xml.attr "elemType" x with
+    | Some s -> s
+    | None -> fail "array without elemType"
+  in
+  match Ty.of_string ty_s with
+  | None -> fail "bad elemType %S" ty_s
+  | Some elem_ty ->
+      let elements =
+        List.filter (function Xml.Element _ -> true | _ -> false)
+          (Xml.children x)
+      in
+      let items = Array.make (List.length elements) Value.Vnull in
+      let v = Value.Varr { Value.elem_ty; items } in
+      check st ty v;
+      List.iteri (fun i c -> items.(i) <- read st elem_ty c) elements;
+      v
 
-let decode ?resolve reg s =
+and read_object st ty x =
+  let id = int_attr "id" x in
+  if id <> st.nobjects + 1 then fail "non-sequential object id %d" id;
+  let cls =
+    match Xml.attr "type" x with
+    | Some s -> s
+    | None -> fail "obj without type"
+  in
+  let ly = class_layout st cls in
+  (* Declared defaults first, so missing payload fields are sane and
+     undeclared ones are dropped. *)
+  let o = Registry.instantiate ly in
+  if st.nobjects = Array.length st.objects then begin
+    let objects = Array.make (2 * st.nobjects) no_object in
+    Array.blit st.objects 0 objects 0 st.nobjects;
+    st.objects <- objects
+  end;
+  st.objects.(st.nobjects) <- o;
+  st.nobjects <- id;
+  let v = Value.Vobj o in
+  check st ty v;
+  (* Fields come in key order: each is found at the slot after the
+     last. *)
+  let hint = ref 0 in
+  List.iter
+    (fun c ->
+      match Xml.tag c with
+      | Some "field" ->
+          let name =
+            match Xml.attr "name" c with
+            | Some n -> n
+            | None -> fail "field without name"
+          in
+          let s =
+            Registry.slot ly name ~pos:0 ~len:(String.length name) ~hint:!hint
+          in
+          if s < 0 then ignore (read st any (one_child c))
+          else begin
+            Hashtbl.replace o.Value.fields ly.Registry.ly_keys.(s)
+              (read st ly.Registry.ly_tys.(s) (one_child c));
+            hint := s + 1
+          end
+      | Some other -> fail "unexpected <%s> inside obj" other
+      | None -> ())
+    (Xml.children x);
+  v
+
+let decode_xml ?resolve ?layout reg x =
+  let st =
+    { reg;
+      resolve =
+        (match resolve with Some f -> f | None -> Registry.find reg);
+      layout_of =
+        (match layout with Some f -> f | None -> Registry.layout reg);
+      objects = Array.make 8 no_object; nobjects = 0; layouts = [] }
+  in
+  try Ok (read st any x) with Fail e -> Error e
+
+let decode ?resolve ?layout reg s =
   match Xml.parse s with
   | Error e -> Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
   | Ok root -> (
@@ -172,8 +245,9 @@ let decode ?resolve reg s =
           match Xml.child "soap:Body" root with
           | None -> Error (Malformed "missing soap:Body")
           | Some body -> (
-              try decode_xml ?resolve reg (one_child body) with Fail e -> Error e))
+              try decode_xml ?resolve ?layout reg (one_child body)
+              with Fail e -> Error e))
       | Some _ ->
           (* Also accept a bare payload element. *)
-          decode_xml ?resolve reg root
+          decode_xml ?resolve ?layout reg root
       | None -> Error (Malformed "no root element"))

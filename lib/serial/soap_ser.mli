@@ -11,6 +11,9 @@ open Pti_cts
 type error =
   | Malformed of string
   | Unknown_type of string
+  | Corrupt of string
+      (** A value its place does not admit: the payload parsed, but a
+          field, item or object does not inhabit its declared type. *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -23,10 +26,21 @@ val encode_xml : Value.value -> Pti_xml.Xml.t * string list
 val encode : Value.value -> string
 (** The XML text of {!encode_xml}, wrapped in a [<soap:Envelope>]. *)
 
-val decode_xml : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
-  Pti_xml.Xml.t -> (Value.value, error) result
-val decode : ?resolve:(string -> Meta.class_def option) -> Registry.t ->
-  string -> (Value.value, error) result
-(** Objects start as {!Registry.fresh_object} and keep only the payload
-    fields their class declares, as in {!Bin_ser.decode}. [resolve]
-    overrides class-by-name lookup (default [Registry.find reg]). *)
+val decode_xml :
+  ?resolve:(string -> Meta.class_def option) ->
+  ?layout:(Meta.class_def -> Registry.layout) ->
+  Registry.t -> Pti_xml.Xml.t -> (Value.value, error) result
+
+val decode :
+  ?resolve:(string -> Meta.class_def option) ->
+  ?layout:(Meta.class_def -> Registry.layout) ->
+  Registry.t -> string -> (Value.value, error) result
+(** Objects start as {!Registry.instantiate} of their class's layout and
+    keep only the payload fields their class declares, and every value
+    is checked as it is read against the type its place declares, as in
+    {!Bin_ser.decode}: a value its place does not admit fails with
+    [Corrupt]. Object ids must run from 1 in document order, as the
+    encoder numbers them; any other id is [Malformed]. [resolve]
+    overrides class-by-name lookup (default [Registry.find reg]);
+    [layout] supplies each class's layout (default {!Registry.layout}[
+    reg], compiled once per class per decode). *)

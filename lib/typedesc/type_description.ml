@@ -255,7 +255,7 @@ let w_list w f l =
   List.iter (f w) l
 
 let to_binary_string t =
-  let w = W.create () in
+  let w = W.sealed ~magic:binary_magic () in
   W.string w t.ty_name;
   w_list w W.string t.ty_namespace;
   W.string w (Guid.to_string t.ty_guid);
@@ -285,7 +285,7 @@ let to_binary_string t =
       w_ty w m.md_return;
       w_mods w m.md_mods)
     t.ty_methods;
-  Bytes_io.seal ~magic:binary_magic (W.contents w)
+  W.seal w
 
 let is_binary s = String.starts_with ~prefix:binary_magic s
 
@@ -311,8 +311,7 @@ let r_param r =
 
 let r_list = Pti_serial.Framing.read_list
 
-let of_binary_body body =
-  let r = R.create body in
+let of_binary_body r =
   let ty_name = R.string r in
   let ty_namespace = r_list r R.string in
   let ty_guid = parsed "guid" Guid.of_string (R.string r) in
@@ -360,8 +359,8 @@ let of_binary_string s =
   | Error `Short -> Error "truncated binary tdesc"
   | Error `Bad_magic -> Error "bad binary tdesc magic"
   | Error `Bad_checksum -> Error "corrupt type description: checksum mismatch"
-  | Ok body -> (
-      try Ok (of_binary_body body) with
+  | Ok r -> (
+      try Ok (of_binary_body r) with
       | Failure m -> Error m
       | R.Underflow m -> Error ("truncated binary tdesc: " ^ m))
 

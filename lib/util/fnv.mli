@@ -27,3 +27,33 @@ val hash_hex : string -> string
 
 val hash_bytes : string -> string
 (** The hash as 8 raw bytes, big-endian — for binary codecs. *)
+
+(** {2 Streaming}
+
+    A running hash fed fragment by fragment: feeding [a] then [b] leaves
+    the value {!hash64}[ (a ^ b)] without building the concatenation. *)
+
+type state
+(** The accumulator, held in 8 bytes and updated in place: feeding
+    allocates nothing. *)
+
+val init : unit -> state
+(** A fresh state at the offset basis (one 8-byte block). *)
+
+val feed_sub : state -> string -> pos:int -> len:int -> unit
+(** Absorb [len] bytes of the string from [pos], read in place.
+    @raise Invalid_argument if the range is not within the string. *)
+
+val feed_string : state -> string -> unit
+val feed_char : state -> char -> unit
+
+val feed_int : state -> int -> unit
+(** Absorb the decimal digits {!string_of_int} would write; for a
+    non-negative int without building them. *)
+
+val value : state -> int64
+(** The hash of everything fed so far. *)
+
+val equal_be : state -> string -> pos:int -> bool
+(** Whether the 8 bytes of the string at [pos] hold {!value}, big-endian
+    (the layout of {!hash_bytes}), compared in place. *)

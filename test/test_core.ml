@@ -499,7 +499,8 @@ let test_request_timeout_degrades_to_rejection () =
 (* A hostile sender adds a class that names itself as its superclass and
    hangs an object of it, carrying one field the class does not declare,
    off a conformant Person. The receiver must come back from the payload
-   decode; whether it delivers the mistyped [home] is not settled here. *)
+   decode, and an [evil.Loop] is no Address: the payload is rejected as
+   corrupt, never delivered. *)
 let test_self_supertype_payload_returns () =
   let module Workload = Pti_demo.Workload in
   let loop =
@@ -531,11 +532,182 @@ let test_self_supertype_payload_returns () =
     | _ -> Alcotest.fail "expected an object");
     Peer.send_value sender ~dst:"receiver" p;
     Net.run net;
-    !delivered
+    let corrupt =
+      List.length
+        (List.filter
+           (function Peer.Corrupt_rejected _ -> true | _ -> false)
+           (Peer.events receiver))
+    in
+    (!delivered, corrupt)
   in
-  Alcotest.(check int) "without the extra field it delivers" 1
-    (run ~extra:false);
-  ignore (run ~extra:true)
+  Alcotest.(check (pair int int)) "without the extra field it is rejected"
+    (0, 1) (run ~extra:false);
+  Alcotest.(check (pair int int)) "with it too" (0, 1) (run ~extra:true)
+
+(* ------------------------------------------------------------------ *)
+(* Values checked against their declared types                          *)
+(* ------------------------------------------------------------------ *)
+
+module Transport = Pti_transport.Transport
+
+(* A fabric for one sender and one receiver: the simulator, or a unix
+   socket in this process (skipped where the sandbox has none). *)
+let fabric = function
+  | `Sim -> Transport.of_net (make_net ())
+  | `Unix ->
+      (match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+      | fd -> Unix.close fd
+      | exception Unix.Unix_error _ -> Alcotest.skip ());
+      let dir =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "pti-typed-%d-%d" (Unix.getpid ()) (Random.int 100000))
+      in
+      (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Transport.create_unix ~dir ~codec:Pti_core.Message_wire.codec ()
+
+(* The sender publishes [assemblies]; the receiver installs [installed]
+   and registers [interest]; the sender sends the value [make] builds on
+   its registry. The count of deliveries and of payloads rejected as
+   corrupt. *)
+let typed_delivery kind ~assemblies ~installed ~interest make =
+  let tr = fabric kind in
+  let sender = Peer.create ~transport:tr "sender" in
+  let receiver = Peer.create ~transport:tr "receiver" in
+  List.iter (Peer.publish_assembly sender) assemblies;
+  List.iter (Peer.install_assembly receiver) installed;
+  let delivered = ref 0 in
+  Peer.register_interest receiver ~interest (fun ~from:_ _ -> incr delivered);
+  Peer.send_value sender ~dst:"receiver" (make (Peer.registry sender));
+  let corrupt () =
+    List.length
+      (List.filter
+         (function
+           | Peer.Corrupt_rejected { what = "payload"; _ } -> true
+           | _ -> false)
+         (Peer.events receiver))
+  in
+  ignore
+    (Transport.drive_until tr
+       ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+       (fun () -> !delivered + corrupt () > 0));
+  Transport.close tr;
+  (!delivered, corrupt ())
+
+let check_rejected what outcome =
+  Alcotest.(check (pair int int)) (what ^ ": rejected as corrupt, not delivered")
+    (0, 1) outcome
+
+(* A conformant family-3 Person whose field [name] holds [v]. *)
+let family3_person_with name v reg =
+  let module Workload = Pti_demo.Workload in
+  match
+    Workload.make_person reg ~index:3 ~flavor:Workload.Conformant ~name:"Eve"
+      ~age:3
+  with
+  | Value.Vobj o as p ->
+      Value.set_field o name v;
+      p
+  | _ -> Alcotest.fail "expected an object"
+
+let family3 () =
+  let module Workload = Pti_demo.Workload in
+  ( [ Workload.family ~index:3 ~flavor:Workload.Conformant ],
+    [ Workload.interest_assembly () ],
+    Workload.interest_person )
+
+(* A Person whose [age], declared [int], holds a string. *)
+let test_string_age_rejected kind () =
+  let assemblies, installed, interest = family3 () in
+  check_rejected "string age"
+    (typed_delivery kind ~assemblies ~installed ~interest
+       (family3_person_with "age" (Value.Vstring "three")))
+
+(* An [int[]] field whose items are arrays. *)
+let test_arrays_in_int_array_rejected kind () =
+  let scores =
+    Assembly.make ~name:"scores"
+      [
+        Builder.class_ ~ns:[ "t" ] ~assembly:"scores" "Scores"
+        |> Builder.field "points" (Ty.Array Ty.Int)
+        |> Builder.build;
+      ]
+  in
+  let make _ =
+    let fields = Hashtbl.create 1 in
+    Hashtbl.replace fields "points"
+      (Value.Varr
+         { Value.elem_ty = Ty.Int;
+           items =
+             [| Value.Varr { Value.elem_ty = Ty.Int; items = [| Value.Vint 1 |] } |] });
+    Value.Vobj { Value.oid = Value.fresh_oid (); cls = "t.Scores"; fields }
+  in
+  check_rejected "arrays in an int[]"
+    (typed_delivery kind ~assemblies:[ scores ] ~installed:[ scores ]
+       ~interest:"t.Scores" make)
+
+(* A [home] declared [w3.Address] that holds an object of a hostile class
+   naming itself as its superclass. *)
+let test_foreign_home_rejected kind () =
+  let assemblies, installed, interest = family3 () in
+  let loop =
+    Builder.class_ ~ns:[ "evil" ] ~assembly:"evil" "Loop" ~super:"evil.Loop"
+    |> Builder.build
+  in
+  check_rejected "an evil.Loop home"
+    (typed_delivery kind
+       ~assemblies:(Assembly.make ~name:"evil" [ loop ] :: assemblies)
+       ~installed ~interest
+       (family3_person_with "home"
+          (Value.Vobj
+             { Value.oid = Value.fresh_oid (); cls = "evil.Loop";
+               fields = Hashtbl.create 1 })))
+
+(* A receiver's cached layout of [lin.Derived] goes stale when an upgrade
+   rebinds its superclass's name: the next delivery holds the field the
+   new base declares, as a fresh object would. *)
+let test_layout_follows_base_upgrade () =
+  let base ?guid fields =
+    List.fold_left
+      (fun b (n, ty) -> Builder.field n ty b)
+      (Builder.class_ ~ns:[ "lin" ] ?guid ~assembly:"lin" "Base")
+      fields
+    |> Builder.build
+  in
+  let derived =
+    Builder.class_ ~ns:[ "lin" ] ~assembly:"lin" "Derived" ~super:"lin.Base"
+    |> Builder.field "b" Ty.Int |> Builder.build
+  in
+  let asm = Assembly.make ~name:"lin" [ base [ ("a", Ty.Int) ]; derived ] in
+  let net = make_net () in
+  let sender = Peer.create ~net "sender" in
+  let receiver = Peer.create ~net "receiver" in
+  Peer.publish_assembly sender asm;
+  Peer.install_assembly receiver asm;
+  let got = ref [] in
+  Peer.register_interest receiver ~interest:"lin.Derived" (fun ~from:_ v ->
+      got := v :: !got);
+  let send () =
+    Peer.send_value sender ~dst:"receiver"
+      (Eval.construct (Peer.registry sender) "lin.Derived" []);
+    Net.run net
+  in
+  let holds field =
+    match !got with
+    | Value.Vobj o :: _ -> Value.get_field o field <> None
+    | _ -> Alcotest.fail "nothing delivered"
+  in
+  send ();
+  Alcotest.(check (pair bool bool)) "before: a, no c" (true, false)
+    (holds "a", holds "c");
+  Registry.upgrade (Peer.registry receiver)
+    { (base
+         ~guid:(Pti_util.Guid.of_name "lin.Base#v2")
+         [ ("a", Ty.Int); ("c", Ty.String) ])
+      with Meta.td_assembly = "lin" };
+  send ();
+  Alcotest.(check int) "both delivered" 2 (List.length !got);
+  Alcotest.(check (pair bool bool)) "after: a and c" (true, true)
+    (holds "a", holds "c")
 
 let test_primitive_payload_goes_to_sink () =
   let net = make_net () in
@@ -997,6 +1169,22 @@ let () =
           Alcotest.test_case "self-supertype payload returns" `Quick
             test_self_supertype_payload_returns;
         ] );
+      ( "typed-payloads",
+        List.concat_map
+          (fun (kind, name) ->
+            [
+              Alcotest.test_case (name ^ ": string age rejected") `Quick
+                (test_string_age_rejected kind);
+              Alcotest.test_case (name ^ ": arrays in an int[] rejected")
+                `Quick (test_arrays_in_int_array_rejected kind);
+              Alcotest.test_case (name ^ ": foreign home rejected") `Quick
+                (test_foreign_home_rejected kind);
+            ])
+          [ (`Sim, "sim"); (`Unix, "unix") ]
+        @ [
+            Alcotest.test_case "layout follows a base upgrade" `Quick
+              test_layout_follows_base_upgrade;
+          ] );
       ( "observability",
         [
           Alcotest.test_case "repeat traffic raises cache counters" `Quick

@@ -234,6 +234,115 @@ let test_find_method_allocation () =
     (Printf.sprintf "find_method allocates %.0f words (at most 20)" words)
     true (words <= 20.)
 
+(* A layout lists each declared or inherited field once, by lowercased
+   key in sorted order, with its most derived type, whose default an
+   instance starts from. *)
+let test_layout_compiles_fields () =
+  let r = Registry.create () in
+  let base =
+    B.class_ ~ns:[ "l" ] "Base" |> B.field "Zed" Ty.Int |> B.field "id" Ty.Int
+    |> B.build
+  in
+  let derived =
+    B.class_ ~ns:[ "l" ] "Derived" ~super:"l.Base"
+    |> B.field "ID" Ty.String |> B.field "Alpha" (Ty.Array Ty.Char)
+    |> B.build
+  in
+  List.iter (Registry.register r) [ base; derived ];
+  let ly = Registry.layout r derived in
+  Alcotest.(check string) "qualified name" "l.Derived" ly.Registry.ly_name;
+  Alcotest.(check (array string)) "keys, sorted" [| "alpha"; "id"; "zed" |]
+    ly.Registry.ly_keys;
+  Alcotest.(check (array string)) "most derived types"
+    [| "char[]"; "string"; "int" |]
+    (Array.map Ty.to_string ly.Registry.ly_tys);
+  Alcotest.(check (list string)) "lineage" [ "l.Base"; "l.Derived" ]
+    (List.map Meta.qualified_name ly.Registry.ly_lineage);
+  let o = Registry.instantiate ly in
+  Alcotest.(check bool) "defaults" true
+    (Value.get_field o "id" = Some (Value.Vstring "")
+    && Value.get_field o "zed" = Some (Value.Vint 0)
+    && Value.get_field o "alpha" = Some Value.Vnull);
+  Value.set_field o "id" (Value.Vstring "changed");
+  Alcotest.(check bool) "an instance owns its table" true
+    (Value.get_field (Registry.instantiate ly) "id" = Some (Value.Vstring ""));
+  Alcotest.(check int) "slot in place, any case" 1
+    (Registry.slot ly "xxIDxx" ~pos:2 ~len:2 ~hint:2);
+  Alcotest.(check int) "no such field" (-1)
+    (Registry.slot ly "ide" ~pos:0 ~len:3 ~hint:0)
+
+(* A layout is current until a name is bound to another class: a
+   registration, an upgrade, a shadow that claims a free name. *)
+let test_layout_stamp () =
+  let r = Registry.create () in
+  let cls ?guid ?super name =
+    B.class_ ~ns:[ "s" ] ?guid ?super name |> B.field "x" Ty.Int |> B.build
+  in
+  let base = cls "Base" in
+  Registry.register r base;
+  let ly = Registry.layout r base in
+  Alcotest.(check bool) "fresh" true (ly.Registry.ly_stamp = Registry.stamp r);
+  Registry.register r base;
+  Alcotest.(check bool) "an idempotent register keeps it" true
+    (ly.Registry.ly_stamp = Registry.stamp r);
+  Alcotest.(check bool) "another registry's layout is not current" false
+    (ly.Registry.ly_stamp = Registry.stamp (Registry.copy r));
+  Registry.register r (cls "Other");
+  Alcotest.(check bool) "a register outdates it" false
+    (ly.Registry.ly_stamp = Registry.stamp r);
+  let ly = Registry.layout r base in
+  Registry.shadow r (cls ~guid:(Pti_util.Guid.of_name "s.Base#2") "Base");
+  Alcotest.(check bool) "a shadow of a bound name keeps it" true
+    (ly.Registry.ly_stamp = Registry.stamp r);
+  Registry.upgrade r (cls ~guid:(Pti_util.Guid.of_name "s.Base#3") "Base");
+  Alcotest.(check bool) "an upgrade outdates it" false
+    (ly.Registry.ly_stamp = Registry.stamp r)
+
+(* What a declared type admits, by the value's outer shape. *)
+let test_admits () =
+  let r = Registry.create () in
+  List.iter (Registry.register r)
+    [
+      B.interface_ ~ns:[ "a" ] "I" |> B.build;
+      B.class_ ~ns:[ "a" ] "Base" ~interfaces:[ "a.I" ] |> B.build;
+      B.class_ ~ns:[ "a" ] "Sub" ~super:"a.Base" |> B.build;
+    ];
+  let obj cls =
+    Value.Vobj { Value.oid = Value.fresh_oid (); cls; fields = Hashtbl.create 1 }
+  in
+  let arr t = Value.Varr { Value.elem_ty = t; items = [||] } in
+  let admits ty v = Registry.admits r (Ty.of_string_exn ty) v in
+  List.iter
+    (fun (ty, v, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s admits %s" ty (Value.type_name v))
+        expected (admits ty v))
+    [
+      ("int", Value.Vint 1, true); ("int", Value.Vfloat 1., false);
+      ("float", Value.Vfloat 1., true); ("bool", Value.Vbool true, true);
+      ("char", Value.Vchar 'c', true); ("string", Value.Vstring "", true);
+      ("string", Value.Vnull, false); ("int", Value.Vnull, false);
+      ("a.Base", Value.Vnull, true); ("int[]", Value.Vnull, true);
+      ("a.Base", obj "a.Base", true); ("a.Base", obj "A.SUB", true);
+      ("a.I", obj "a.Sub", true); ("a.Sub", obj "a.Base", false);
+      ("a.Base", Value.Vint 1, false); ("a.Base", arr Ty.Int, false);
+      ("int[]", arr Ty.Int, true); ("int[]", arr Ty.Float, false);
+      ("int[]", arr (Ty.Array Ty.Int), false);
+      ("a.Base[]", arr (Ty.Named "a.Sub"), true);
+      ("a.Sub[]", arr (Ty.Named "a.Base"), false);
+      ("object[]", arr Ty.Int, true); ("object", Value.Vint 1, true);
+      ("object", obj "a.Sub", true);
+    ];
+  let words =
+    let v = obj "a.Base" in
+    ignore (admits "a.Base" v);
+    let ty = Ty.Named "A.BASE" in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Registry.admits r ty v));
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "an exact class match allocates nothing" 0. words
+
 let test_registry_copy_isolated () =
   let r = reg () in
   let snapshot = Registry.copy r in
@@ -543,6 +652,10 @@ let () =
             test_registry_copy_isolated;
           Alcotest.test_case "find_method allocation" `Quick
             test_find_method_allocation;
+          Alcotest.test_case "layout compiles fields" `Quick
+            test_layout_compiles_fields;
+          Alcotest.test_case "layout stamp" `Quick test_layout_stamp;
+          Alcotest.test_case "admits" `Quick test_admits;
         ] );
       ( "eval",
         [

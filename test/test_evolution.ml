@@ -83,6 +83,38 @@ let test_cas_chain_and_pins () =
       Alcotest.(check int) "versioned path version" 1 v
   | _ -> Alcotest.fail "versioned path did not parse"
 
+(* A publish renders the assembly a constant number of times, whatever
+   the chain's length: onto 16 entries, of a new revision or of bytes
+   already there, it allocates at most three times a publish onto an
+   empty chain (family 7's revisions). *)
+let test_publish_cost_constant () =
+  let fam7 v = Workload.family_v ~version:v ~index:7 ~flavor:Workload.Conformant in
+  let chain_of k =
+    let r = Repository.create () in
+    let head = ref None in
+    for v = 1 to k do
+      head :=
+        Some (ok_exn (Repository.publish_cas r ~host:"h" ~expect:!head (fam7 v)))
+          .Repository.ve_digest
+    done;
+    (r, !head)
+  in
+  let words k asm =
+    let r, head = chain_of k in
+    let before = Gc.minor_words () in
+    ignore (ok_exn (Repository.publish_cas r ~host:"h" ~expect:head asm));
+    Gc.minor_words () -. before
+  in
+  let empty = words 0 (fam7 1) in
+  let check what w =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words, onto an empty chain %.0f" what w empty)
+      true
+      (w <= 3. *. empty)
+  in
+  check "a new revision onto 16 entries" (words 16 (fam7 17));
+  check "a republish onto 16 entries" (words 16 (fam7 16))
+
 let test_subscribers_see_every_extension () =
   let r = Repository.create () in
   let log = ref [] in
@@ -430,6 +462,8 @@ let () =
             test_cas_chain_and_pins;
           Alcotest.test_case "subscribers see every extension" `Quick
             test_subscribers_see_every_extension;
+          Alcotest.test_case "publish cost is constant" `Quick
+            test_publish_cost_constant;
         ] );
       ( "conformance",
         [

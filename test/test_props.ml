@@ -309,20 +309,56 @@ let graph_classes v =
   go v;
   List.rev !found
 
+(* Three classes whose fields cover every primitive type, arrays of
+   primitives and of classes, a self reference, a declared name in mixed
+   case, and a subclass that inherits its base's fields and redeclares
+   one of them. *)
+let walk_classes =
+  let module B = Builder in
+  [
+    B.class_ ~ns:[ "walk" ] "Alpha"
+    |> B.field "i" Ty.Int |> B.field "f" Ty.Float |> B.field "c" Ty.Char
+    |> B.field "t" Ty.Bool |> B.field "s" Ty.String
+    |> B.field "Zeta" (Ty.Named "walk.Alpha")
+    |> B.field "ints" (Ty.Array Ty.Int)
+    |> B.build;
+    B.class_ ~ns:[ "walk" ] "Beta"
+    |> B.field "b" Ty.String
+    |> B.field "m" (Ty.Array (Ty.Named "walk.Beta"))
+    |> B.field "a2" Ty.Float
+    |> B.build;
+    B.class_ ~ns:[ "walk" ] "Gamma" ~super:"walk.Beta"
+    |> B.field "a10" (Ty.Array Ty.Char)
+    |> B.field "B" Ty.String
+    |> B.build;
+  ]
+
 let walk_registry =
   let r = Registry.create () in
-  List.iter
-    (fun n ->
-      Registry.register r (Builder.class_ ~ns:[ "walk" ] n |> Builder.build))
-    [ "Alpha"; "Beta"; "Gamma" ];
+  List.iter (Registry.register r) walk_classes;
   r
 
+(* Each class's fields, declared and inherited, by lowercased key. *)
+let walk_fields =
+  Array.map
+    (fun cd ->
+      let ly = Registry.layout walk_registry cd in
+      Array.to_list
+        (Array.map2 (fun k ty -> (k, ty)) ly.Registry.ly_keys ly.Registry.ly_tys))
+    (Array.of_list walk_classes)
+
 (* A random graph over up to six objects: shared references, cycles,
-   proxies (possibly of proxies), arrays of objects, and each class
-   spelled in three cases. Field names are not in insertion order. *)
+   proxies (possibly of proxies), every primitive (floats and chars
+   included), arrays of primitives and of objects, and each class
+   spelled in three cases. Each object sets a random subset of the
+   fields its class declares or inherits, now and then in another case,
+   each holding a value of its declared type seven times in eight and
+   anything otherwise, and carries up to two undeclared fields. Field
+   names are not in insertion order. *)
 let random_graph seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
   let spellings =
     [|
       [| "walk.Alpha"; "WALK.ALPHA"; "walk.alpha" |];
@@ -331,43 +367,89 @@ let random_graph seed =
     |]
   in
   let n = 1 + int 6 in
+  let kinds = Array.init n (fun _ -> int 3) in
   let objs =
-    Array.init n (fun _ ->
-        { Value.oid = Value.fresh_oid (); cls = spellings.(int 3).(int 3);
+    Array.map
+      (fun k ->
+        { Value.oid = Value.fresh_oid (); cls = pick spellings.(k);
           fields = Hashtbl.create 4 })
+      kinds
   in
   let obj () = Value.Vobj objs.(int n) in
-  let rec proxy depth =
+  let rec proxy_to depth target =
     Value.Vproxy
       { Value.px_interface = "walk.I";
         px_target =
-          (if depth > 0 && int 2 = 0 then proxy (depth - 1) else obj ());
+          (if depth > 0 && int 2 = 0 then proxy_to (depth - 1) target
+           else target);
         px_invoke = (fun _ _ -> Value.Vnull) }
   in
+  let proxy depth = proxy_to depth (obj ()) in
   let objects () =
     Value.Varr
       { Value.elem_ty = Ty.Named "object";
         items =
           Array.init (int 4) (fun _ -> if int 4 = 0 then proxy 1 else obj ()) }
   in
-  let value () =
-    match int 6 with
-    | 0 -> Value.Vint (int 100)
-    | 1 -> Value.Vnull
-    | 2 | 3 -> obj ()
-    | 4 -> proxy 2
-    | _ -> objects ()
+  let prim ty =
+    match ty with
+    | Ty.Int -> Value.Vint (int 200 - 100)
+    | Ty.Float ->
+        Value.Vfloat (pick [| 0.; -0.; 1.5; -2.25e10; infinity; neg_infinity |])
+    | Ty.Char -> Value.Vchar (Char.chr (int 256))
+    | Ty.Bool -> Value.Vbool (int 2 = 0)
+    | _ -> Value.Vstring (pick [| ""; "x"; "h\xc3\xa9llo"; "a\000b" |])
   in
-  Array.iter
-    (fun o ->
-      for _ = 1 to int 5 do
-        let name = [| "zeta"; "b"; "a10"; "a2"; "m" |].(int 5) in
-        Hashtbl.replace o.Value.fields name (value ())
+  let prim_ty () = pick [| Ty.Int; Ty.Float; Ty.Char; Ty.Bool; Ty.String |] in
+  let prim_array () =
+    let ty = prim_ty () in
+    Value.Varr { Value.elem_ty = ty; items = Array.init (int 4) (fun _ -> prim ty) }
+  in
+  let any () =
+    match int 7 with
+    | 0 | 1 -> prim (prim_ty ())
+    | 2 -> Value.Vnull
+    | 3 -> obj ()
+    | 4 -> proxy 2
+    | 5 -> objects ()
+    | _ -> prim_array ()
+  in
+  (* An object of class [kind] or of a subclass (a Gamma is a Beta), or
+     null when the graph has none. *)
+  let instance kind =
+    let fits k = kinds.(k) = kind || (kind = 1 && kinds.(k) = 2) in
+    match List.filter fits (List.init n Fun.id) with
+    | [] -> Value.Vnull
+    | ks ->
+        let o = Value.Vobj objs.(List.nth ks (int (List.length ks))) in
+        if int 6 = 0 then proxy_to 1 o else o
+  in
+  let rec typed ty =
+    match ty with
+    | Ty.Named n when int 5 > 0 ->
+        instance (if Pti_util.Strutil.equal_ci n "walk.Alpha" then 0 else 1)
+    | Ty.Named _ | Ty.Void -> Value.Vnull
+    | Ty.Array e ->
+        Value.Varr { Value.elem_ty = e; items = Array.init (int 4) (fun _ -> typed e) }
+    | _ -> prim ty
+  in
+  Array.iteri
+    (fun k o ->
+      List.iter
+        (fun (key, ty) ->
+          if int 3 > 0 then
+            Hashtbl.replace o.Value.fields
+              (if int 6 = 0 then String.uppercase_ascii key else key)
+              (if int 8 = 0 then any () else typed ty))
+        walk_fields.(kinds.(k));
+      for _ = 1 to int 3 do
+        Hashtbl.replace o.Value.fields (pick [| "zz"; "extra"; "q1" |]) (any ())
       done)
     objs;
-  match int 4 with
+  match int 5 with
   | 0 -> objects ()
   | 1 -> proxy 2
+  | 2 -> prim_array ()
   | _ -> Value.Vobj objs.(0)
 
 let prop_envelope_lists_walk_classes =
@@ -398,6 +480,462 @@ let prop_envelope_lists_walk_classes =
       && entries Env.Binary = expected
       && entries Env.Soap = expected)
 
+(* ---------------------- the codecs this replaced ------------------- *)
+
+(* The binary payload codec and the envelope digest as they were before
+   compiled layouts and the streamed digest, kept verbatim (with the
+   sealed frame and the byte reader and writer they used) as the
+   reference the differential properties below hold the rewrite to: the
+   same bytes, the same digests, and a decoder that accepts nothing the
+   reference rejects. Only helpers nothing here calls are left out. *)
+module Reference = struct
+  module Fnv = Pti_util.Fnv
+  module Guid = Pti_util.Guid
+  module Xml = Pti_xml.Xml
+
+  module Bytes_io = struct
+    let seal ~magic body = String.concat "" [ magic; Fnv.hash_bytes body; body ]
+
+    (* Whether [s] holds [sub] at [off], compared in place. *)
+    let rec holds s ~off sub i =
+      i >= String.length sub
+      || (Char.equal s.[off + i] sub.[i] && holds s ~off sub (i + 1))
+
+    let unseal ~magic s =
+      let m = String.length magic in
+      let header = m + 8 in
+      if String.length s < header then Error `Short
+      else if not (holds s ~off:0 magic 0) then Error `Bad_magic
+      else
+        let body = String.sub s header (String.length s - header) in
+        if holds s ~off:m (Fnv.hash_bytes body) 0 then Ok body
+        else Error `Bad_checksum
+
+    module Writer = struct
+      type t = Buffer.t
+
+      let create ?(initial = 256) () = Buffer.create initial
+      let contents = Buffer.contents
+      let u8 t v = Buffer.add_char t (Char.chr (v land 0xff))
+
+      let varint t v =
+        if v < 0 then invalid_arg "Writer.varint: negative";
+        let rec go v =
+          if v < 0x80 then u8 t v
+          else begin
+            u8 t (0x80 lor (v land 0x7f));
+            go (v lsr 7)
+          end
+        in
+        go v
+
+      let zigzag t v =
+        let encoded = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
+        (* The shift may overflow for extreme values; mask to a non-negative
+           encoding domain by using Int64 when needed is overkill here — object
+           graphs carry human-scale integers. Guard anyway. *)
+        if encoded < 0 then invalid_arg "Writer.zigzag: magnitude too large"
+        else varint t encoded
+
+      let f64 t v =
+        let bits = Int64.bits_of_float v in
+        for i = 0 to 7 do
+          u8 t (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xff)
+        done
+
+      let string t s =
+        varint t (String.length s);
+        Buffer.add_string t s
+
+      let bool t b = u8 t (if b then 1 else 0)
+    end
+
+    module Reader = struct
+      type t = { src : string; mutable pos : int }
+
+      exception Underflow of string
+
+      let create src = { src; pos = 0 }
+      let at_end t = t.pos >= String.length t.src
+      let remaining t = String.length t.src - t.pos
+
+      let u8 t =
+        if at_end t then raise (Underflow "u8 past end");
+        let v = Char.code t.src.[t.pos] in
+        t.pos <- t.pos + 1;
+        v
+
+      let varint t =
+        let rec go shift acc =
+          if shift > Sys.int_size then raise (Underflow "varint too long");
+          let b = u8 t in
+          let acc = acc lor ((b land 0x7f) lsl shift) in
+          if b land 0x80 = 0 then acc else go (shift + 7) acc
+        in
+        go 0 0
+
+      let zigzag t =
+        let v = varint t in
+        (v lsr 1) lxor (-(v land 1))
+
+      let f64 t =
+        let bits = ref 0L in
+        for i = 0 to 7 do
+          bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (u8 t)) (i * 8))
+        done;
+        Int64.float_of_bits !bits
+
+      let string t =
+        let n = varint t in
+        (* A hostile length can read as negative, or overflow [pos + n]. *)
+        if n < 0 || n > remaining t then raise (Underflow "string past end");
+        let s = String.sub t.src t.pos n in
+        t.pos <- t.pos + n;
+        s
+
+      let bool t = u8 t <> 0
+    end
+  end
+
+  module Bin_ser = struct
+    module W = Bytes_io.Writer
+    module R = Bytes_io.Reader
+
+    type error = Malformed of string | Unknown_type of string | Corrupt of string
+
+    let magic = "PTIB\x02"
+
+    (* Wire layout: a sealed frame ([Bytes_io.seal]). The checksum
+       distinguishes wire corruption ([Corrupt]) from structural nonsense
+       ([Malformed]) before any value is materialized. *)
+    let unseal_error = function
+      | `Short -> Malformed "truncated header"
+      | `Bad_magic -> Malformed "bad magic"
+      | `Bad_checksum -> Corrupt "checksum mismatch"
+
+    (* Value tags. *)
+    let t_null = 0
+    and t_bool = 1
+    and t_int = 2
+    and t_float = 3
+    and t_string = 4
+    and t_char = 5
+    and t_obj = 6
+    and t_ref = 7
+    and t_arr = 8
+
+    type intern = {
+      w : W.t;
+      names : (string, int) Hashtbl.t;
+      mutable next_name : int;
+      seen : (int, int) Hashtbl.t;  (* oid -> wire id *)
+      mutable next_id : int;
+      mutable classes : string list;  (* distinct, case-insensitively; reversed *)
+    }
+
+    let intern_name st s =
+      match Hashtbl.find_opt st.names s with
+      | Some i -> W.varint st.w i
+      | None ->
+          let i = st.next_name in
+          st.next_name <- i + 1;
+          Hashtbl.add st.names s i;
+          W.varint st.w i;
+          (* First occurrence carries the text inline. *)
+          W.string st.w s
+
+    let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
+
+    let rec write st v =
+      match strip v with
+      | Value.Vnull -> W.u8 st.w t_null
+      | Value.Vbool b ->
+          W.u8 st.w t_bool;
+          W.bool st.w b
+      | Value.Vint i ->
+          W.u8 st.w t_int;
+          W.zigzag st.w i
+      | Value.Vfloat f ->
+          W.u8 st.w t_float;
+          W.f64 st.w f
+      | Value.Vstring s ->
+          W.u8 st.w t_string;
+          W.string st.w s
+      | Value.Vchar c ->
+          W.u8 st.w t_char;
+          W.u8 st.w (Char.code c)
+      | Value.Varr a ->
+          W.u8 st.w t_arr;
+          W.string st.w (Ty.to_string a.Value.elem_ty);
+          W.varint st.w (Array.length a.Value.items);
+          Array.iter (write st) a.Value.items
+      | Value.Vobj o -> (
+          match Hashtbl.find_opt st.seen o.Value.oid with
+          | Some id ->
+              W.u8 st.w t_ref;
+              W.varint st.w id
+          | None ->
+              let id = st.next_id in
+              st.next_id <- id + 1;
+              Hashtbl.add st.seen o.Value.oid id;
+              if not (Pti_util.Strutil.mem_ci o.Value.cls st.classes) then
+                st.classes <- o.Value.cls :: st.classes;
+              W.u8 st.w t_obj;
+              W.varint st.w id;
+              intern_name st o.Value.cls;
+              let bindings =
+                Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
+                |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+              in
+              W.varint st.w (List.length bindings);
+              List.iter
+                (fun (k, v) ->
+                  intern_name st k;
+                  write st v)
+                bindings)
+      | Value.Vproxy _ -> assert false
+
+    let encode v =
+      let st =
+        {
+          w = W.create ();
+          names = Hashtbl.create 16;
+          next_name = 0;
+          seen = Hashtbl.create 16;
+          next_id = 0;
+          classes = [];
+        }
+      in
+      write st v;
+      (Bytes_io.seal ~magic (W.contents st.w), List.rev st.classes)
+
+    type outern = {
+      r : R.t;
+      rev_names : (int, string) Hashtbl.t;
+      objects : (int, Value.obj) Hashtbl.t;
+    }
+
+    let read_name st =
+      let i = R.varint st.r in
+      match Hashtbl.find_opt st.rev_names i with
+      | Some s -> s
+      | None ->
+          let s = R.string st.r in
+          Hashtbl.add st.rev_names i s;
+          s
+
+    (* [Value.update_field], which only this decoder called. *)
+    let update_field o name v =
+      let k = String.lowercase_ascii name in
+      if Hashtbl.mem o.Value.fields k then Hashtbl.replace o.Value.fields k v
+
+    exception Unknown of string
+
+    let rec read ?resolve reg st =
+      let resolve =
+        match resolve with Some f -> f | None -> Registry.find reg
+      in
+      let tag = R.u8 st.r in
+      if tag = t_null then Value.Vnull
+      else if tag = t_bool then Value.Vbool (R.bool st.r)
+      else if tag = t_int then Value.Vint (R.zigzag st.r)
+      else if tag = t_float then Value.Vfloat (R.f64 st.r)
+      else if tag = t_string then Value.Vstring (R.string st.r)
+      else if tag = t_char then Value.Vchar (Char.chr (R.u8 st.r land 0xff))
+      else if tag = t_arr then begin
+        let ty_s = R.string st.r in
+        let elem_ty =
+          match Ty.of_string ty_s with
+          | Some ty -> ty
+          | None -> raise (R.Underflow (Printf.sprintf "bad type %S" ty_s))
+        in
+        let n = R.varint st.r in
+        if n < 0 || n > 10_000_000 then raise (R.Underflow "absurd array length");
+        (* Every element takes at least one byte: a longer declared length
+           is a lie, caught before the array is allocated. *)
+        if n > R.remaining st.r then raise (R.Underflow "array length past end");
+        let items = Array.init n (fun _ -> read ~resolve reg st) in
+        Value.Varr { Value.elem_ty; items }
+      end
+      else if tag = t_ref then begin
+        let id = R.varint st.r in
+        match Hashtbl.find_opt st.objects id with
+        | Some o -> Value.Vobj o
+        | None -> raise (R.Underflow (Printf.sprintf "dangling object ref %d" id))
+      end
+      else if tag = t_obj then begin
+        let id = R.varint st.r in
+        let cls = read_name st in
+        let cd =
+          match resolve cls with
+          | Some cd -> cd
+          | None -> raise (Unknown cls)
+        in
+        (* Declared defaults first, so missing payload fields are sane and
+           undeclared ones are dropped. *)
+        let o, _ = Registry.fresh_object reg cd in
+        Hashtbl.add st.objects id o;
+        let n = R.varint st.r in
+        for _ = 1 to n do
+          let fname = read_name st in
+          let v = read ~resolve reg st in
+          update_field o fname v
+        done;
+        Value.Vobj o
+      end
+      else raise (R.Underflow (Printf.sprintf "unknown tag %d" tag))
+
+    let decode ?resolve reg s =
+      match Bytes_io.unseal ~magic s with
+      | Error e -> Error (unseal_error e)
+      | Ok body -> (
+          let st =
+            { r = R.create body; rev_names = Hashtbl.create 16;
+              objects = Hashtbl.create 16 }
+          in
+          try
+            let v = read ?resolve reg st in
+            if not (R.at_end st.r) then Error (Malformed "trailing bytes")
+            else Ok v
+          with
+          | R.Underflow m -> Error (Malformed m)
+          | Unknown cls -> Error (Unknown_type cls))
+  end
+
+  let canonical (t : Env.t) =
+    let b = Buffer.create 256 in
+    let field s =
+      Buffer.add_string b (string_of_int (String.length s));
+      Buffer.add_char b ':';
+      Buffer.add_string b s
+    in
+    List.iter
+      (fun e ->
+        field e.Env.te_name;
+        field (Guid.to_string e.Env.te_guid);
+        field e.Env.te_assembly;
+        field e.Env.te_download_path;
+        (* Versioned entries fold the version into the digest; version 0
+           stays absent so pre-evolution envelopes keep their digests. *)
+        if e.Env.te_version > 0 then field ("v" ^ string_of_int e.Env.te_version))
+      t.Env.env_types;
+    (match t.Env.env_payload with
+    | Env.Psoap x ->
+        field "soap";
+        field (Xml.to_string x)
+    | Env.Pbinary p ->
+        field "binary";
+        field p);
+    Buffer.contents b
+
+  let digest t = Pti_util.Fnv.hash_hex (canonical t)
+
+  let digest_raw t = Pti_util.Fnv.hash_bytes (canonical t)
+end
+
+(* Encoding a graph writes the bytes the reference writes and lists the
+   same classes; every envelope over it, binary or SOAP, versioned or
+   not, carries the reference's digest, in the XML attribute and raw in
+   the PTIE frame. *)
+let prop_encodings_and_digests_unchanged =
+  QCheck.Test.make ~name:"payloads and digests unchanged" ~count:500 QCheck.int
+    (fun seed ->
+      let v = random_graph seed in
+      let version = seed land 3 in
+      let envelope codec =
+        Env.make walk_registry ~codec
+          ~version_of:(fun ~assembly:_ -> version)
+          ~download_path:(fun ~assembly -> "asm://h/" ^ assembly)
+          v
+      in
+      Bin.encode v = Reference.Bin_ser.encode v
+      && List.for_all
+           (fun codec ->
+             let env = envelope codec in
+             let frame = Env.to_string_h env ~form:(fun _ -> `Ref 1) in
+             String.equal (Env.digest env) (Reference.digest env)
+             && String.equal (String.sub frame 13 8) (Reference.digest_raw env))
+           [ Env.Binary; Env.Soap ])
+
+(* What the rewritten decoder may newly reject where the reference
+   accepted: a value that does not inhabit its declared type (reported
+   as [Corrupt]), or names and objects not numbered in the order they
+   first appear. *)
+let newly_rejected = function
+  | Bin.Corrupt _ -> true
+  | Bin.Malformed m ->
+      String.length m >= 14 && String.equal (String.sub m 0 14) "non-sequential"
+  | Bin.Unknown_type _ -> false
+
+(* Equal graphs, or graphs that encode to the same bytes: a flipped
+   float can read as nan, which [equal_deep] finds unequal to itself. *)
+let same_graph a b =
+  Value.equal_deep a b
+  || String.equal (fst (Reference.Bin_ser.encode a))
+       (fst (Reference.Bin_ser.encode b))
+
+let decode_agrees reference fresh =
+  match (reference, fresh) with
+  | Ok a, Ok b -> same_graph a b
+  | Ok _, Error e -> newly_rejected e
+  | Error _, Error _ -> true
+  | Error _, Ok _ -> false
+
+(* Unmutated encodings of the random graphs: the two decoders agree, and
+   both outcomes the rewrite allows occur. *)
+let test_decoding_matches_reference () =
+  let ok = ref 0 and mistyped = ref 0 in
+  for seed = 0 to 299 do
+    let s = fst (Reference.Bin_ser.encode (random_graph seed)) in
+    let reference = Reference.Bin_ser.decode walk_registry s in
+    let fresh = Bin.decode walk_registry s in
+    if not (decode_agrees reference fresh) then
+      Alcotest.failf "seed %d: the decoders disagree" seed;
+    match fresh with
+    | Ok _ -> incr ok
+    | Error (Bin.Corrupt _) -> incr mistyped
+    | Error _ -> ()
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 300 graphs decode, %d are mistyped" !ok !mistyped)
+    true
+    (!ok >= 100 && !mistyped >= 10)
+
+(* Truncated and flipped encodings, resealed with a valid checksum as a
+   hostile sender would (or now and then not): where the reference
+   decodes, the rewrite gives an equal value or a newly rejected class;
+   where the reference fails, so does the rewrite; nothing raises. *)
+let prop_decoding_under_mutation =
+  QCheck.Test.make ~name:"decoding under mutation accepts no more" ~count:2000
+    QCheck.(pair int int)
+    (fun (seed, mseed) ->
+      let s = fst (Reference.Bin_ser.encode (random_graph seed)) in
+      let rng = Random.State.make [| mseed |] in
+      let header = String.length Reference.Bin_ser.magic + 8 in
+      let body = Bytes.of_string (String.sub s header (String.length s - header)) in
+      let body =
+        if Bytes.length body > 0 && Random.State.bool rng then
+          Bytes.sub body 0 (Random.State.int rng (Bytes.length body))
+        else body
+      in
+      if Bytes.length body > 0 then
+        for _ = 0 to Random.State.int rng 3 do
+          let i = Random.State.int rng (Bytes.length body) in
+          Bytes.set body i
+            (Char.chr
+               (Char.code (Bytes.get body i) lxor (1 + Random.State.int rng 255)))
+        done;
+      let mutated =
+        if Random.State.int rng 8 = 0 then
+          String.sub s 0 header ^ Bytes.to_string body
+        else
+          Reference.Bytes_io.seal ~magic:Reference.Bin_ser.magic
+            (Bytes.to_string body)
+      in
+      decode_agrees
+        (Reference.Bin_ser.decode walk_registry mutated)
+        (Bin.decode walk_registry mutated))
+
 let () =
   Alcotest.run "properties"
     [
@@ -412,6 +950,13 @@ let () =
         ] );
       ( "envelope",
         [ QCheck_alcotest.to_alcotest prop_envelope_lists_walk_classes ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_encodings_and_digests_unchanged;
+          Alcotest.test_case "decoding matches the reference" `Quick
+            test_decoding_matches_reference;
+          QCheck_alcotest.to_alcotest prop_decoding_under_mutation;
+        ] );
       ( "conformance",
         [
           QCheck_alcotest.to_alcotest prop_conformant_families_conform;

@@ -111,7 +111,10 @@ let test_seal_unseal () =
     (String.length frame);
   let outcome s =
     match Bio.unseal ~magic s with
-    | Ok body -> "ok " ^ body
+    | Ok r ->
+        (* The reader stands on the body, in place. *)
+        let src = Bio.Reader.source r and at = Bio.Reader.pos r in
+        "ok " ^ String.sub src at (String.length src - at)
     | Error `Short -> "short"
     | Error `Bad_magic -> "bad magic"
     | Error `Bad_checksum -> "bad checksum"
@@ -320,6 +323,246 @@ let test_proxy_serializes_as_target () =
   in
   Alcotest.(check string) "same bytes as target" (Bin.encode p)
     (Bin.encode proxy)
+
+(* ------------------------- checked decoding ------------------------ *)
+
+(* Classes whose fields cover every kind of declared type: primitives,
+   arrays, a class, an interface, a subclass and [object]. *)
+let typed_registry () =
+  let module B = Builder in
+  let r = Registry.create () in
+  List.iter (Registry.register r)
+    [
+      B.interface_ ~ns:[ "t" ] "Named" |> B.build;
+      B.class_ ~ns:[ "t" ] "Base" ~interfaces:[ "t.Named" ]
+      |> B.field "id" Ty.Int |> B.build;
+      B.class_ ~ns:[ "t" ] "Derived" ~super:"t.Base"
+      |> B.field "Label" Ty.String |> B.build;
+      B.class_ ~ns:[ "t" ] "Other" |> B.build;
+      B.class_ ~ns:[ "t" ] "Holder"
+      |> B.field "n" Ty.Int |> B.field "f" Ty.Float |> B.field "b" Ty.Bool
+      |> B.field "c" Ty.Char |> B.field "s" Ty.String
+      |> B.field "points" (Ty.Array Ty.Int)
+      |> B.field "grid" (Ty.Array (Ty.Array Ty.Int))
+      |> B.field "base" (Ty.Named "t.Base")
+      |> B.field "named" (Ty.Named "t.Named")
+      |> B.field "bases" (Ty.Array (Ty.Named "t.Base"))
+      |> B.field "any" (Ty.Named "object")
+      |> B.build;
+    ];
+  r
+
+let obj cls fields =
+  let t = Hashtbl.create 8 in
+  List.iter (fun (k, v) -> Hashtbl.replace t k v) fields;
+  Value.Vobj { Value.oid = Value.fresh_oid (); cls; fields = t }
+
+let arr elem_ty items = Value.Varr { Value.elem_ty; items = Array.of_list items }
+
+(* A holder with one field set to [v]. *)
+let holder name v = obj "t.Holder" [ (name, v) ]
+
+let both_codecs r v =
+  [ ("binary",
+     (match Bin.decode r (Bin.encode v) with
+     | Ok v -> Ok v
+     | Error (Bin.Corrupt m) -> Error ("corrupt: " ^ m)
+     | Error e -> Error (Format.asprintf "%a" Bin.pp_error e)));
+    ("soap",
+     match Soap.decode r (Soap.encode v) with
+     | Ok v -> Ok v
+     | Error (Soap.Corrupt m) -> Error ("corrupt: " ^ m)
+     | Error e -> Error (Format.asprintf "%a" Soap.pp_error e)) ]
+
+(* Every value a place admits decodes: each field sent reads back equal
+   (the holder's other fields keep their defaults). *)
+let test_admitted_values_decode () =
+  let r = typed_registry () in
+  let derived = obj "T.DERIVED" [ ("id", Value.Vint 3); ("label", Value.Vstring "d") ] in
+  let same sent got =
+    match (sent, got) with
+    | Value.Vobj s, Value.Vobj g ->
+        Hashtbl.fold
+          (fun k v ok ->
+            ok
+            && match Value.get_field g k with
+               | Some w -> Value.equal_deep v w
+               | None -> false)
+          s.Value.fields true
+    | _ -> Value.equal_deep sent got
+  in
+  List.iter
+    (fun (what, v) ->
+      List.iter
+        (fun (codec, got) ->
+          match got with
+          | Ok v' -> Alcotest.(check bool) (codec ^ ": " ^ what) true (same v v')
+          | Error m -> Alcotest.failf "%s: %s rejected: %s" codec what m)
+        (both_codecs r v))
+    [
+      ("every primitive",
+       obj "t.Holder"
+         [ ("n", Value.Vint (-4)); ("f", Value.Vfloat 2.5);
+           ("b", Value.Vbool true); ("c", Value.Vchar 'q');
+           ("s", Value.Vstring "s") ]);
+      ("int[]", holder "points" (arr Ty.Int [ Value.Vint 1; Value.Vint 2 ]));
+      ("null arrays and objects",
+       obj "t.Holder" [ ("points", Value.Vnull); ("base", Value.Vnull) ]);
+      ("int[][]",
+       holder "grid" (arr (Ty.Array Ty.Int) [ arr Ty.Int [ Value.Vint 1 ]; Value.Vnull ]));
+      ("a subclass where its base is declared", holder "base" derived);
+      ("an implementation where its interface is declared",
+       holder "named" (obj "t.Base" [ ("id", Value.Vint 1) ]));
+      ("a subclass array where a base array is declared",
+       holder "bases" (arr (Ty.Named "t.Derived") [ derived; Value.Vnull ]));
+      ("anything where object is declared", holder "any" (arr Ty.Float [ Value.Vfloat 1. ]));
+      ("a root array of object", arr (Ty.Named "object") [ Value.Vint 1; derived ]);
+    ]
+
+(* A value its place does not admit fails the decode as corrupt, in both
+   codecs: the payload parsed, but what it holds is not what the class
+   declares. *)
+let test_mistyped_values_rejected () =
+  let r = typed_registry () in
+  List.iter
+    (fun (what, v) ->
+      List.iter
+        (fun (codec, got) ->
+          match got with
+          | Ok _ -> Alcotest.failf "%s: %s decoded" codec what
+          | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s is corrupt (%s)" codec what m)
+                true
+                (String.length m > 8 && String.sub m 0 8 = "corrupt:"))
+        (both_codecs r v))
+    [
+      ("a string in an int field", holder "n" (Value.Vstring "3"));
+      ("an int in a float field", holder "f" (Value.Vint 3));
+      ("null in an int field", holder "n" Value.Vnull);
+      ("arrays in an int[]",
+       holder "points" (arr Ty.Int [ arr Ty.Int [ Value.Vint 1 ] ]));
+      ("an int[][] where int[] is declared",
+       holder "points" (arr (Ty.Array Ty.Int) []));
+      ("a string[] where int[] is declared", holder "points" (arr Ty.String []));
+      ("an unrelated object where a class is declared",
+       holder "base" (obj "t.Other" []));
+      ("an object where an int is declared", holder "n" (obj "t.Other" []));
+      ("an array where a class is declared", holder "base" (arr Ty.Int []));
+      ("a base where its subclass array is declared",
+       obj "t.Holder"
+         [ ("bases", arr (Ty.Named "t.Derived") [ obj "t.Base" [] ]) ]);
+      ("a mistyped field of a nested object",
+       holder "base" (obj "t.Derived" [ ("label", Value.Vint 1) ]));
+    ]
+
+(* A field the class does not declare takes any value and is dropped
+   (an array in it still holds what its own element type says); one
+   declared in another case is the declared field. *)
+let test_undeclared_fields_unchecked () =
+  let r = typed_registry () in
+  let v =
+    obj "t.Holder"
+      [ ("extra", arr Ty.String [ Value.Vstring "x" ]); ("N", Value.Vint 9) ]
+  in
+  List.iter
+    (fun (codec, got) ->
+      match got with
+      | Ok (Value.Vobj o) ->
+          Alcotest.(check bool) (codec ^ " drops the extra field") true
+            (Value.get_field o "extra" = None);
+          Alcotest.(check bool) (codec ^ " reads N as n") true
+            (Value.get_field o "n" = Some (Value.Vint 9))
+      | Ok _ -> Alcotest.failf "%s: expected an object" codec
+      | Error m -> Alcotest.failf "%s: %s" codec m)
+    (both_codecs r v)
+
+(* The encoder numbers names and objects as they first appear; a
+   payload that numbers them otherwise is malformed. *)
+let test_nonsequential_ids_rejected () =
+  let r = typed_registry () in
+  let module W = Bio.Writer in
+  let frame f =
+    let w = W.create () in
+    f w;
+    Bio.seal ~magic:"PTIB\x02" (W.contents w)
+  in
+  let other ~id ~name_id w =
+    W.u8 w 6;
+    W.varint w id;
+    W.varint w name_id;
+    W.string w "t.Other";
+    W.varint w 0
+  in
+  let malformed what s =
+    match Bin.decode r s with
+    | Error (Bin.Malformed _) -> ()
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | Error e -> Alcotest.failf "%s: %a" what Bin.pp_error e
+  in
+  (match Bin.decode r (frame (other ~id:0 ~name_id:0)) with
+  | Ok (Value.Vobj o) -> Alcotest.(check string) "sequential" "t.Other" o.Value.cls
+  | _ -> Alcotest.fail "the sequential payload must decode");
+  malformed "object id 1 first" (frame (other ~id:1 ~name_id:0));
+  malformed "name id 1 first" (frame (other ~id:0 ~name_id:1));
+  malformed "a repeated object id"
+    (frame (fun w ->
+         W.u8 w 8;
+         W.string w "object";
+         W.varint w 2;
+         other ~id:0 ~name_id:0 w;
+         W.u8 w 6;
+         W.varint w 0;
+         W.varint w 0;
+         W.varint w 0));
+  match
+    Soap.decode r
+      "<obj id=\"2\" type=\"t.Other\"/>"
+  with
+  | Error (Soap.Malformed _) -> ()
+  | _ -> Alcotest.fail "soap: object id 2 first must be malformed"
+
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* hot-tcp's object: family 17's Person with its name and age set. *)
+let family17_person () =
+  let module W = Pti_demo.Workload in
+  let r = Registry.create () in
+  Assembly.load r (W.family ~index:17 ~flavor:W.Conformant);
+  (r, W.make_person r ~index:17 ~flavor:W.Conformant ~name:"s1234" ~age:1234)
+
+(* The codec stages of a cached delivery allocate the value and the
+   frame, not the codec: encoding in per-domain scratch, sealing in
+   place; decoding through a cached layout, names compared in place;
+   the digest streamed. *)
+let test_codec_allocation () =
+  let r, p = family17_person () in
+  let bytes, _ = Pti_serial.Bin_ser.encode p in
+  let layouts = Hashtbl.create 4 in
+  let layout cd =
+    match Hashtbl.find_opt layouts cd.Meta.td_name with
+    | Some ly -> ly
+    | None ->
+        let ly = Registry.layout r cd in
+        Hashtbl.replace layouts cd.Meta.td_name ly;
+        ly
+  in
+  let env = Env.make r ~codec:Env.Binary ~download_path:(fun ~assembly -> assembly) p in
+  let pin what words limit =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates %.0f words (at most %.0f)" what words limit)
+      true (words <= limit)
+  in
+  pin "Bin_ser.encode" (minor_words_of (fun () -> Pti_serial.Bin_ser.encode p)) 100.;
+  pin "Bin_ser.decode, cached layout"
+    (minor_words_of (fun () -> Bin.decode ~layout r bytes))
+    150.;
+  Alcotest.(check int) "one entry" 1 (List.length env.Env.env_types);
+  pin "Envelope.digest" (minor_words_of (fun () -> Env.digest env)) 20.
 
 (* --------------------------- assembly codec ------------------------ *)
 
@@ -994,12 +1237,6 @@ let test_assembly_flips_never_mangle () =
     true
     (!decoded < String.length s)
 
-let minor_words_of f =
-  ignore (Sys.opaque_identity (f ()));
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. before
-
 (* The writer renders once and the reader parses once, checking the
    digest over the bytes received: on family 7's assembly, at most
    4 000 and 11 000 words. *)
@@ -1234,6 +1471,18 @@ let () =
             test_self_supertype_decodes;
           Alcotest.test_case "proxy encodes as target" `Quick
             test_proxy_serializes_as_target;
+        ] );
+      ( "checked-decode",
+        [
+          Alcotest.test_case "admitted values decode" `Quick
+            test_admitted_values_decode;
+          Alcotest.test_case "mistyped values rejected" `Quick
+            test_mistyped_values_rejected;
+          Alcotest.test_case "undeclared fields unchecked" `Quick
+            test_undeclared_fields_unchecked;
+          Alcotest.test_case "non-sequential ids rejected" `Quick
+            test_nonsequential_ids_rejected;
+          Alcotest.test_case "codec allocation" `Quick test_codec_allocation;
         ] );
       ( "assembly-codec",
         [

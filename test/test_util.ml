@@ -194,6 +194,83 @@ let test_fnv_substring () =
        words)
     true (words < 16.)
 
+(* A streamed state fed fragment by fragment holds the hash of their
+   concatenation; decimals are absorbed as [string_of_int] writes them;
+   feeding allocates nothing. *)
+let test_fnv_streaming () =
+  let fed fragments =
+    let st = Fnv.init () in
+    List.iter (fun f -> f st) fragments;
+    Fnv.value st
+  in
+  let s = "prefix-type-description-suffix" in
+  Alcotest.(check int64) "nothing fed is the offset basis" (Fnv.hash64 "")
+    (fed []);
+  Alcotest.(check int64) "fragments hash their concatenation"
+    (Fnv.hash64 ("12:" ^ "type-descrip" ^ "x"))
+    (fed
+       [ (fun st -> Fnv.feed_int st 12); (fun st -> Fnv.feed_char st ':');
+         (fun st -> Fnv.feed_sub st s ~pos:7 ~len:12);
+         (fun st -> Fnv.feed_string st "x") ]);
+  List.iter
+    (fun n ->
+      Alcotest.(check int64)
+        (Printf.sprintf "decimal %d" n)
+        (Fnv.hash64 (string_of_int n))
+        (fed [ (fun st -> Fnv.feed_int st n) ]))
+    [ 0; 7; 9; 10; 99; 100; 4096; max_int; -1; -250; min_int ];
+  Alcotest.check_raises "out of range" (Invalid_argument "Fnv.feed_sub")
+    (fun () -> Fnv.feed_sub (Fnv.init ()) s ~pos:20 ~len:11);
+  let st = Fnv.init () in
+  Fnv.feed_string st s;
+  let be = Fnv.hash_bytes s in
+  Alcotest.(check bool) "compares big-endian in place" true
+    (Fnv.equal_be st ("ab" ^ be) ~pos:2);
+  Alcotest.(check bool) "a changed byte differs" false
+    (Fnv.equal_be st ("ab" ^ String.sub be 0 7 ^ "!") ~pos:2);
+  let big = String.make 4096 'x' in
+  let words =
+    minor_words_of (fun () ->
+        Fnv.feed_sub st big ~pos:1 ~len:4000;
+        Fnv.feed_int st 123_456;
+        Fnv.feed_char st ':';
+        Fnv.equal_be st be ~pos:0)
+  in
+  Alcotest.(check (float 0.)) "feeding allocates nothing" 0. words
+
+(* ------------------------------ varints --------------------------- *)
+
+module Bio = Pti_serial.Bytes_io
+
+(* Every binary codec writes and reads its integers through these: a
+   varint costs no heap words either way, whatever its length. *)
+let test_varint_allocation () =
+  let values = [| 0; 1; 127; 128; 300; 1 lsl 20; max_int |] in
+  let w = Bio.Writer.create ~initial:4096 () in
+  let write () =
+    for i = 0 to Array.length values - 1 do
+      Bio.Writer.varint w values.(i)
+    done
+  in
+  write ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 50 do
+    write ()
+  done;
+  let wrote = Gc.minor_words () -. before in
+  let r = Bio.Reader.create (Bio.Writer.contents w) in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  while not (Bio.Reader.at_end r) do
+    sum := !sum lxor Bio.Reader.varint r
+  done;
+  let read = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "Writer.varint allocates nothing" 0. wrote;
+  Alcotest.(check (float 0.)) "Reader.varint allocates nothing" 0. read;
+  let r = Bio.Reader.create (Bio.Writer.contents w) in
+  Alcotest.(check (array int)) "values read back" values
+    (Array.map (fun _ -> Bio.Reader.varint r) values)
+
 (* ------------------------------- base64 --------------------------- *)
 
 let test_base64_vectors () =
@@ -460,7 +537,10 @@ let () =
           Alcotest.test_case "allocation" `Quick test_fnv_allocation;
           Alcotest.test_case "hex allocation" `Quick test_fnv_hex_allocation;
           Alcotest.test_case "substring" `Quick test_fnv_substring;
+          Alcotest.test_case "streaming" `Quick test_fnv_streaming;
         ] );
+      ( "varint",
+        [ Alcotest.test_case "allocation" `Quick test_varint_allocation ] );
       ( "base64",
         [
           Alcotest.test_case "rfc vectors" `Quick test_base64_vectors;
