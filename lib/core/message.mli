@@ -1,7 +1,8 @@
 (** Wire messages of the type-interoperability protocol (Figure 1).
 
-    Every payload travels in its actual wire rendering (XML text), so the
-    [size] charged to the network simulator is the honest byte count. *)
+    Every payload travels in its actual wire rendering (XML text or a
+    sealed binary frame), so the [size] charged to the network simulator
+    is the honest byte count. *)
 
 type t =
   | Obj_msg of {
@@ -34,12 +35,18 @@ type t =
   | Invoke_request of {
       target : int;  (** Exported object id on the destination host. *)
       meth : string;  (** Actual-side method name (translated by caller). *)
-      args : string;  (** Envelope XML carrying the argument values. *)
+      args : string;
+          (** The argument values' envelope (an object array), as a sealed
+              [PTIE] frame ({!Pti_serial.Envelope.to_string_h}) whose type
+              entries are all bound inside the frame: it needs no link
+              handle table, and a ref slot is refused. A classic XML
+              envelope, as older peers send, is still accepted. *)
       token : int;
     }
   | Invoke_reply of {
       token : int;
-      result : string option;  (** Envelope XML of the return value. *)
+      result : string option;
+          (** The return value's envelope, in the same form as [args]. *)
       error : string option;
     }
   | Gossip of { kind : string; body : string }

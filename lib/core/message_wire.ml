@@ -24,8 +24,10 @@ let opt w = function
 
 let read_opt r = if R.bool r then Some (R.string r) else None
 
+let writer = W.scratch ()
+
 let encode (m : Message.t) =
-  let w = W.create () in
+  let w = writer () in
   W.raw w magic;
   (match m with
   | Message.Obj_msg { envelope; tdescs; assemblies } ->

@@ -401,9 +401,15 @@ let send t ~dst msg =
   Log.debug (fun m -> m "[%s] -> %s: %s" t.addr dst (Message.describe msg));
   (* [Message.describe] includes subprotocol tokens, so concurrently
      pending deliveries get distinguishable event labels — the model
-     checker's sleep sets identify events by label. *)
-  Transport.send (endpoint t) ~info:(Message.describe msg) ~dst
-    ~category:(Message.category msg) ~size:(Message.size msg) msg
+     checker's sleep sets identify events by label. Only the simulator
+     labels events; a stream discards [info], so it is not formatted. *)
+  let info =
+    match Transport.sim_net t.tr with
+    | Some _ -> Some (Message.describe msg)
+    | None -> None
+  in
+  Transport.send (endpoint t) ?info ~dst ~category:(Message.category msg)
+    ~size:(Message.size msg) msg
 
 (* ---------------------------------------------------------------- *)
 (* Asynchronous fetch plumbing                                        *)
@@ -996,14 +1002,30 @@ let receive_value_envelope t ~from:_ env k =
         | Ok v -> k (Ok v)
         | Error e -> k (Error (Format.asprintf "%a" Envelope.pp_error e))))
 
-let handle_invoke t ~from ~target ~meth ~args_xml ~token =
+(* An invocation body (arguments or result): the value's envelope as a
+   sealed PTIE frame that binds every type entry inside the frame, so it
+   needs no link table on either side. *)
+let invocation_body t value =
+  let next = ref 0 in
+  Envelope.to_string_h (make_envelope t value) ~form:(fun _ ->
+      let h = !next in
+      incr next;
+      `Bind h)
+
+(* The frame's own bindings are dropped, not installed in the link's
+   table: a ref slot resolves nowhere and the body is refused. A classic
+   XML body, from an older peer, decodes as it always did. *)
+let of_invocation_body body =
+  Result.map fst (Envelope.of_string_h ~resolve:(fun _ -> None) body)
+
+let handle_invoke t ~from ~target ~meth ~args ~token =
   let reply result error =
     send t ~dst:from (Message.Invoke_reply { token; result; error })
   in
   match Hashtbl.find_opt t.exported target with
   | None -> reply None (Some (Printf.sprintf "no exported object %d" target))
   | Some recv -> (
-      match Envelope.of_string args_xml with
+      match of_invocation_body args with
       | Error e -> reply None (Some (Format.asprintf "%a" Envelope.pp_error e))
       | Ok env ->
           receive_value_envelope t ~from env (function
@@ -1011,9 +1033,7 @@ let handle_invoke t ~from ~target ~meth ~args_xml ~token =
             | Ok (Value.Varr a) -> (
                 let args = Array.to_list a.Value.items in
                 match Eval.call t.sh.sh_reg recv meth args with
-                | result ->
-                    let renv = make_envelope t result in
-                    reply (Some (Envelope.to_string renv)) None
+                | result -> reply (Some (invocation_body t result)) None
                 | exception Eval.Runtime_error msg -> reply None (Some msg))
             | Ok _ -> reply None (Some "malformed argument payload")))
 
@@ -1137,7 +1157,7 @@ let handle t ~src msg =
       complete t t.asm_conts ~token ~from:src ~what:"assembly"
         ~parse:Assembly_xml.of_string assembly ~on_corrupt:(fun k () -> k None)
   | Message.Invoke_request { target; meth; args; token } ->
-      handle_invoke t ~from:src ~target ~meth ~args_xml:args ~token
+      handle_invoke t ~from:src ~target ~meth ~args ~token
   | Message.Invoke_reply { token; result; error } -> (
       match Hashtbl.find_opt t.invoke_conts token with
       | None -> ()
@@ -1148,8 +1168,8 @@ let handle t ~src msg =
           | None -> (
               match result with
               | None -> k (Error "empty reply")
-              | Some xml -> (
-                  match Envelope.of_string xml with
+              | Some body -> (
+                  match of_invocation_body body with
                   | Error e ->
                       k (Error (Format.asprintf "%a" Envelope.pp_error e))
                   | Ok env ->
@@ -1717,22 +1737,23 @@ let export t value =
 
 (* Synchronous remote invocation used by remote proxies. *)
 let remote_invoke t ~host ~target ~meth args =
-  let env =
-    make_envelope t
+  let args =
+    invocation_body t
       (Value.Varr
          { Value.elem_ty = Ty.Named "object"; items = Array.of_list args })
   in
   let token = fresh_token t in
   let outcome = ref None in
   Hashtbl.replace t.invoke_conts token (fun r -> outcome := Some r);
-  send t ~dst:host
-    (Message.Invoke_request
-       { target; meth; args = Envelope.to_string env; token });
+  send t ~dst:host (Message.Invoke_request { target; meth; args; token });
   ignore (drive_until t (fun () -> !outcome <> None));
   match !outcome with
   | Some (Ok v) -> v
   | Some (Error e) -> raise (Eval.Runtime_error ("remote: " ^ e))
-  | None -> raise (Eval.Runtime_error "remote invocation lost (network idle)")
+  | None ->
+      (* A reply that arrives after this has nothing to resume. *)
+      Hashtbl.remove t.invoke_conts token;
+      raise (Eval.Runtime_error "remote invocation lost (network idle)")
 
 let acquire t rref ~interest =
   (* 1. obtain the remote type's description (and its closure). *)

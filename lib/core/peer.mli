@@ -289,7 +289,18 @@ val acquire : t -> remote_ref -> interest:string ->
 (** Synchronously (driving the simulation) fetch the remote type's
     description, check conformance against the local [interest] type and
     return an invokable remote proxy. Invocations on the proxy are
-    synchronous remote calls. *)
+    synchronous remote calls.
+
+    A call's arguments and its result travel as envelopes in compact
+    sealed [PTIE] frames, whatever [~handles] says: each frame binds
+    every type entry it names inside itself, and the receiver drops
+    those bindings instead of installing them in the link's handle
+    table. A body therefore carries the frame checksum and the semantic
+    digest an object envelope carries, needs no renegotiation, and is
+    refused (an error reply, the method not run) if it holds a ref slot
+    or fails either check. A classic XML body from an older peer is still
+    served. A call whose reply never comes raises [Eval.Runtime_error]
+    and leaves nothing behind on the caller. *)
 
 (** {1 Introspection for tests and benchmarks} *)
 

@@ -73,6 +73,14 @@ let shadow t cd =
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd;
       if not (Hashtbl.mem t.by_name (key cd)) then bind_name t (key cd) cd
 
+(* [String.lowercase_ascii], without a copy of a name that has no
+   uppercase letter. *)
+let rec has_upper s i =
+  i < String.length s
+  && ((s.[i] >= 'A' && s.[i] <= 'Z') || has_upper s (i + 1))
+
+let lc s = if has_upper s 0 then String.lowercase_ascii s else s
+
 let find t name = Hashtbl.find_opt t.by_name (String.lowercase_ascii name)
 
 let find_exn t name =
@@ -121,17 +129,59 @@ let all_interfaces t cd =
   List.iter visit_class (super_chain t cd);
   List.rev !acc
 
+(* The declared supertypes of [cd], each once: its superclass chain,
+   then every interface any of them implements. *)
+let supertypes t cd = super_chain t cd @ all_interfaces t cd
+
+exception Found
+exception Spent
+
+(* [Hashtbl.find] on the lowercased name: [Not_found] when unbound. *)
+let bound t name = Hashtbl.find t.by_name (lc name)
+
+(* Walks the edges [supertypes] follows, depth first, and raises [Found]
+   at a name equal to [super] that resolves (a name resolves to the class
+   whose qualified name it equals, up to case). Each class or interface
+   visited costs one unit of [fuel]: the walk keeps no visited set, and
+   raises [Spent] when the fuel runs out, as it does on a cycle. Returns
+   the fuel left. *)
+let rec up t super cd fuel =
+  if fuel <= 0 then raise Spent;
+  let fuel = across t super cd.Meta.td_interfaces (fuel - 1) in
+  match cd.Meta.td_super with
+  | None -> fuel
+  | Some name -> (
+      match bound t name with
+      | exception Not_found -> fuel
+      | c -> if S.equal_ci name super then raise Found else up t super c fuel)
+
+and across t super names fuel =
+  match names with
+  | [] -> fuel
+  | name :: rest -> (
+      match bound t name with
+      | exception Not_found -> across t super rest fuel
+      | c ->
+          if S.equal_ci name super then raise Found;
+          if fuel <= 0 then raise Spent;
+          across t super rest
+            (across t super c.Meta.td_interfaces (fuel - 1)))
+
 let is_subtype t ~sub ~super =
-  if S.equal_ci sub super then true
-  else
-    match find t sub with
-    | None -> false
-    | Some cd ->
-        let names =
-          List.map Meta.qualified_name (super_chain t cd)
-          @ List.map Meta.qualified_name (all_interfaces t cd)
-        in
-        List.exists (fun n -> S.equal_ci n super) names
+  S.equal_ci sub super
+  ||
+  match bound t sub with
+  | exception Not_found -> false
+  | cd -> (
+      (* An acyclic graph without shared ancestors visits each supertype
+         once; whatever needs more is settled on the closure. *)
+      match up t super cd (2 * (cardinal t + 1)) with
+      | _ -> false
+      | exception Found -> true
+      | exception Spent ->
+          List.exists
+            (fun c -> S.equal_ci (Meta.qualified_name c) super)
+            (supertypes t cd))
 
 (* Every class the walk can reach is bound by name, so an acyclic chain
    has at most [cardinal t] superclasses: the counter ends a cyclic one
@@ -156,16 +206,9 @@ type layout = {
   ly_lineage : Meta.class_def list;
   ly_keys : string array;
   ly_tys : Ty.t array;
+  ly_supers : string array;
   ly_stamp : int;
 }
-
-(* [String.lowercase_ascii], without a copy of a name that has no
-   uppercase letter. *)
-let rec has_upper s i =
-  i < String.length s
-  && ((s.[i] >= 'A' && s.[i] <= 'Z') || has_upper s (i + 1))
-
-let lc s = if has_upper s 0 then String.lowercase_ascii s else s
 
 (* Insertion sort of the keys, carrying their types along: a class
    declares a handful of fields, and an in-place sort allocates
@@ -209,7 +252,8 @@ let rec add_classes keys tys used = function
       add_classes keys tys used rest
 
 let layout t cd =
-  let lineage = List.rev (cd :: super_chain t cd) in
+  let chain = super_chain t cd in
+  let lineage = List.rev (cd :: chain) in
   let declared =
     List.fold_left (fun n c -> n + List.length c.Meta.td_fields) 0 lineage
   in
@@ -220,8 +264,24 @@ let layout t cd =
   let keys = if n = declared then keys else Array.sub keys 0 n in
   let tys = if n = declared then tys else Array.sub tys 0 n in
   sort_slots keys tys;
+  (* A class without superclass or interfaces, as most are, allocates
+     nothing here. *)
+  let ifaces =
+    if List.exists (fun c -> c.Meta.td_interfaces <> []) lineage then
+      all_interfaces t cd
+    else []
+  in
+  let supers =
+    match (chain, ifaces) with
+    | [], [] -> [||]
+    | _ ->
+        Array.of_list
+          (List.map
+             (fun c -> String.lowercase_ascii (Meta.qualified_name c))
+             (chain @ ifaces))
+  in
   { ly_name = Meta.qualified_name cd; ly_lineage = lineage; ly_keys = keys;
-    ly_tys = tys; ly_stamp = t.stamp }
+    ly_tys = tys; ly_supers = supers; ly_stamp = t.stamp }
 
 let stamp t = t.stamp
 
@@ -262,6 +322,16 @@ let rec assignable t ~sub ~super =
   | Ty.Named a, Ty.Named b -> is_subtype t ~sub:a ~super:b
   | Ty.Array a, Ty.Array b -> assignable t ~sub:a ~super:b
   | _ -> Ty.equal sub super
+
+let rec among n supers i =
+  i < Array.length supers
+  && (S.equal_ci n supers.(i) || among n supers (i + 1))
+
+let admits_instance ly ty =
+  match ty with
+  | Ty.Named n ->
+      is_root n || S.equal_ci n ly.ly_name || among n ly.ly_supers 0
+  | _ -> false
 
 let admits t ty v =
   match (ty, v) with

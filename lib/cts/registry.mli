@@ -62,7 +62,13 @@ val all_interfaces : t -> Meta.class_def -> Meta.class_def list
 
 val is_subtype : t -> sub:string -> super:string -> bool
 (** Declared (explicit) subtyping: reflexive-transitive closure over
-    superclass and interface edges, by case-insensitive qualified name. *)
+    superclass and interface edges, by case-insensitive qualified name:
+    [super] is [sub], a class on {!super_chain} of [sub]'s class, or an
+    interface {!all_interfaces} lists for it. The edges are walked in
+    place, with a step budget instead of a visited set, so a check
+    builds no list and allocates only the lowercased names it looks up;
+    a walk that spends its budget (a cycle, or ancestors shared many
+    times over) is settled on those two lists. *)
 
 val find_method : t -> Meta.class_def -> string -> int ->
   (Meta.class_def * Meta.method_def) option
@@ -86,14 +92,19 @@ type layout = private {
   ly_tys : Ty.t array;
       (** The declared type of each key, at the same index: the most
           derived declaration of that name. *)
+  ly_supers : string array;
+      (** The lowercased qualified names of the class's declared
+          supertypes, each once: {!super_chain}, then
+          {!all_interfaces}. *)
   ly_stamp : int;  (** The registry's {!stamp} when it was built. *)
 }
 (** A class's field layout, compiled once: what every instance of the
     class holds and what each field may hold. *)
 
 val layout : t -> Meta.class_def -> layout
-(** Compiles the layout of [cd]: walks {!super_chain} once, lowercases
-    each field name once and concatenates the qualified name once. The
+(** Compiles the layout of [cd]: walks {!super_chain} and
+    {!all_interfaces} once, lowercases each field name and supertype
+    name once and concatenates the qualified name once. The
     layout depends on the class and on what its superclass names resolve
     to, which {!register}, {!upgrade} and {!shadow} can change: it
     records the registry's {!stamp} at build time in [ly_stamp]. *)
@@ -135,6 +146,13 @@ val assignable : t -> sub:Ty.t -> super:Ty.t -> bool
     ({!is_subtype}), arrays whose element types are assignable, and a
     primitive type only to itself. *)
 
+val admits_instance : layout -> Ty.t -> bool
+(** Whether an instance of the layout's class may stand where [ty] is
+    declared: [ty] is [object], the class itself, or one of its
+    {!ly_supers}. What {!admits} answers for such an object, read off
+    the layout; allocates nothing. Both payload decoders check each
+    object they build through it. *)
+
 val admits : t -> Ty.t -> Value.value -> bool
 (** Whether a slot declared [ty] may hold [v], by [v]'s outer shape: a
     primitive type needs the matching tag; a class, interface or array
@@ -143,8 +161,10 @@ val admits : t -> Ty.t -> Value.value -> bool
     takes an array whose element type is {!assignable} to the declared
     element type (the items are the decoder's to check, each against
     the array's own element type); [object] takes anything. A decoder
-    calls it once per value read. On an exact class-name match it
-    allocates nothing. *)
+    calls it once per value it reads, except the objects it builds
+    ({!admits_instance}). On an exact class-name match it allocates
+    nothing, and an object of a subclass costs the lowercased names
+    {!is_subtype} looks up. *)
 
 val missing_dependencies : t -> Meta.class_def -> string list
 (** Qualified names referenced by the class (super, interfaces, field types,

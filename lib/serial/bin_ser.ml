@@ -36,7 +36,7 @@ and t_arr = 8
    per domain and reset at the start of every encode, so an encode that
    raised leaves nothing behind. *)
 type scratch = {
-  w : W.t;
+  mutable w : W.t;
   names : (string, int) Hashtbl.t;  (* interned name -> wire id *)
   seen : (int, int) Hashtbl.t;  (* oid -> wire id *)
   mutable classes : string list;  (* distinct, case-insensitively; reversed *)
@@ -45,13 +45,15 @@ type scratch = {
 (* Tables grown past this are dropped at the next reset. *)
 let max_kept = 1024
 
+let writer = W.scratch ()
+
 let scratch =
   Domain.DLS.new_key (fun () ->
-      { w = W.create (); names = Hashtbl.create 16; seen = Hashtbl.create 16;
+      { w = writer (); names = Hashtbl.create 16; seen = Hashtbl.create 16;
         classes = [] })
 
 let reset st =
-  W.reset st.w;
+  st.w <- writer ();
   W.begin_seal st.w ~magic;
   if Hashtbl.length st.names > max_kept then Hashtbl.reset st.names
   else Hashtbl.clear st.names;
@@ -286,7 +288,7 @@ and read_object st ty =
   st.objects.(id) <- o;
   st.nobjects <- id + 1;
   let v = Value.Vobj o in
-  check st ty v;
+  if not (Registry.admits_instance ly ty) then raise (Mistyped (ty, v));
   (* The encoder writes fields in key order: each is found at the slot
      after the last. *)
   let hint = ref 0 in

@@ -34,6 +34,13 @@ module Writer = struct
     t.len <- 0;
     t.hdr <- 0
 
+  let scratch () =
+    let key = Domain.DLS.new_key (fun () -> create ()) in
+    fun () ->
+      let t = Domain.DLS.get key in
+      reset t;
+      t
+
   let u8 t v =
     if t.len >= Bytes.length t.buf then reserve t 1;
     Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));

@@ -36,6 +36,18 @@ module Writer : sig
   (** Empty the writer for reuse, keeping its buffer (a buffer grown
       past 64 KiB is dropped for a small one). *)
 
+  val scratch : unit -> unit -> t
+  (** [scratch ()] is one encoder's source of scratch writers, one per
+      domain: each call of the function it returns gives the calling
+      domain's writer, {!reset} first. Nothing a previous use wrote
+      survives the reset, so an encoder that raised leaves nothing
+      behind, and a 64 KiB frame does not pin its buffer. The writer is
+      the encoder's until it next calls that function on the same
+      domain: it copies its frame out ({!contents}, {!seal}) before
+      returning, and each encoder makes its own source, so encoders that
+      run inside one another ({!Envelope.to_string_h} after
+      {!Bin_ser.encode}) never share a writer. *)
+
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   (** Unsigned LEB128; value must be >= 0. *)

@@ -347,27 +347,36 @@ let read_versions r binds = if R.at_end r then binds else versioned r [] binds
 
 let bin_magic = "PTIE\x01"
 let max_slots = 10_000
+let writer = W.scratch ()
 
-let to_string_h t ~form =
-  let w = W.sealed ~magic:bin_magic () in
-  let digest8 = Bytes.create 8 in
-  Bytes.set_int64_be digest8 0 (Fnv.value (digest_state t));
-  W.raw w (Bytes.unsafe_to_string digest8);
-  W.varint w (List.length t.env_types);
-  (* Bind slots carry entries; their versions go in the trailing block. *)
-  let bound = ref [] in
-  List.iter
-    (fun e ->
+(* The slots in wire order. Bind slots carry entries, whose versions go
+   in the trailing block: returns the bind slots' entries, newest first,
+   when some entry is versioned, and nothing otherwise. *)
+let rec write_slots w ~form ~versioned bound = function
+  | [] -> bound
+  | e :: rest -> (
       match (form e : handle_form) with
       | `Bind h ->
           W.u8 w 1;
           W.varint w h;
           write_entry w e;
-          bound := (h, e) :: !bound
+          write_slots w ~form ~versioned
+            (if versioned then (h, e) :: bound else bound)
+            rest
       | `Ref h ->
           W.u8 w 2;
-          W.varint w h)
-    t.env_types;
+          W.varint w h;
+          write_slots w ~form ~versioned bound rest)
+
+let to_string_h t ~form =
+  let w = writer () in
+  W.begin_seal w ~magic:bin_magic;
+  let digest8 = Bytes.create 8 in
+  Bytes.set_int64_be digest8 0 (Fnv.value (digest_state t));
+  W.raw w (Bytes.unsafe_to_string digest8);
+  W.varint w (List.length t.env_types);
+  let versioned = List.exists (fun e -> e.te_version > 0) t.env_types in
+  let bound = write_slots w ~form ~versioned [] t.env_types in
   (match t.env_payload with
   | Psoap x ->
       W.u8 w 0;
@@ -375,7 +384,7 @@ let to_string_h t ~form =
   | Pbinary p ->
       W.u8 w 1;
       W.string w p);
-  write_versions w (List.rev !bound);
+  write_versions w (List.rev bound);
   W.seal w
 
 (* Decode a PTIE body whose checksum already matched, where it lies:

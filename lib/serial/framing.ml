@@ -5,8 +5,10 @@
    many payload bytes. The [Decoder] is incremental and partial-read
    safe: bytes arrive in arbitrary chunks (a TCP read can split a frame
    — or the length varint itself — at any byte boundary) and complete
-   frames pop out as they materialise. The writer side is trivial, but
-   lives here so both producers agree on the prefix encoding.
+   frames pop out as they materialise. The writer side is [alloc], an
+   exact-size frame with its prefix written, which a producer fills in
+   place; it lives here so every producer agrees on the prefix
+   encoding.
 
    Also home to the varint-counted string-list helpers [Batch_frame]
    and the wire codecs share, with the same bound on absurd counts. *)
@@ -35,15 +37,29 @@ let read_string_list r = read_list r R.string
 (* ~16 MB: far above any PTI frame, far below a parser bomb. *)
 let default_max_frame = 16 * 1024 * 1024
 
-let encode payload =
-  let w = W.create ~initial:(String.length payload + 5) () in
-  W.varint w (String.length payload);
-  W.raw w payload;
-  W.contents w
+let rec frame_overhead payload_len =
+  if payload_len < 0x80 then 1 else 1 + frame_overhead (payload_len lsr 7)
 
-let frame_overhead payload_len =
-  let rec varint_len n = if n < 0x80 then 1 else 1 + varint_len (n lsr 7) in
-  varint_len payload_len
+let rec write_prefix b at n =
+  if n < 0x80 then Bytes.unsafe_set b at (Char.unsafe_chr n)
+  else begin
+    Bytes.unsafe_set b at (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    write_prefix b (at + 1) (n lsr 7)
+  end
+
+(* One exact-size buffer: a producer that assembles its payload in
+   place copies it once. *)
+let alloc len =
+  if len < 0 then invalid_arg "Framing.alloc";
+  let b = Bytes.create (frame_overhead len + len) in
+  write_prefix b 0 len;
+  b
+
+let encode payload =
+  let n = String.length payload in
+  let b = alloc n in
+  Bytes.blit_string payload 0 b (frame_overhead n) n;
+  Bytes.unsafe_to_string b
 
 module Decoder = struct
   type t = {

@@ -105,13 +105,14 @@ let class_layout st cls =
           st.layouts <- (cls, ly) :: st.layouts;
           ly)
 
-let check st ty v =
-  if not (Registry.admits st.reg ty v) then
-    raise
-      (Fail
-         (Corrupt
-            (Printf.sprintf "a %s value where %s is declared"
-               (Value.type_name v) (Ty.to_string ty))))
+let mistyped ty v =
+  raise
+    (Fail
+       (Corrupt
+          (Printf.sprintf "a %s value where %s is declared"
+             (Value.type_name v) (Ty.to_string ty))))
+
+let check st ty v = if not (Registry.admits st.reg ty v) then mistyped ty v
 
 let int_attr name x =
   match Xml.attr name x with
@@ -198,7 +199,7 @@ and read_object st ty x =
   st.objects.(st.nobjects) <- o;
   st.nobjects <- id;
   let v = Value.Vobj o in
-  check st ty v;
+  if not (Registry.admits_instance ly ty) then mistyped ty v;
   (* Fields come in key order: each is found at the slot after the
      last. *)
   let hint = ref 0 in

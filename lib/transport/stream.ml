@@ -32,7 +32,6 @@
    bytes stop. *)
 
 module Framing = Pti_serial.Framing
-module W = Pti_serial.Bytes_io.Writer
 module R = Pti_serial.Bytes_io.Reader
 module Faults = Pti_net.Faults
 module Sim = Pti_net.Sim
@@ -83,6 +82,13 @@ type 'a t = {
   tcp_host : string;  (* bind/dial host (tcp family) *)
   endpoints : (address, 'a endpoint) Hashtbl.t;
   mutable conns : conn list;
+  (* The select set, rebuilt only after an endpoint or a connection came
+     or went: the read descriptors (listeners, then connections), and
+     the endpoints and connections they belong to, by position. *)
+  mutable sel_stale : bool;
+  mutable sel_fds : Unix.file_descr list;
+  mutable sel_eps : 'a endpoint array;
+  mutable sel_conns : conn array;
   remotes : (address, string) Hashtbl.t;  (* logical addr -> dial spec *)
   binds : (address, bind_spec) Hashtbl.t;  (* pre-registered listeners *)
   pendings : (address * address, pending) Hashtbl.t;
@@ -128,6 +134,10 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
     tcp_host;
     endpoints = Hashtbl.create 8;
     conns = [];
+    sel_stale = true;
+    sel_fds = [];
+    sel_eps = [||];
+    sel_conns = [||];
     remotes = Hashtbl.create 8;
     binds = Hashtbl.create 4;
     pendings = Hashtbl.create 8;
@@ -244,6 +254,7 @@ let add_endpoint t addr ~handler =
   let spec = spec_of_sockaddr (Unix.getsockname fd) in
   let ep = { ep_addr = addr; ep_handler = handler; ep_listen = fd; ep_spec = spec; ep_owner = t } in
   Hashtbl.replace t.endpoints addr ep;
+  t.sel_stale <- true;
   ep
 
 let listen_spec t addr =
@@ -251,19 +262,23 @@ let listen_spec t addr =
 
 (* ---- connections ------------------------------------------------------ *)
 
-let hello_frame addr =
-  let w = W.create () in
-  W.u8 w 0x48;
-  W.raw w addr;
-  Framing.encode (W.contents w)
+let hello_frame addr = Framing.encode ("\x48" ^ addr)
 
+(* Tag, category, send stamp. *)
+let data_header = 10
+
+(* The whole frame in one exact-size string: the payload is copied
+   once, behind the prefix and the header. *)
 let data_frame ~category payload =
-  let w = W.create ~initial:(String.length payload + 16) () in
-  W.u8 w 0x44;
-  W.u8 w (Stats.index category);
-  W.f64 w (wall_ms ());
-  W.raw w payload;
-  Framing.encode (W.contents w)
+  let n = String.length payload in
+  let len = data_header + n in
+  let b = Framing.alloc len in
+  let at = Framing.frame_overhead len in
+  Bytes.unsafe_set b at '\x44';
+  Bytes.unsafe_set b (at + 1) (Char.unsafe_chr (Stats.index category));
+  Bytes.set_int64_le b (at + 2) (Int64.bits_of_float (wall_ms ()));
+  Bytes.blit_string payload 0 b (at + data_header) n;
+  Bytes.unsafe_to_string b
 
 let find_conn t ~local ~peer =
   List.find_opt
@@ -279,6 +294,7 @@ let kill_conn t c =
     Queue.clear c.cn_out;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
+    t.sel_stale <- true;
     match c.cn_peer with
     | Some peer -> emit t (Disconnected { local = c.cn_local; peer })
     | None -> ()
@@ -359,6 +375,7 @@ let rec try_dial t ~src ~dst =
                       }
                     in
                     t.conns <- c :: t.conns;
+                    t.sel_stale <- true;
                     enqueue c (hello_frame src);
                     Queue.iter (fun (_, f) -> enqueue c f) p.pd_frames;
                     Queue.clear p.pd_frames;
@@ -519,6 +536,7 @@ let service_accept t ep =
           }
         in
         t.conns <- c :: t.conns;
+        t.sel_stale <- true;
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> ()
@@ -530,21 +548,35 @@ let service_accept t ep =
 let has_buffered_out t =
   List.exists (fun c -> c.cn_alive && not (Queue.is_empty c.cn_out)) t.conns
 
+let rebuild_select t =
+  t.sel_stale <- false;
+  t.sel_eps <-
+    Array.of_list (Hashtbl.fold (fun _ ep acc -> ep :: acc) t.endpoints []);
+  t.sel_conns <- Array.of_list t.conns;
+  t.sel_fds <-
+    Array.fold_right
+      (fun ep fds -> ep.ep_listen :: fds)
+      t.sel_eps
+      (List.map (fun c -> c.fd) t.conns)
+
+(* The descriptors of the connections with output queued: usually
+   none, and then nothing is allocated. *)
+let rec queued_writes conns i acc =
+  if i < 0 then acc
+  else
+    let c = conns.(i) in
+    queued_writes conns (i - 1)
+      (if c.cn_alive && not (Queue.is_empty c.cn_out) then c.fd :: acc
+       else acc)
+
 let poll t ~timeout_ms =
   if t.closed then false
   else begin
-    let listeners =
-      Hashtbl.fold (fun _ ep acc -> (ep.ep_listen, `L ep) :: acc) t.endpoints []
-    in
-    let conns = t.conns in
-    let rds =
-      List.map fst listeners @ List.map (fun c -> c.fd) conns
-    in
-    let wrs =
-      List.filter_map
-        (fun c -> if Queue.is_empty c.cn_out then None else Some c.fd)
-        conns
-    in
+    if t.sel_stale then rebuild_select t;
+    (* Servicing can add or kill connections: this poll walks the set it
+       selected on, the next one rebuilds it. *)
+    let eps = t.sel_eps and conns = t.sel_conns in
+    let wrs = queued_writes conns (Array.length conns - 1) [] in
     let timeout =
       let t_io = Float.max 0. timeout_ms in
       match Clock.next_due_ms t.clock with
@@ -552,14 +584,23 @@ let poll t ~timeout_ms =
       | None -> t_io /. 1000.
     in
     let r, w, _ =
-      try Unix.select rds wrs [] timeout
+      try Unix.select t.sel_fds wrs [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    List.iter
-      (fun (fd, `L ep) -> if List.memq fd r then service_accept t ep)
-      listeners;
-    List.iter (fun c -> if c.cn_alive && List.memq c.fd r then service_read t c) conns;
-    List.iter (fun c -> if c.cn_alive && List.memq c.fd w then flush_conn t c) conns;
+    if r <> [] then begin
+      for i = 0 to Array.length eps - 1 do
+        if List.memq eps.(i).ep_listen r then service_accept t eps.(i)
+      done;
+      for i = 0 to Array.length conns - 1 do
+        let c = conns.(i) in
+        if c.cn_alive && List.memq c.fd r then service_read t c
+      done
+    end;
+    if w <> [] then
+      for i = 0 to Array.length conns - 1 do
+        let c = conns.(i) in
+        if c.cn_alive && List.memq c.fd w then flush_conn t c
+      done;
     let fired = Clock.tick t.clock in
     r <> [] || w <> [] || fired > 0
   end

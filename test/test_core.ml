@@ -709,6 +709,156 @@ let test_layout_follows_base_upgrade () =
   Alcotest.(check (pair bool bool)) "after: a and c" (true, true)
     (holds "a", holds "c")
 
+(* ------------------------------------------------------------------ *)
+(* The invocation wire                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Env = Pti_serial.Envelope
+module Workload = Pti_demo.Workload
+
+let ptie = "PTIE\x01"
+
+let is_ptie s =
+  String.length s >= String.length ptie
+  && String.sub s 0 (String.length ptie) = ptie
+
+(* On [kind]'s fabric: a server exporting a family-3 Person aged 5, and a
+   raw endpoint that sends it hand-made invocation bodies and keeps the
+   replies. *)
+type rpc_world = {
+  tr : Message.t Transport.t;
+  srv : Peer.t;
+  person : Value.value;
+  rref : Peer.remote_ref;
+  raw : Message.t Transport.endpoint;
+  replies : Message.t list ref;
+}
+
+let rpc_world kind =
+  let tr = fabric kind in
+  let srv = Peer.create ~transport:tr "srv" in
+  Peer.publish_assembly srv
+    (Workload.family ~index:3 ~flavor:Workload.Conformant);
+  let person =
+    Workload.make_person (Peer.registry srv) ~index:3
+      ~flavor:Workload.Conformant ~name:"Eve" ~age:5
+  in
+  let rref = Peer.export srv person in
+  let replies = ref [] in
+  let raw =
+    Transport.add_endpoint tr "raw" ~handler:(fun ~src:_ m ->
+        replies := m :: !replies)
+  in
+  { tr; srv; person; rref; raw; replies }
+
+let age w = get_int (Eval.call (Peer.registry w.srv) w.person "getAge" [])
+
+(* A client peer on [w]'s fabric, and its proxy of the server's Person. *)
+let client w =
+  let cli = Peer.create ~transport:w.tr "cli" in
+  Peer.install_assembly cli (Workload.interest_assembly ());
+  match Peer.acquire cli w.rref ~interest:Workload.interest_person with
+  | Ok proxy -> (cli, proxy)
+  | Error e -> Alcotest.failf "acquire failed: %s" e
+
+(* The reply to one [setAge] whose arguments travel as [args]. *)
+let raw_set_age w args =
+  w.replies := [];
+  Transport.send w.raw ~dst:"srv" ~category:Stats.Invoke_request ~size:0
+    (Message.Invoke_request
+       { target = w.rref.Peer.rr_id; meth = "setAge"; args; token = 1 });
+  ignore
+    (Transport.drive_until w.tr
+       ~deadline_ms:(Transport.now_ms w.tr +. 10_000.)
+       (fun () -> !(w.replies) <> []));
+  match !(w.replies) with
+  | [ Message.Invoke_reply { result; error; _ } ] -> (result, error)
+  | _ -> Alcotest.fail "expected exactly one invocation reply"
+
+(* The envelope of [setAge(n)]'s arguments, with a type entry the server
+   knows (its Person's) that the payload does not need. *)
+let set_age_args w n =
+  let reg = Peer.registry w.srv in
+  let make v =
+    Env.make reg ~codec:Env.Binary ~download_path:(fun ~assembly -> assembly) v
+  in
+  let args =
+    make (Value.Varr { Value.elem_ty = Ty.Named "object"; items = [| Value.Vint n |] })
+  in
+  { args with Env.env_types = (make w.person).Env.env_types }
+
+let served what (result, error) =
+  match (result, error) with
+  | Some r, None ->
+      Alcotest.(check bool) (what ^ ": the result is a PTIE frame") true (is_ptie r)
+  | _, Some e -> Alcotest.failf "%s: refused: %s" what e
+  | None, None -> Alcotest.failf "%s: empty reply" what
+
+let refused what (result, error) =
+  Alcotest.(check bool) (what ^ ": an error reply") true
+    (result = None && error <> None)
+
+(* A client calls through its proxy; every invocation body either way
+   is a sealed PTIE frame. *)
+let test_invocation_bodies_are_ptie kind () =
+  let w = rpc_world kind in
+  let cli, proxy = client w in
+  let bodies = ref [] in
+  Transport.set_integrity w.tr
+    (Some
+       (fun m ->
+         (match m with
+         | Message.Invoke_request { args; _ } -> bodies := ("args", args) :: !bodies
+         | Message.Invoke_reply { result = Some r; _ } ->
+             bodies := ("result", r) :: !bodies
+         | _ -> ());
+         true));
+  ignore (Eval.call (Peer.registry cli) proxy "setAge" [ Value.Vint 8 ]);
+  Alcotest.(check int) "getAge through the proxy" 8
+    (get_int (Eval.call (Peer.registry cli) proxy "getAge" []));
+  Transport.close w.tr;
+  Alcotest.(check (pair int int)) "two bodies each way" (2, 2)
+    ( List.length (List.filter (fun (k, _) -> k = "args") !bodies),
+      List.length (List.filter (fun (k, _) -> k = "result") !bodies) );
+  List.iter
+    (fun (k, b) -> Alcotest.(check bool) (k ^ " starts with PTIE") true (is_ptie b))
+    !bodies
+
+(* A body whose checksum was recomputed over a flipped byte still fails
+   its digest: the server replies with an error and never runs the
+   method. *)
+let test_flipped_body_refused kind () =
+  let w = rpc_world kind in
+  let frame = Env.to_string_h (set_age_args w 9) ~form:(fun _ -> `Bind 0) in
+  let header = String.length ptie + 8 in
+  let body = Bytes.of_string (String.sub frame header (String.length frame - header)) in
+  let last = Bytes.length body - 1 in
+  Bytes.set body last (Char.chr (Char.code (Bytes.get body last) lxor 0x01));
+  let resealed = Pti_serial.Bytes_io.seal ~magic:ptie (Bytes.to_string body) in
+  refused "a flipped, resealed body" (raw_set_age w resealed);
+  Alcotest.(check int) "the method never ran" 5 (age w);
+  served "the intact body" (raw_set_age w frame);
+  Alcotest.(check int) "the intact body sets the age" 9 (age w);
+  Transport.close w.tr
+
+(* An invocation body binds its own entries: one that refers to a link
+   handle is refused, where the same entry bound in the frame is served. *)
+let test_ref_slot_refused kind () =
+  let w = rpc_world kind in
+  let args = set_age_args w 9 in
+  refused "a ref slot" (raw_set_age w (Env.to_string_h args ~form:(fun _ -> `Ref 0)));
+  Alcotest.(check int) "the method never ran" 5 (age w);
+  served "a bind slot" (raw_set_age w (Env.to_string_h args ~form:(fun _ -> `Bind 0)));
+  Alcotest.(check int) "the bound body sets the age" 9 (age w);
+  Transport.close w.tr
+
+(* An older peer's classic XML body is still served. *)
+let test_classic_body_served kind () =
+  let w = rpc_world kind in
+  served "a classic XML body" (raw_set_age w (Env.to_string (set_age_args w 11)));
+  Alcotest.(check int) "the XML body sets the age" 11 (age w);
+  Transport.close w.tr
+
 let test_primitive_payload_goes_to_sink () =
   let net = make_net () in
   let sender = Peer.create ~net "sender" in
@@ -818,6 +968,26 @@ let test_remote_invocation_with_object_argument () =
       let back = Proxy.invoke (Peer.registry borrower) proxy "getSpouse" [] in
       Alcotest.(check string) "spouse comes back by value" "S"
         (Eval.call (Peer.registry borrower) back "getname" [] |> get_string)
+
+(* A call lost to a partition leaves the client as it found it: no
+   continuation waits for a reply that will not come. *)
+let test_lost_call_leaves_no_continuation () =
+  let w = rpc_world `Sim in
+  let cli, proxy = client w in
+  let call meth args = Eval.call (Peer.registry cli) proxy meth args in
+  ignore (call "setAge" [ Value.Vint 6 ]);
+  let before = Peer.fingerprint cli in
+  Transport.partition w.tr "cli" "srv";
+  (match call "getAge" [] with
+  | _ -> Alcotest.fail "a call across a partition must be lost"
+  | exception Eval.Runtime_error m ->
+      Alcotest.(check string) "lost" "remote invocation lost (network idle)" m);
+  Alcotest.(check int64) "fingerprint after the lost call" before
+    (Peer.fingerprint cli);
+  Transport.heal w.tr "cli" "srv";
+  Alcotest.(check int) "served after the heal" 6 (get_int (call "getAge" []));
+  Alcotest.(check int64) "fingerprint after a served call" before
+    (Peer.fingerprint cli)
 
 (* A rejection is decided by one check per interest: its reason comes
    from the same verdicts, not from checking again. Repeat sends of a
@@ -1185,6 +1355,20 @@ let () =
             Alcotest.test_case "layout follows a base upgrade" `Quick
               test_layout_follows_base_upgrade;
           ] );
+      ( "invocation-wire",
+        List.concat_map
+          (fun (kind, name) ->
+            [
+              Alcotest.test_case (name ^ ": bodies are PTIE frames") `Quick
+                (test_invocation_bodies_are_ptie kind);
+              Alcotest.test_case (name ^ ": flipped body refused") `Quick
+                (test_flipped_body_refused kind);
+              Alcotest.test_case (name ^ ": ref slot refused") `Quick
+                (test_ref_slot_refused kind);
+              Alcotest.test_case (name ^ ": classic XML served") `Quick
+                (test_classic_body_served kind);
+            ])
+          [ (`Sim, "sim"); (`Unix, "unix") ] );
       ( "observability",
         [
           Alcotest.test_case "repeat traffic raises cache counters" `Quick
@@ -1226,6 +1410,8 @@ let () =
             test_acquire_non_conformant_fails;
           Alcotest.test_case "type description fetch" `Quick
             test_fetch_type_description;
+          Alcotest.test_case "lost call leaves no continuation" `Quick
+            test_lost_call_leaves_no_continuation;
           Alcotest.test_case "object argument downloads code" `Quick
             test_remote_invocation_with_object_argument;
           Alcotest.test_case "eager rejection still pays" `Quick

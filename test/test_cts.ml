@@ -341,7 +341,59 @@ let test_admits () =
     ignore (Sys.opaque_identity (Registry.admits r ty v));
     Gc.minor_words () -. before
   in
-  Alcotest.(check (float 0.)) "an exact class match allocates nothing" 0. words
+  Alcotest.(check (float 0.)) "an exact class match allocates nothing" 0. words;
+  (* A subclass walks up to its base without building the supertype
+     closure: only the lowercased names it looks up. *)
+  List.iter
+    (fun (ty, cls) ->
+      let ty = Ty.Named ty and v = obj cls in
+      ignore (Registry.admits r ty v);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Registry.admits r ty v));
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "a %s in an %s slot allocates %.0f words (at most 10)"
+           cls (Ty.to_string ty) words)
+        true (words <= 10.))
+    [ ("a.Base", "a.Sub"); ("a.I", "a.Sub") ]
+
+(* Cycles through superclasses (c.A and c.B extend each other) and
+   through interfaces (c.I and c.J likewise): every question ends, with
+   the answer the closure gives. *)
+let test_subtype_cycles () =
+  let r = Registry.create () in
+  List.iter (Registry.register r)
+    [
+      B.interface_ ~ns:[ "c" ] "I" ~interfaces:[ "c.J" ] |> B.build;
+      B.interface_ ~ns:[ "c" ] "J" ~interfaces:[ "c.I" ] |> B.build;
+      B.class_ ~ns:[ "c" ] "A" ~super:"c.B" ~interfaces:[ "c.I" ] |> B.build;
+      B.class_ ~ns:[ "c" ] "B" ~super:"c.A" |> B.build;
+      B.class_ ~ns:[ "c" ] "Other" |> B.build;
+    ];
+  List.iter
+    (fun (sub, super, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s <: %s" sub super)
+        expected
+        (Registry.is_subtype r ~sub ~super))
+    [
+      ("c.A", "c.B", true); ("c.B", "c.A", true); ("c.A", "c.J", true);
+      ("c.B", "c.J", true); ("c.I", "c.J", true); ("c.J", "c.I", true);
+      ("c.A", "c.Other", false); ("c.I", "c.A", false);
+      ("c.J", "c.Nowhere", false);
+    ];
+  let layout cls = Registry.layout r (Registry.find_exn r cls) in
+  List.iter
+    (fun (cls, ty, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "an instance of %s where %s is declared" cls ty)
+        expected
+        (Registry.admits_instance (layout cls) (Ty.of_string_exn ty)))
+    [
+      ("c.A", "c.B", true); ("c.B", "c.I", true); ("c.B", "c.J", true);
+      ("c.A", "object", true); ("c.A", "C.A", true); ("c.A", "c.Other", false);
+      ("c.A", "int", false); ("c.A", "c.A[]", false);
+    ]
 
 let test_registry_copy_isolated () =
   let r = reg () in
@@ -656,6 +708,7 @@ let () =
             test_layout_compiles_fields;
           Alcotest.test_case "layout stamp" `Quick test_layout_stamp;
           Alcotest.test_case "admits" `Quick test_admits;
+          Alcotest.test_case "subtype cycles end" `Quick test_subtype_cycles;
         ] );
       ( "eval",
         [

@@ -522,6 +522,48 @@ let test_nonsequential_ids_rejected () =
   | Error (Soap.Malformed _) -> ()
   | _ -> Alcotest.fail "soap: object id 2 first must be malformed"
 
+(* Objects are checked against their slots through their classes'
+   layouts. Where the supertypes run in circles (c.A and c.B extend each
+   other, c.I and c.J likewise) a decode still ends, admits what the
+   closure admits and rejects an unrelated class as corrupt. *)
+let test_supertype_cycles_decode () =
+  let module B = Builder in
+  let r = Registry.create () in
+  List.iter (Registry.register r)
+    [
+      B.interface_ ~ns:[ "c" ] "I" ~interfaces:[ "c.J" ] |> B.build;
+      B.interface_ ~ns:[ "c" ] "J" ~interfaces:[ "c.I" ] |> B.build;
+      B.class_ ~ns:[ "c" ] "A" ~super:"c.B" ~interfaces:[ "c.I" ]
+      |> B.field "n" Ty.Int |> B.build;
+      B.class_ ~ns:[ "c" ] "B" ~super:"c.A" |> B.build;
+      B.class_ ~ns:[ "c" ] "Other" |> B.build;
+      B.class_ ~ns:[ "c" ] "Holder"
+      |> B.field "a" (Ty.Named "c.A") |> B.field "j" (Ty.Named "c.J")
+      |> B.build;
+    ];
+  let holder name v = obj "c.Holder" [ (name, v) ] in
+  List.iter
+    (fun (what, v, admitted) ->
+      List.iter
+        (fun (codec, got) ->
+          match (got, admitted) with
+          | Ok _, true -> ()
+          | Error m, false ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s is corrupt (%s)" codec what m)
+                true
+                (String.length m > 8 && String.sub m 0 8 = "corrupt:")
+          | Ok _, false -> Alcotest.failf "%s: %s decoded" codec what
+          | Error m, true -> Alcotest.failf "%s: %s rejected: %s" codec what m)
+        (both_codecs r v))
+    [
+      ("a c.B where c.A is declared", holder "a" (obj "c.B" []), true);
+      ("a c.A where c.J is declared", holder "j" (obj "c.A" []), true);
+      ("a c.B where c.J is declared", holder "j" (obj "c.B" []), true);
+      ("a c.Other where c.A is declared", holder "a" (obj "c.Other" []), false);
+      ("a c.Other where c.J is declared", holder "j" (obj "c.Other" []), false);
+    ]
+
 let minor_words_of f =
   ignore (Sys.opaque_identity (f ()));
   let before = Gc.minor_words () in
@@ -1483,6 +1525,8 @@ let () =
           Alcotest.test_case "non-sequential ids rejected" `Quick
             test_nonsequential_ids_rejected;
           Alcotest.test_case "codec allocation" `Quick test_codec_allocation;
+          Alcotest.test_case "supertype cycles end" `Quick
+            test_supertype_cycles_decode;
         ] );
       ( "assembly-codec",
         [

@@ -302,6 +302,174 @@ let test_hostile_frame_dropped kind () =
   Unix.close raw;
   Transport.close tr
 
+(* The select set follows the connections: a dialer that connects
+   after the fabric has been polling is served. *)
+let test_late_dialer_served kind () =
+  let tr = fabric_of_kind kind in
+  let got = ref [] in
+  ignore (Transport.add_endpoint tr "b" ~handler:(fun ~src s -> got := (src, s) :: !got));
+  for _ = 1 to 5 do
+    ignore (Transport.poll tr ~timeout_ms:0.)
+  done;
+  let a = Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> ()) in
+  Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:4 "late";
+  let ok =
+    Transport.drive_until tr
+      ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+      (fun () -> !got <> [])
+  in
+  Alcotest.(check bool) "served" true ok;
+  Alcotest.(check (list (pair string string))) "from the late dialer"
+    [ ("a", "late") ] !got;
+  Transport.close tr
+
+(* A connection the peer closed is killed and leaves the select set:
+   polling goes on without selecting its closed descriptor, and the next
+   dialer is served. *)
+let test_killed_connection_leaves_select_set () =
+  skip_unless_sockets Unix.PF_UNIX;
+  let tr = fst (fresh_unix_fabric ()) in
+  let got = ref [] in
+  ignore (Transport.add_endpoint tr "b" ~handler:(fun ~src s -> got := (src, s) :: !got));
+  let disconnected = ref 0 in
+  Transport.on_conn_event tr (function
+    | Transport.Disconnected _ -> incr disconnected
+    | Transport.Connected _ -> ());
+  let within pred =
+    Transport.drive_until tr ~deadline_ms:(Transport.now_ms tr +. 10_000.) pred
+  in
+  let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect raw (Unix.ADDR_UNIX (Option.get (Transport.listen_spec tr "b")));
+  let hello = Pti_serial.Framing.encode "\x48raw" in
+  ignore (Unix.write_substring raw hello 0 (String.length hello));
+  let data =
+    Pti_serial.Framing.encode ("\x44\x00" ^ String.make 8 '\x00' ^ "first")
+  in
+  ignore (Unix.write_substring raw data 0 (String.length data));
+  Alcotest.(check bool) "the raw dialer is served" true
+    (within (fun () -> !got = [ ("raw", "first") ]));
+  Unix.close raw;
+  Alcotest.(check bool) "its connection is killed" true
+    (within (fun () -> !disconnected = 1));
+  for _ = 1 to 5 do
+    ignore (Transport.poll tr ~timeout_ms:0.)
+  done;
+  let a = Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> ()) in
+  Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:4 "next";
+  Alcotest.(check bool) "the next dialer is served" true
+    (within (fun () -> List.length !got = 2));
+  Transport.close tr
+
+(* ------------------------------------------------------------------ *)
+(* The copy path: what a message costs on its way to the socket        *)
+(* ------------------------------------------------------------------ *)
+
+module Message = Pti_core.Message
+module Env = Pti_serial.Envelope
+
+let fnv s = Printf.sprintf "%016Lx" (Pti_util.Fnv.hash64 s)
+
+(* FNV-1a of [Message_wire.encode], one message per constructor: the
+   PTIM bytes do not depend on how the encoder buffers them. *)
+let test_message_wire_pins () =
+  let open Message in
+  List.iter
+    (fun (m, expected) ->
+      Alcotest.(check string) (describe m) expected (fnv (Message_wire.encode m)))
+    [
+      ( Obj_msg { envelope = "env-bytes"; tdescs = [ "td1" ]; assemblies = [ "asm1"; "asm2" ] },
+        "5292e235600f9a80" );
+      (Obj_batch { frame = "batch-frame" }, "d25c51336fc4b0d6");
+      ( Tdesc_request { type_name = "a.B"; token = 7; binary_ok = true; version = 3 },
+        "d4064ff099d8bcc5" );
+      (Tdesc_reply { type_name = "a.B"; desc = Some "desc"; token = 7 }, "44eda8b29c0ea63c");
+      (Asm_request { path = "asm://h/x"; token = 8 }, "795801e951d3bc0d");
+      (Asm_reply { path = "asm://h/x"; assembly = None; token = 8 }, "39013c72f03080ec");
+      ( Invoke_request { target = -2; meth = "getAge"; args = "args"; token = 9 },
+        "90a997be63e75806" );
+      (Invoke_reply { token = 9; result = Some "r"; error = Some "e" }, "a16c98339964ccdb");
+      (Gossip { kind = "k"; body = "b" }, "381e452d2dc44569");
+      (Handle_nak { handles = [ 1; 300 ] }, "a4c3a8606e6d9e12");
+      (Handle_bind { frame = "bind" }, "a528b1cd21a7f223");
+    ]
+
+let big = String.make 65_536 'x'
+let int_array items = Value.Varr { Value.elem_ty = Pti_cts.Ty.Int; items }
+
+let envelope v =
+  Env.make (Pti_cts.Registry.create ()) ~codec:Env.Binary
+    ~download_path:(fun ~assembly -> assembly) v
+
+(* A scratch writer reused after a 64 KiB message holds nothing of it:
+   the short message that follows encodes to exactly its own bytes, and
+   a peer decodes exactly what was sent. *)
+let test_scratch_reuse () =
+  let short = Message.Gossip { kind = "k"; body = "short" } in
+  let alone = Message_wire.encode short in
+  ignore (Message_wire.encode (Message.Gossip { kind = "k"; body = big }));
+  Alcotest.(check string) "Message_wire.encode" alone (Message_wire.encode short);
+  let small = envelope (int_array [| Value.Vint 1 |]) in
+  let form _ = `Bind 0 in
+  let alone = Env.to_string_h small ~form in
+  ignore (Env.to_string_h (envelope (Value.Vstring big)) ~form);
+  Alcotest.(check string) "Envelope.to_string_h" alone (Env.to_string_h small ~form);
+  skip_unless_sockets Unix.PF_UNIX;
+  let tr = Transport.create_unix ~dir:(fresh_dir ()) ~codec:Message_wire.codec () in
+  let got = ref [] in
+  let a = wire_pair tr ~on_b:(fun ~src:_ m -> got := m :: !got) in
+  List.iter
+    (fun body ->
+      Transport.send a ~dst:"b" ~category:Stats.Gossip ~size:0
+        (Message.Gossip { kind = "k"; body }))
+    [ big; "short" ];
+  Alcotest.(check bool) "both delivered" true
+    (Transport.drive_until tr
+       ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+       (fun () -> List.length !got = 2));
+  Alcotest.(check bool) "the data frames as the peer decoded them" true
+    (List.rev !got
+    = [ Message.Gossip { kind = "k"; body = big }; Message.Gossip { kind = "k"; body = "short" } ]);
+  Transport.close tr
+
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let pin what words limit =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.0f words (at most %.0f)" what words limit)
+    true (words <= limit)
+
+(* A message's encoders allocate the bytes they return and little else;
+   a poll that finds nothing to do allocates little. *)
+let test_copy_path_allocation () =
+  let req =
+    Message.Invoke_request
+      { target = 0; meth = "getAge"; args = String.make 50 'a'; token = 1 }
+  in
+  Alcotest.(check int) "a 66-byte request" 66
+    (String.length (Message_wire.encode req));
+  pin "Message_wire.encode" (minor_words (fun () -> Message_wire.encode req)) 16.;
+  let env = envelope (int_array [| Value.Vint 1 |]) in
+  pin "Envelope.to_string_h"
+    (minor_words (fun () -> Env.to_string_h env ~form:(fun _ -> `Bind 0)))
+    30.;
+  skip_unless_sockets Unix.PF_UNIX;
+  let tr = fst (fresh_unix_fabric ()) in
+  let got = ref 0 in
+  let a = wire_pair tr ~on_b:(fun ~src:_ _ -> incr got) in
+  Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:1 "x";
+  ignore
+    (Transport.drive_until tr
+       ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+       (fun () -> !got = 1));
+  pin "an empty Transport.poll"
+    (minor_words (fun () -> Transport.poll tr ~timeout_ms:0.))
+    20.;
+  Transport.close tr
+
 (* ------------------------------------------------------------------ *)
 (* Two processes over a unix socket: publish -> conform -> invoke      *)
 (* ------------------------------------------------------------------ *)
@@ -441,6 +609,18 @@ let () =
             (test_stream_loopback Transport.Unix_socket);
           Alcotest.test_case "tcp exchange" `Quick
             (test_stream_loopback Transport.Tcp);
+          Alcotest.test_case "unix late dialer served" `Quick
+            (test_late_dialer_served Transport.Unix_socket);
+          Alcotest.test_case "tcp late dialer served" `Quick
+            (test_late_dialer_served Transport.Tcp);
+          Alcotest.test_case "killed connection leaves select set" `Quick
+            test_killed_connection_leaves_select_set;
+        ] );
+      ( "copy-path",
+        [
+          Alcotest.test_case "Message_wire pins" `Quick test_message_wire_pins;
+          Alcotest.test_case "scratch reuse" `Quick test_scratch_reuse;
+          Alcotest.test_case "allocation" `Quick test_copy_path_allocation;
         ] );
       ( "stream-faults",
         [
