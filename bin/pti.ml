@@ -1,16 +1,14 @@
 (* pti — command-line driver for the type-interoperability middleware.
 
-   Subcommands:
-     describe   parse an IDL file and print a type's XML description
-     check      implicit structural conformance between two IDL types
-     lint       static interop-hazard analysis over IDL files
-     protocol   run the optimistic-vs-eager transfer experiment
-     stats      run the workload and print the metrics-registry snapshot
-     demo       run the quickstart Person scenario
+   Subcommands, each documented by its [Cmd.info] below: describe,
+   check, lint, compile, run, protocol, stats, scale, cluster, publish,
+   demo, chaos, explore.
 
    Every command evaluates to its exit status: check exits 1 when the
    verdict is NOT CONFORMANT (or the behavioral probe diverges), lint
-   exits 1 when any error-severity diagnostic fires. *)
+   exits 1 when any error-severity diagnostic fires, protocol when a
+   conformant object is not delivered or a trap is not rejected, chaos
+   and explore when an invariant is violated. *)
 
 open Cmdliner
 open Pti_cts

@@ -3,8 +3,6 @@ module Xml = Pti_xml.Xml
 module Guid = Pti_util.Guid
 module S = Pti_util.Strutil
 
-let ( let* ) = Result.bind
-
 (* --- expressions ------------------------------------------------------ *)
 
 let binop_of_string s =
@@ -69,157 +67,80 @@ let rec expr_to_xml e =
   | Expr.Try (b, v, h) ->
       elt "try" ~attrs:[ ("var", v) ] [ expr_to_xml b; expr_to_xml h ]
 
-let attr name x =
-  match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing attribute %S" name)
+(* The readers raise [Bad] where a field fails; each entry point answers
+   once. *)
+exception Bad of string
 
-let elements x =
-  List.filter (function Xml.Element _ -> true | _ -> false) (Xml.children x)
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let answer read x = match read x with v -> Ok v | exception Bad m -> Error m
 
-let rec expr_of_xml x =
-  let kids () = map_result expr_of_xml (elements x) in
-  match Xml.tag x with
-  | Some "null" -> Ok Expr.null
-  | Some "bool" ->
-      let* v = attr "v" x in
-      (match bool_of_string_opt v with
-      | Some b -> Ok (Expr.bool b)
-      | None -> Error "bad bool")
-  | Some "int" ->
-      let* v = attr "v" x in
-      (match int_of_string_opt v with
-      | Some i -> Ok (Expr.int i)
-      | None -> Error "bad int")
-  | Some "float" ->
-      let* v = attr "v" x in
-      (match float_of_string_opt v with
-      | Some f -> Ok (Expr.Const (Expr.Cfloat f))
-      | None -> Error "bad float")
-  | Some "str" ->
-      let* v = attr "v" x in
-      Ok (Expr.str v)
-  | Some "chr" ->
-      let* v = attr "v" x in
-      (match int_of_string_opt v with
-      | Some c when c >= 0 && c < 256 -> Ok (Expr.Const (Expr.Cchar (Char.chr c)))
-      | _ -> Error "bad chr")
-  | Some "this" -> Ok Expr.This
-  | Some "var" ->
-      let* name = attr "name" x in
-      Ok (Expr.Var name)
-  | Some "let" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | [ e1; e2 ] -> Ok (Expr.Let (name, e1, e2))
-      | _ -> Error "let expects 2 children")
-  | Some "assign" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | [ e1 ] -> Ok (Expr.Assign (name, e1))
-      | _ -> Error "assign expects 1 child")
-  | Some "fget" -> (
-      let* field = attr "field" x in
-      let* ks = kids () in
-      match ks with
-      | [ o ] -> Ok (Expr.Field_get (o, field))
-      | _ -> Error "fget expects 1 child")
-  | Some "fset" -> (
-      let* field = attr "field" x in
-      let* ks = kids () in
-      match ks with
-      | [ o; v ] -> Ok (Expr.Field_set (o, field, v))
-      | _ -> Error "fset expects 2 children")
-  | Some "call" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | recv :: args -> Ok (Expr.Call (recv, name, args))
-      | [] -> Error "call expects a receiver")
-  | Some "scall" ->
-      let* cls = attr "class" x in
-      let* name = attr "name" x in
-      let* args = kids () in
-      Ok (Expr.Static_call (cls, name, args))
-  | Some "new" ->
-      let* cls = attr "class" x in
-      let* args = kids () in
-      Ok (Expr.New (cls, args))
-  | Some "newarr" -> (
-      let* ty_s = attr "type" x in
-      match Ty.of_string ty_s with
-      | None -> Error "bad array type"
-      | Some ty ->
-          let* items = kids () in
-          Ok (Expr.New_array (ty, items)))
-  | Some "aget" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a; i ] -> Ok (Expr.Index_get (a, i))
-      | _ -> Error "aget expects 2 children")
-  | Some "aset" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a; i; v ] -> Ok (Expr.Index_set (a, i, v))
-      | _ -> Error "aset expects 3 children")
-  | Some "alen" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a ] -> Ok (Expr.Array_length a)
-      | _ -> Error "alen expects 1 child")
-  | Some "if" -> (
-      let* ks = kids () in
-      match ks with
-      | [ c; t; e ] -> Ok (Expr.If (c, t, e))
-      | _ -> Error "if expects 3 children")
-  | Some "while" -> (
-      let* ks = kids () in
-      match ks with
-      | [ c; b ] -> Ok (Expr.While (c, b))
-      | _ -> Error "while expects 2 children")
-  | Some "seq" ->
-      let* ks = kids () in
-      Ok (Expr.Seq ks)
-  | Some "binop" -> (
-      let* op_s = attr "op" x in
-      match binop_of_string op_s with
-      | None -> Error (Printf.sprintf "bad binop %S" op_s)
-      | Some op -> (
-          let* ks = kids () in
-          match ks with
-          | [ a; b ] -> Ok (Expr.Binop (op, a, b))
-          | _ -> Error "binop expects 2 children"))
-  | Some "unop" -> (
-      let* op_s = attr "op" x in
-      match unop_of_string op_s with
-      | None -> Error (Printf.sprintf "bad unop %S" op_s)
-      | Some op -> (
-          let* ks = kids () in
-          match ks with
-          | [ a ] -> Ok (Expr.Unop (op, a))
-          | _ -> Error "unop expects 1 child"))
-  | Some "throw" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a ] -> Ok (Expr.Throw a)
-      | _ -> Error "throw expects 1 child")
-  | Some "try" -> (
-      let* var = attr "var" x in
-      let* ks = kids () in
-      match ks with
-      | [ b; h ] -> Ok (Expr.Try (b, var, h))
-      | _ -> Error "try expects 2 children")
-  | Some other -> Error (Printf.sprintf "unknown expression tag <%s>" other)
-  | None -> Error "expected an element"
+let attr name = function
+  | Xml.Element (_, attrs, _) -> (
+      match List.assoc name attrs with
+      | v -> v
+      | exception Not_found -> bad "missing attribute %S" name)
+  | _ -> bad "missing attribute %S" name
+
+(* Attribute [name] of [x], read by [parse]. *)
+let parsed name parse x =
+  let s = attr name x in
+  match parse s with Some v -> v | None -> bad "bad %s %S" name s
+
+(* [read] of each child element tagged [tag], in document order. *)
+let[@tail_mod_cons] rec members tag read = function
+  | [] -> []
+  | (Xml.Element (t, _, _) as m) :: rest when String.equal t tag ->
+      read m :: members tag read rest
+  | _ :: rest -> members tag read rest
+
+let name x = attr "name" x
+
+let chr s =
+  match int_of_string_opt s with
+  | Some c when c >= 0 && c < 256 -> Some (Char.chr c)
+  | _ -> None
+
+let rec expr x =
+  match x with
+  | Xml.Element (tag, _, _) -> (
+      match (tag, Xml.elements x) with
+      | "null", _ -> Expr.null
+      | "bool", _ -> Expr.bool (parsed "v" bool_of_string_opt x)
+      | "int", _ -> Expr.int (parsed "v" int_of_string_opt x)
+      | "float", _ ->
+          Expr.Const (Expr.Cfloat (parsed "v" float_of_string_opt x))
+      | "str", _ -> Expr.str (attr "v" x)
+      | "chr", _ -> Expr.Const (Expr.Cchar (parsed "v" chr x))
+      | "this", _ -> Expr.This
+      | "var", _ -> Expr.Var (name x)
+      | "let", [ e1; e2 ] -> Expr.Let (name x, expr e1, expr e2)
+      | "assign", [ e1 ] -> Expr.Assign (name x, expr e1)
+      | "fget", [ o ] -> Expr.Field_get (expr o, attr "field" x)
+      | "fset", [ o; v ] -> Expr.Field_set (expr o, attr "field" x, expr v)
+      | "call", recv :: args ->
+          Expr.Call (expr recv, name x, List.map expr args)
+      | "scall", args ->
+          Expr.Static_call (attr "class" x, name x, List.map expr args)
+      | "new", args -> Expr.New (attr "class" x, List.map expr args)
+      | "newarr", items ->
+          Expr.New_array (parsed "type" Ty.of_string x, List.map expr items)
+      | "aget", [ a; i ] -> Expr.Index_get (expr a, expr i)
+      | "aset", [ a; i; v ] -> Expr.Index_set (expr a, expr i, expr v)
+      | "alen", [ a ] -> Expr.Array_length (expr a)
+      | "if", [ c; t; e ] -> Expr.If (expr c, expr t, expr e)
+      | "while", [ c; b ] -> Expr.While (expr c, expr b)
+      | "seq", es -> Expr.Seq (List.map expr es)
+      | "binop", [ a; b ] ->
+          Expr.Binop (parsed "op" binop_of_string x, expr a, expr b)
+      | "unop", [ a ] -> Expr.Unop (parsed "op" unop_of_string x, expr a)
+      | "throw", [ a ] -> Expr.Throw (expr a)
+      | "try", [ b; h ] -> Expr.Try (expr b, attr "var" x, expr h)
+      | _, es ->
+          bad "bad expression <%s> with %d children" tag (List.length es))
+  | _ -> bad "expected an element"
+
+let expr_of_xml = answer expr
 
 (* --- classes ---------------------------------------------------------- *)
 
@@ -230,19 +151,6 @@ let mods_attrs (m : Meta.member_mods) =
     ("virtual", string_of_bool m.Meta.virtual_);
   ]
 
-let mods_of_xml x =
-  let* vis_s = attr "visibility" x in
-  let* visibility =
-    match Meta.visibility_of_string vis_s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad visibility %S" vis_s)
-  in
-  let* st_s = attr "static" x in
-  let* vt_s = attr "virtual" x in
-  match bool_of_string_opt st_s, bool_of_string_opt vt_s with
-  | Some static, Some virtual_ -> Ok { Meta.visibility; static; virtual_ }
-  | _ -> Error "bad modifier booleans"
-
 let params_to_xml ps =
   List.map
     (fun (p : Meta.param) ->
@@ -252,29 +160,9 @@ let params_to_xml ps =
         [])
     ps
 
-let params_of_xml x =
-  map_result
-    (fun p ->
-      let* name = attr "name" p in
-      let* ty_s = attr "type" p in
-      match Ty.of_string ty_s with
-      | Some ty -> Ok { Meta.param_name = name; param_ty = ty }
-      | None -> Error (Printf.sprintf "bad param type %S" ty_s))
-    (Xml.childs "param" x)
-
 let body_to_xml tag = function
   | None -> []
   | Some e -> [ Xml.elt tag [ expr_to_xml e ] ]
-
-let body_of_xml tag x =
-  match Xml.child tag x with
-  | None -> Ok None
-  | Some b -> (
-      match elements b with
-      | [ e ] ->
-          let* expr = expr_of_xml e in
-          Ok (Some expr)
-      | _ -> Error (Printf.sprintf "<%s> expects one child" tag))
 
 let class_to_xml ?(root = "class") (cd : Meta.class_def) =
   let open Xml in
@@ -320,90 +208,69 @@ let class_to_xml ?(root = "class") (cd : Meta.class_def) =
            cd.Meta.td_methods;
        ])
 
-let class_of_xml ?(root = "class") x =
-  match Xml.tag x with
-  | Some tag when String.equal tag root ->
-      let* name = attr "name" x in
-      let* ns_s = attr "namespace" x in
-      let td_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
-      let* guid_s = attr "guid" x in
-      let* td_guid =
-        match Guid.of_string guid_s with
-        | Some g -> Ok g
-        | None -> Error (Printf.sprintf "bad guid %S" guid_s)
-      in
-      let* kind_s = attr "kind" x in
-      let* td_kind =
-        match Meta.kind_of_string kind_s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "bad kind %S" kind_s)
-      in
-      let* td_assembly = attr "assembly" x in
-      let* td_super =
-        match Xml.child "super" x with
-        | None -> Ok None
-        | Some s ->
-            let* n = attr "name" s in
-            Ok (Some n)
-      in
-      let* td_interfaces =
-        map_result (attr "name") (Xml.childs "interface" x)
-      in
-      let* td_fields =
-        map_result
-          (fun f ->
-            let* f_name = attr "name" f in
-            let* ty_s = attr "type" f in
-            let* f_ty =
-              match Ty.of_string ty_s with
-              | Some ty -> Ok ty
-              | None -> Error (Printf.sprintf "bad field type %S" ty_s)
-            in
-            let* f_mods = mods_of_xml f in
-            let* f_init = body_of_xml "init" f in
-            Ok { Meta.f_name; f_ty; f_mods; f_init })
-          (Xml.childs "field" x)
-      in
-      let* td_ctors =
-        map_result
-          (fun c ->
-            let* c_params = params_of_xml c in
-            let* c_mods = mods_of_xml c in
-            let* c_body = body_of_xml "body" c in
-            Ok { Meta.c_params; c_mods; c_body })
-          (Xml.childs "constructor" x)
-      in
-      let* td_methods =
-        map_result
-          (fun m ->
-            let* m_name = attr "name" m in
-            let* ret_s = attr "return" m in
-            let* m_return =
-              match Ty.of_string ret_s with
-              | Some ty -> Ok ty
-              | None -> Error (Printf.sprintf "bad return type %S" ret_s)
-            in
-            let* m_params = params_of_xml m in
-            let* m_mods = mods_of_xml m in
-            let* m_body = body_of_xml "body" m in
-            Ok { Meta.m_name; m_params; m_return; m_mods; m_body })
-          (Xml.childs "method" x)
-      in
-      Ok
-        {
-          Meta.td_name = name;
-          td_namespace;
-          td_guid;
-          td_kind;
-          td_super;
-          td_interfaces;
-          td_fields;
-          td_ctors;
-          td_methods;
-          td_assembly;
-        }
-  | Some other -> Error (Printf.sprintf "expected <%s>, got <%s>" root other)
-  | None -> Error "expected an element"
+let mods x =
+  {
+    Meta.visibility = parsed "visibility" Meta.visibility_of_string x;
+    static = parsed "static" bool_of_string_opt x;
+    virtual_ = parsed "virtual" bool_of_string_opt x;
+  }
+
+let param p =
+  { Meta.param_name = name p; param_ty = parsed "type" Ty.of_string p }
+
+(* The one expression under the child tagged [tag], if there is one. *)
+let body tag x =
+  match Xml.child tag x with
+  | None -> None
+  | Some b -> (
+      match Xml.elements b with
+      | [ e ] -> Some (expr e)
+      | _ -> bad "<%s> expects one child" tag)
+
+let field f =
+  {
+    Meta.f_name = name f;
+    f_ty = parsed "type" Ty.of_string f;
+    f_mods = mods f;
+    f_init = body "init" f;
+  }
+
+let ctor c =
+  {
+    Meta.c_params = members "param" param (Xml.children c);
+    c_mods = mods c;
+    c_body = body "body" c;
+  }
+
+let meth m =
+  {
+    Meta.m_name = name m;
+    m_params = members "param" param (Xml.children m);
+    m_return = parsed "return" Ty.of_string m;
+    m_mods = mods m;
+    m_body = body "body" m;
+  }
+
+let class_ root x =
+  match x with
+  | Xml.Element (tag, _, children) when String.equal tag root ->
+      {
+        Meta.td_name = name x;
+        td_namespace =
+          (match attr "namespace" x with "" -> [] | ns -> S.split_on '.' ns);
+        td_guid = parsed "guid" Guid.of_string x;
+        td_kind = parsed "kind" Meta.kind_of_string x;
+        td_super = Option.map name (Xml.child "super" x);
+        td_interfaces = members "interface" name children;
+        td_fields = members "field" field children;
+        td_ctors = members "constructor" ctor children;
+        td_methods = members "method" meth children;
+        td_assembly = attr "assembly" x;
+      }
+  | Xml.Element (other, _, _) -> bad "expected <%s>, got <%s>" root other
+  | _ -> bad "expected an element"
+
+let class_of_xml ?(root = "class") x = answer (class_ root) x
 
 (* --- assemblies ------------------------------------------------------- *)
 
@@ -419,27 +286,18 @@ let to_xml (a : Assembly.t) =
        a.Assembly.asm_requires
     @ List.map class_to_xml a.Assembly.asm_classes)
 
-let of_xml x =
-  match Xml.tag x with
-  | Some "assembly" ->
-      let* name = attr "name" x in
-      let* version_s = attr "version" x in
-      let* version =
-        match int_of_string_opt version_s with
-        | Some v -> Ok v
-        | None -> Error "bad version"
-      in
-      let* requires = map_result (attr "name") (Xml.childs "requires" x) in
-      let* classes = map_result class_of_xml (Xml.childs "class" x) in
-      Ok
-        {
-          Assembly.asm_name = name;
-          asm_version = version;
-          asm_classes = classes;
-          asm_requires = requires;
-        }
-  | Some other -> Error (Printf.sprintf "expected <assembly>, got <%s>" other)
-  | None -> Error "expected an element"
+let assembly = function
+  | Xml.Element ("assembly", _, children) as x ->
+      {
+        Assembly.asm_name = name x;
+        asm_version = parsed "version" int_of_string_opt x;
+        asm_classes = members "class" (class_ "class") children;
+        asm_requires = members "requires" name children;
+      }
+  | Xml.Element (other, _, _) -> bad "expected <assembly>, got <%s>" other
+  | _ -> bad "expected an element"
+
+let of_xml x = answer assembly x
 
 (* Wire strings carry an integrity digest over the bytes as sent: a
    byte flip that still parses as a (different) assembly would load

@@ -2,12 +2,12 @@ open Pti_cts
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
-type error = Malformed of string | Unknown_type of string | Corrupt of string
+type error = Payload.error =
+  | Malformed of string
+  | Unknown_type of string
+  | Corrupt of string
 
-let pp_error ppf = function
-  | Malformed m -> Format.fprintf ppf "malformed binary payload: %s" m
-  | Unknown_type t -> Format.fprintf ppf "unknown type %S" t
-  | Corrupt m -> Format.fprintf ppf "corrupt binary payload: %s" m
+let pp_error = Payload.pp_error "binary"
 
 let magic = "PTIB\x02"
 
@@ -87,10 +87,8 @@ let key_order keys =
   done;
   order
 
-let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
-
 let rec write st v =
-  match strip v with
+  match Payload.strip v with
   | Value.Vnull -> W.u8 st.w t_null
   | Value.Vbool b ->
       W.u8 st.w t_bool;
@@ -159,172 +157,84 @@ let encode v =
 
 (* ------------------------------ decode ----------------------------- *)
 
-(* The declared type of a value nothing declares: the root, and a field
-   its class does not declare. *)
-let any = Ty.Named "object"
+module P = Payload
 
-exception Unknown of string
-exception Mistyped of Ty.t * Value.value
-
-(* One decode's state. Names and objects are numbered in the order they
-   first appear, so both tables are arrays indexed by wire id. A name
-   stays in the input, where field names are compared in place; a name
-   met as a class is resolved to its layout once. *)
-type outern = {
-  r : R.t;
-  reg : Registry.t;
-  resolve : string -> Meta.class_def option;
-  layout_of : Meta.class_def -> Registry.layout;
-  mutable name_at : int array;  (* offset of name i at 2i, length at 2i+1 *)
-  mutable name_cls : Registry.layout option array;
-  mutable names : int;
-  mutable objects : Value.obj array;
-  mutable nobjects : int;
-}
-
-let no_object = { Value.oid = -1; cls = ""; fields = Hashtbl.create 1 }
-
-let read_name st =
-  let i = R.varint st.r in
-  if i >= 0 && i < st.names then i
-  else if i = st.names then begin
-    let at = R.skip_string st.r in
-    if 2 * i + 1 >= Array.length st.name_at then begin
-      let cap = 2 * Array.length st.name_cls in
-      let name_at = Array.make (2 * cap) 0 and name_cls = Array.make cap None in
-      Array.blit st.name_at 0 name_at 0 (2 * i);
-      Array.blit st.name_cls 0 name_cls 0 i;
-      st.name_at <- name_at;
-      st.name_cls <- name_cls
-    end;
-    st.name_at.(2 * i) <- at;
-    st.name_at.((2 * i) + 1) <- R.pos st.r - at;
-    st.names <- i + 1;
-    i
-  end
-  else raise (R.Underflow (Printf.sprintf "non-sequential name id %d" i))
-
-let class_layout st i =
-  match st.name_cls.(i) with
-  | Some ly -> ly
-  | None ->
-      let cls =
-        String.sub (R.source st.r) st.name_at.(2 * i) st.name_at.((2 * i) + 1)
-      in
-      let cd =
-        match st.resolve cls with Some cd -> cd | None -> raise (Unknown cls)
-      in
-      let ly = st.layout_of cd in
-      st.name_cls.(i) <- Some ly;
-      ly
-
-(* The slot of name [i] in the layout, or -1. *)
-let find_slot st ly i hint =
-  Registry.slot ly (R.source st.r) ~pos:st.name_at.(2 * i)
-    ~len:st.name_at.((2 * i) + 1) ~hint
-
-let check st ty v =
-  if not (Registry.admits st.reg ty v) then raise (Mistyped (ty, v))
+(* A name id: an earlier name's, or the next one's, whose text follows
+   inline. *)
+let read_name b r =
+  let i = R.varint r in
+  if i = b.P.nnames then
+    let pos = R.skip_string r in
+    P.add_name b ~pos ~len:(R.pos r - pos)
+  else if i >= 0 && i < b.P.nnames then i
+  else P.malformed "non-sequential name id %d" i
 
 (* A value where [ty] is declared, checked as soon as its outer shape
    is known: an object before its fields are read, an array before its
    items, each item against the array's own element type. *)
-let rec read st ty =
-  let tag = R.u8 st.r in
-  if tag = t_obj then read_object st ty
-  else if tag = t_arr then read_array st ty
-  else begin
-    let v =
-      if tag = t_null then Value.Vnull
-      else if tag = t_bool then Value.Vbool (R.bool st.r)
-      else if tag = t_int then Value.Vint (R.zigzag st.r)
-      else if tag = t_float then Value.Vfloat (R.f64 st.r)
-      else if tag = t_string then Value.Vstring (R.string st.r)
-      else if tag = t_char then Value.Vchar (Char.chr (R.u8 st.r land 0xff))
-      else if tag = t_ref then begin
-        let id = R.varint st.r in
-        if id >= 0 && id < st.nobjects then Value.Vobj st.objects.(id)
-        else raise (R.Underflow (Printf.sprintf "dangling object ref %d" id))
-      end
-      else raise (R.Underflow (Printf.sprintf "unknown tag %d" tag))
-    in
-    check st ty v;
-    v
-  end
+let rec read b r ty =
+  let tag = R.u8 r in
+  if tag = t_obj then read_object b r ty
+  else if tag = t_arr then read_array b r ty
+  else if tag = t_ref then P.ref_ b ty (R.varint r)
+  else
+    P.value b ty
+      (if tag = t_null then Value.Vnull
+       else if tag = t_bool then Value.Vbool (R.bool r)
+       else if tag = t_int then Value.Vint (R.zigzag r)
+       else if tag = t_float then Value.Vfloat (R.f64 r)
+       else if tag = t_string then Value.Vstring (R.string r)
+       else if tag = t_char then Value.Vchar (Char.chr (R.u8 r land 0xff))
+       else P.malformed "unknown tag %d" tag)
 
-and read_array st ty =
-  let ty_s = R.string st.r in
+and read_array b r ty =
+  let ty_s = R.string r in
   let elem_ty =
     match Ty.of_string ty_s with
     | Some ty -> ty
-    | None -> raise (R.Underflow (Printf.sprintf "bad type %S" ty_s))
+    | None -> P.malformed "bad type %S" ty_s
   in
-  let n = R.varint st.r in
-  if n < 0 || n > 10_000_000 then raise (R.Underflow "absurd array length");
+  let n = R.varint r in
+  if n < 0 || n > 10_000_000 then P.malformed "absurd array length";
   (* Every element takes at least one byte: a longer declared length
      is a lie, caught before the array is allocated. *)
-  if n > R.remaining st.r then raise (R.Underflow "array length past end");
+  if n > R.remaining r then P.malformed "array length past end";
   let items = Array.make n Value.Vnull in
-  let v = Value.Varr { Value.elem_ty; items } in
-  check st ty v;
+  let v = P.array b ty elem_ty items in
   for i = 0 to n - 1 do
-    items.(i) <- read st elem_ty
+    items.(i) <- read b r elem_ty
   done;
+  P.ascend b;
   v
 
-and read_object st ty =
-  let id = R.varint st.r in
-  if id <> st.nobjects then
-    raise (R.Underflow (Printf.sprintf "non-sequential object id %d" id));
-  let ly = class_layout st (read_name st) in
-  (* Declared defaults first, so missing payload fields are sane and
-     undeclared ones are dropped. *)
-  let o = Registry.instantiate ly in
-  if id >= Array.length st.objects then begin
-    let objects = Array.make (2 * Array.length st.objects) no_object in
-    Array.blit st.objects 0 objects 0 id;
-    st.objects <- objects
-  end;
-  st.objects.(id) <- o;
-  st.nobjects <- id + 1;
-  let v = Value.Vobj o in
-  if not (Registry.admits_instance ly ty) then raise (Mistyped (ty, v));
+and read_object b r ty =
+  let id = R.varint r in
+  let cls = read_name b r in
+  let src = R.source r and names = b.P.names in
+  let o, ly =
+    P.obj b ~id ty src ~pos:names.(2 * cls) ~len:names.((2 * cls) + 1)
+  in
   (* The encoder writes fields in key order: each is found at the slot
      after the last. *)
   let hint = ref 0 in
-  for _ = 1 to R.varint st.r do
-    let s = find_slot st ly (read_name st) !hint in
-    if s < 0 then ignore (read st any)
-    else begin
-      Hashtbl.replace o.Value.fields ly.Registry.ly_keys.(s)
-        (read st ly.Registry.ly_tys.(s));
-      hint := s + 1
-    end
+  for _ = 1 to R.varint r do
+    let f = read_name b r in
+    let names = b.P.names in
+    let s =
+      Registry.slot ly src ~pos:names.(2 * f) ~len:names.((2 * f) + 1)
+        ~hint:!hint
+    in
+    P.set o ly s (read b r (P.declared ly s));
+    if s >= 0 then hint := s + 1
   done;
-  v
+  P.ascend b;
+  Value.Vobj o
 
 let decode ?resolve ?layout reg s =
   match Bytes_io.unseal ~magic s with
   | Error e -> Error (unseal_error e)
-  | Ok r -> (
-      let st =
-        { r; reg;
-          resolve =
-            (match resolve with Some f -> f | None -> Registry.find reg);
-          layout_of =
-            (match layout with Some f -> f | None -> Registry.layout reg);
-          name_at = Array.make 16 0; name_cls = Array.make 8 None; names = 0;
-          objects = Array.make 8 no_object; nobjects = 0 }
-      in
-      try
-        let v = read st any in
-        if not (R.at_end st.r) then Error (Malformed "trailing bytes")
-        else Ok v
-      with
-      | R.Underflow m -> Error (Malformed m)
-      | Unknown cls -> Error (Unknown_type cls)
-      | Mistyped (ty, v) ->
-          Error
-            (Corrupt
-               (Printf.sprintf "a %s value where %s is declared"
-                  (Value.type_name v) (Ty.to_string ty))))
+  | Ok r ->
+      P.decode ?resolve ?layout reg (fun b ->
+          let v = read b r P.any in
+          if not (R.at_end r) then P.malformed "trailing bytes";
+          v)

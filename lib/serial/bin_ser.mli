@@ -10,14 +10,15 @@
 
 open Pti_cts
 
-type error =
+type error = Payload.error =
   | Malformed of string
   | Unknown_type of string  (** Qualified class name not in the registry. *)
   | Corrupt of string
       (** The 8-byte FNV-1a checksum after the magic does not match the
-          body — the bytes were damaged in transit. Reported before any
+          body — the bytes were damaged in transit, reported before any
           structural parsing, so a flipped byte can never surface as a
-          mangled value. *)
+          mangled value — or a value does not inhabit its declared
+          type. *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -43,12 +44,13 @@ val decode :
   ?resolve:(string -> Meta.class_def option) ->
   ?layout:(Meta.class_def -> Registry.layout) ->
   Registry.t -> string -> (Value.value, error) result
-(** Rebuilds the graph with fresh object ids. Each object starts as
-    {!Registry.instantiate} of its (loaded) class's layout: fields the
-    class does not declare are dropped, declared fields missing from
-    the payload keep their default values. A payload field name is
-    matched against the layout's keys where it lies in the input
-    ({!Registry.slot}).
+(** Rebuilds the graph with fresh object ids through {!Payload}, the
+    graph builder both payload codecs share; this module reads only
+    PTIB's syntax. Each object starts as {!Registry.instantiate} of its
+    (loaded) class's layout: fields the class does not declare are
+    dropped, declared fields missing from the payload keep their
+    default values. A payload field name is matched against the
+    layout's keys where it lies in the input ({!Registry.slot}).
 
     Every value is checked as it is read against the type its place
     declares ({!Registry.admits}): a field against its slot's type, an
@@ -57,7 +59,9 @@ val decode :
     not admit (a string in an [int] field, arrays in an [int[]], an
     object of an unrelated class) fails the decode with [Corrupt].
     Names and objects must be numbered in the order they first appear,
-    as {!encode} numbers them; any other id fails with [Malformed].
+    as {!encode} numbers them; any other id fails with [Malformed], and
+    so do arrays and objects nested deeper than {!Payload.max_depth}
+    (1 024), refused at the first level past it.
 
     [resolve] overrides class-by-name lookup (default [Registry.find
     reg]) — the envelope layer passes a version-pinned resolver so an

@@ -151,19 +151,15 @@ let pinned_resolve reg t name =
 
 let decode_payload ?layout reg t =
   let resolve = pinned_resolve reg t in
-  match t.env_payload with
-  | Psoap x -> (
-      match Soap_ser.decode_xml ~resolve ?layout reg x with
-      | Ok _ as ok -> ok
-      | Error (Soap_ser.Malformed m) -> Error (Malformed m)
-      | Error (Soap_ser.Unknown_type ty) -> Error (Unknown_type ty)
-      | Error (Soap_ser.Corrupt m) -> Error (Corrupt m))
-  | Pbinary b -> (
-      match Bin_ser.decode ~resolve ?layout reg b with
-      | Ok _ as ok -> ok
-      | Error (Bin_ser.Malformed m) -> Error (Malformed m)
-      | Error (Bin_ser.Unknown_type ty) -> Error (Unknown_type ty)
-      | Error (Bin_ser.Corrupt m) -> Error (Corrupt m))
+  match
+    match t.env_payload with
+    | Psoap x -> Soap_ser.decode_xml ~resolve ?layout reg x
+    | Pbinary b -> Bin_ser.decode ~resolve ?layout reg b
+  with
+  | Ok _ as ok -> ok
+  | Error (Payload.Malformed m) -> Error (Malformed m)
+  | Error (Payload.Unknown_type ty) -> Error (Unknown_type ty)
+  | Error (Payload.Corrupt m) -> Error (Corrupt m)
 
 let entry_attrs e =
   [
@@ -188,81 +184,68 @@ let to_xml t =
     (List.map (fun e -> elt "type" ~attrs:(entry_attrs e) []) t.env_types
     @ [ payload_to_xml t.env_payload ])
 
+(* The reader raises [Fail] where a field fails; [of_xml] answers
+   once. *)
+exception Fail of error
+
+let malformed fmt = Printf.ksprintf (fun m -> raise (Fail (Malformed m))) fmt
+
 let attr name x =
   match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Malformed (Printf.sprintf "missing attribute %S" name))
-
-let ( let* ) = Result.bind
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+  | Some v -> v
+  | None -> malformed "missing attribute %S" name
 
 let entry_of_elt e =
-  let* te_name = attr "name" e in
-  let* guid_s = attr "guid" e in
-  let* te_guid =
-    match Guid.of_string guid_s with
-    | Some g -> Ok g
-    | None -> Error (Malformed (Printf.sprintf "bad guid %S" guid_s))
-  in
-  let* te_assembly = attr "assembly" e in
-  let* te_download_path = attr "downloadPath" e in
-  (* Optional: absent on envelopes from pre-evolution senders. *)
-  let* te_version =
-    match Xml.attr "version" e with
-    | None -> Ok 0
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v when v >= 0 -> Ok v
-        | _ -> Error (Malformed (Printf.sprintf "bad version %S" s)))
-  in
-  Ok { te_name; te_guid; te_assembly; te_download_path; te_version }
+  {
+    te_name = attr "name" e;
+    te_guid =
+      (let s = attr "guid" e in
+       match Guid.of_string s with
+       | Some g -> g
+       | None -> malformed "bad guid %S" s);
+    te_assembly = attr "assembly" e;
+    te_download_path = attr "downloadPath" e;
+    (* Optional: absent on envelopes from pre-evolution senders. *)
+    te_version =
+      (match Xml.attr "version" e with
+      | None -> 0
+      | Some s -> (
+          match int_of_string_opt s with
+          | Some v when v >= 0 -> v
+          | _ -> malformed "bad version %S" s));
+  }
 
 let payload_of_xml x =
-  let* payload_elt =
+  let p =
     match Xml.child "payload" x with
-    | Some p -> Ok p
-    | None -> Error (Malformed "missing <payload>")
+    | Some p -> p
+    | None -> malformed "missing <payload>"
   in
-  let* encoding = attr "encoding" payload_elt in
-  match encoding with
+  match attr "encoding" p with
   | "soap" -> (
-      match
-        List.filter
-          (function Xml.Element _ -> true | _ -> false)
-          (Xml.children payload_elt)
-      with
-      | [ inner ] -> Ok (Psoap inner)
-      | _ -> Error (Malformed "soap payload expects one element"))
+      match Xml.elements p with
+      | [ inner ] -> Psoap inner
+      | _ -> malformed "soap payload expects one element")
   | "binary" -> (
-      match B64.decode (Xml.text_content payload_elt) with
-      | Some b -> Ok (Pbinary b)
-      | None -> Error (Malformed "bad base64 payload"))
-  | other -> Error (Malformed (Printf.sprintf "unknown encoding %S" other))
+      match B64.decode (Xml.text_content p) with
+      | Some b -> Pbinary b
+      | None -> malformed "bad base64 payload")
+  | other -> malformed "unknown encoding %S" other
 
-let of_xml x =
-  match Xml.tag x with
-  | Some "envelope" ->
-      let* env_types = map_result entry_of_elt (Xml.childs "type" x) in
-      let* env_payload = payload_of_xml x in
-      let t = { env_types; env_payload } in
+let envelope = function
+  | Xml.Element ("envelope", _, _) as x -> (
+      let env_types = List.map entry_of_elt (Xml.childs "type" x) in
+      let t = { env_types; env_payload = payload_of_xml x } in
       (* An envelope written before digests existed (no attribute) is
          accepted as-is; a present digest must match the recomputed one. *)
-      let* () =
-        match Xml.attr "digest" x with
-        | None -> Ok ()
-        | Some d when String.equal d (digest t) -> Ok ()
-        | Some _ -> Error (Corrupt "envelope digest mismatch")
-      in
-      Ok t
-  | Some other ->
-      Error (Malformed (Printf.sprintf "expected <envelope>, got <%s>" other))
-  | None -> Error (Malformed "expected an element")
+      match Xml.attr "digest" x with
+      | Some d when not (String.equal d (digest t)) ->
+          raise (Fail (Corrupt "envelope digest mismatch"))
+      | _ -> t)
+  | Xml.Element (other, _, _) -> malformed "expected <envelope>, got <%s>" other
+  | _ -> malformed "expected an element"
+
+let of_xml x = match envelope x with t -> Ok t | exception Fail e -> Error e
 
 let to_string t = Xml.to_string (to_xml t)
 

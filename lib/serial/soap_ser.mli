@@ -8,7 +8,7 @@
 
 open Pti_cts
 
-type error =
+type error = Payload.error =
   | Malformed of string
   | Unknown_type of string
   | Corrupt of string
@@ -35,12 +35,14 @@ val decode :
   ?resolve:(string -> Meta.class_def option) ->
   ?layout:(Meta.class_def -> Registry.layout) ->
   Registry.t -> string -> (Value.value, error) result
-(** Objects start as {!Registry.instantiate} of their class's layout and
-    keep only the payload fields their class declares, and every value
-    is checked as it is read against the type its place declares, as in
-    {!Bin_ser.decode}: a value its place does not admit fails with
-    [Corrupt]. Object ids must run from 1 in document order, as the
-    encoder numbers them; any other id is [Malformed]. [resolve]
+(** Built through {!Payload}, the graph builder {!Bin_ser.decode} uses
+    too: objects start as {!Registry.instantiate} of their class's
+    layout and keep only the payload fields their class declares, and
+    every value is checked as it is read against the type its place
+    declares: a value its place does not admit fails with [Corrupt].
+    Object ids must run from 1 in document order, as the encoder
+    numbers them; any other id is [Malformed], and so is nesting past
+    {!Payload.max_depth}. [resolve]
     overrides class-by-name lookup (default [Registry.find reg]);
     [layout] supplies each class's layout (default {!Registry.layout}[
     reg], compiled once per class per decode). *)

@@ -14,14 +14,15 @@ let attr name = function
   | Element (_, attrs, _) -> List.assoc_opt name attrs
   | Text _ | Cdata _ | Comment _ -> None
 
-let attr_exn name x =
-  match attr name x with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Xml.attr_exn: no attribute %S" name)
-
 let children = function
   | Element (_, _, cs) -> cs
   | Text _ | Cdata _ | Comment _ -> []
+
+let is_element = function Element _ -> true | _ -> false
+
+let elements x =
+  let cs = children x in
+  if List.for_all is_element cs then cs else List.filter is_element cs
 
 let child name x =
   List.find_opt

@@ -24,8 +24,11 @@ val leaf : ?attrs:(string * string) list -> string -> string -> t
 
 val tag : t -> string option
 val attr : string -> t -> string option
-val attr_exn : string -> t -> string
 val children : t -> t list
+
+val elements : t -> t list
+(** The child elements, in document order, without text, CDATA or
+    comments; a compact document's children are returned as they are. *)
 
 val child : string -> t -> t option
 (** First child element with the given tag. *)

@@ -484,10 +484,13 @@ let prop_envelope_lists_walk_classes =
 
 (* The binary payload codec and the envelope digest as they were before
    compiled layouts and the streamed digest, kept verbatim (with the
-   sealed frame and the byte reader and writer they used) as the
-   reference the differential properties below hold the rewrite to: the
-   same bytes, the same digests, and a decoder that accepts nothing the
-   reference rejects. Only helpers nothing here calls are left out. *)
+   sealed frame and the byte reader and writer they used), and the XML
+   readers of assemblies, classes and envelopes as they were before they
+   raised inside, kept verbatim too: the reference the differential
+   properties below hold the rewrites to. The same bytes, the same
+   digests, a payload decoder that accepts nothing the reference
+   rejects, and XML readers that accept and refuse what the reference
+   does. Only helpers nothing here calls are left out. *)
 module Reference = struct
   module Fnv = Pti_util.Fnv
   module Guid = Pti_util.Guid
@@ -831,6 +834,421 @@ module Reference = struct
   let digest t = Pti_util.Fnv.hash_hex (canonical t)
 
   let digest_raw t = Pti_util.Fnv.hash_bytes (canonical t)
+
+  (* The XML readers before they raised inside and answered once: the
+     assembly and class readers, whose class reader also reads type
+     descriptions, and the classic envelope reader. *)
+  module Assembly_xml = struct
+    module Guid = Pti_util.Guid
+    module S = Pti_util.Strutil
+
+    let ( let* ) = Result.bind
+
+    let binop_of_string s =
+      List.find_opt
+        (fun op -> String.equal (Expr.binop_name op) s)
+        [
+          Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod; Expr.Eq; Expr.Neq;
+          Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.And; Expr.Or; Expr.Concat;
+        ]
+
+    let unop_of_string s =
+      List.find_opt
+        (fun op -> String.equal (Expr.unop_name op) s)
+        [ Expr.Neg; Expr.Not ]
+
+    let attr name x =
+      match Xml.attr name x with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "missing attribute %S" name)
+
+    let elements x =
+      List.filter (function Xml.Element _ -> true | _ -> false) (Xml.children x)
+
+    let rec map_result f = function
+      | [] -> Ok []
+      | x :: rest ->
+          let* y = f x in
+          let* ys = map_result f rest in
+          Ok (y :: ys)
+
+    let rec expr_of_xml x =
+      let kids () = map_result expr_of_xml (elements x) in
+      match Xml.tag x with
+      | Some "null" -> Ok Expr.null
+      | Some "bool" ->
+          let* v = attr "v" x in
+          (match bool_of_string_opt v with
+          | Some b -> Ok (Expr.bool b)
+          | None -> Error "bad bool")
+      | Some "int" ->
+          let* v = attr "v" x in
+          (match int_of_string_opt v with
+          | Some i -> Ok (Expr.int i)
+          | None -> Error "bad int")
+      | Some "float" ->
+          let* v = attr "v" x in
+          (match float_of_string_opt v with
+          | Some f -> Ok (Expr.Const (Expr.Cfloat f))
+          | None -> Error "bad float")
+      | Some "str" ->
+          let* v = attr "v" x in
+          Ok (Expr.str v)
+      | Some "chr" ->
+          let* v = attr "v" x in
+          (match int_of_string_opt v with
+          | Some c when c >= 0 && c < 256 -> Ok (Expr.Const (Expr.Cchar (Char.chr c)))
+          | _ -> Error "bad chr")
+      | Some "this" -> Ok Expr.This
+      | Some "var" ->
+          let* name = attr "name" x in
+          Ok (Expr.Var name)
+      | Some "let" -> (
+          let* name = attr "name" x in
+          let* ks = kids () in
+          match ks with
+          | [ e1; e2 ] -> Ok (Expr.Let (name, e1, e2))
+          | _ -> Error "let expects 2 children")
+      | Some "assign" -> (
+          let* name = attr "name" x in
+          let* ks = kids () in
+          match ks with
+          | [ e1 ] -> Ok (Expr.Assign (name, e1))
+          | _ -> Error "assign expects 1 child")
+      | Some "fget" -> (
+          let* field = attr "field" x in
+          let* ks = kids () in
+          match ks with
+          | [ o ] -> Ok (Expr.Field_get (o, field))
+          | _ -> Error "fget expects 1 child")
+      | Some "fset" -> (
+          let* field = attr "field" x in
+          let* ks = kids () in
+          match ks with
+          | [ o; v ] -> Ok (Expr.Field_set (o, field, v))
+          | _ -> Error "fset expects 2 children")
+      | Some "call" -> (
+          let* name = attr "name" x in
+          let* ks = kids () in
+          match ks with
+          | recv :: args -> Ok (Expr.Call (recv, name, args))
+          | [] -> Error "call expects a receiver")
+      | Some "scall" ->
+          let* cls = attr "class" x in
+          let* name = attr "name" x in
+          let* args = kids () in
+          Ok (Expr.Static_call (cls, name, args))
+      | Some "new" ->
+          let* cls = attr "class" x in
+          let* args = kids () in
+          Ok (Expr.New (cls, args))
+      | Some "newarr" -> (
+          let* ty_s = attr "type" x in
+          match Ty.of_string ty_s with
+          | None -> Error "bad array type"
+          | Some ty ->
+              let* items = kids () in
+              Ok (Expr.New_array (ty, items)))
+      | Some "aget" -> (
+          let* ks = kids () in
+          match ks with
+          | [ a; i ] -> Ok (Expr.Index_get (a, i))
+          | _ -> Error "aget expects 2 children")
+      | Some "aset" -> (
+          let* ks = kids () in
+          match ks with
+          | [ a; i; v ] -> Ok (Expr.Index_set (a, i, v))
+          | _ -> Error "aset expects 3 children")
+      | Some "alen" -> (
+          let* ks = kids () in
+          match ks with
+          | [ a ] -> Ok (Expr.Array_length a)
+          | _ -> Error "alen expects 1 child")
+      | Some "if" -> (
+          let* ks = kids () in
+          match ks with
+          | [ c; t; e ] -> Ok (Expr.If (c, t, e))
+          | _ -> Error "if expects 3 children")
+      | Some "while" -> (
+          let* ks = kids () in
+          match ks with
+          | [ c; b ] -> Ok (Expr.While (c, b))
+          | _ -> Error "while expects 2 children")
+      | Some "seq" ->
+          let* ks = kids () in
+          Ok (Expr.Seq ks)
+      | Some "binop" -> (
+          let* op_s = attr "op" x in
+          match binop_of_string op_s with
+          | None -> Error (Printf.sprintf "bad binop %S" op_s)
+          | Some op -> (
+              let* ks = kids () in
+              match ks with
+              | [ a; b ] -> Ok (Expr.Binop (op, a, b))
+              | _ -> Error "binop expects 2 children"))
+      | Some "unop" -> (
+          let* op_s = attr "op" x in
+          match unop_of_string op_s with
+          | None -> Error (Printf.sprintf "bad unop %S" op_s)
+          | Some op -> (
+              let* ks = kids () in
+              match ks with
+              | [ a ] -> Ok (Expr.Unop (op, a))
+              | _ -> Error "unop expects 1 child"))
+      | Some "throw" -> (
+          let* ks = kids () in
+          match ks with
+          | [ a ] -> Ok (Expr.Throw a)
+          | _ -> Error "throw expects 1 child")
+      | Some "try" -> (
+          let* var = attr "var" x in
+          let* ks = kids () in
+          match ks with
+          | [ b; h ] -> Ok (Expr.Try (b, var, h))
+          | _ -> Error "try expects 2 children")
+      | Some other -> Error (Printf.sprintf "unknown expression tag <%s>" other)
+      | None -> Error "expected an element"
+
+    let mods_of_xml x =
+      let* vis_s = attr "visibility" x in
+      let* visibility =
+        match Meta.visibility_of_string vis_s with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "bad visibility %S" vis_s)
+      in
+      let* st_s = attr "static" x in
+      let* vt_s = attr "virtual" x in
+      match bool_of_string_opt st_s, bool_of_string_opt vt_s with
+      | Some static, Some virtual_ -> Ok { Meta.visibility; static; virtual_ }
+      | _ -> Error "bad modifier booleans"
+
+    let params_of_xml x =
+      map_result
+        (fun p ->
+          let* name = attr "name" p in
+          let* ty_s = attr "type" p in
+          match Ty.of_string ty_s with
+          | Some ty -> Ok { Meta.param_name = name; param_ty = ty }
+          | None -> Error (Printf.sprintf "bad param type %S" ty_s))
+        (Xml.childs "param" x)
+
+    let body_of_xml tag x =
+      match Xml.child tag x with
+      | None -> Ok None
+      | Some b -> (
+          match elements b with
+          | [ e ] ->
+              let* expr = expr_of_xml e in
+              Ok (Some expr)
+          | _ -> Error (Printf.sprintf "<%s> expects one child" tag))
+
+    let class_of_xml ?(root = "class") x =
+      match Xml.tag x with
+      | Some tag when String.equal tag root ->
+          let* name = attr "name" x in
+          let* ns_s = attr "namespace" x in
+          let td_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
+          let* guid_s = attr "guid" x in
+          let* td_guid =
+            match Guid.of_string guid_s with
+            | Some g -> Ok g
+            | None -> Error (Printf.sprintf "bad guid %S" guid_s)
+          in
+          let* kind_s = attr "kind" x in
+          let* td_kind =
+            match Meta.kind_of_string kind_s with
+            | Some k -> Ok k
+            | None -> Error (Printf.sprintf "bad kind %S" kind_s)
+          in
+          let* td_assembly = attr "assembly" x in
+          let* td_super =
+            match Xml.child "super" x with
+            | None -> Ok None
+            | Some s ->
+                let* n = attr "name" s in
+                Ok (Some n)
+          in
+          let* td_interfaces =
+            map_result (attr "name") (Xml.childs "interface" x)
+          in
+          let* td_fields =
+            map_result
+              (fun f ->
+                let* f_name = attr "name" f in
+                let* ty_s = attr "type" f in
+                let* f_ty =
+                  match Ty.of_string ty_s with
+                  | Some ty -> Ok ty
+                  | None -> Error (Printf.sprintf "bad field type %S" ty_s)
+                in
+                let* f_mods = mods_of_xml f in
+                let* f_init = body_of_xml "init" f in
+                Ok { Meta.f_name; f_ty; f_mods; f_init })
+              (Xml.childs "field" x)
+          in
+          let* td_ctors =
+            map_result
+              (fun c ->
+                let* c_params = params_of_xml c in
+                let* c_mods = mods_of_xml c in
+                let* c_body = body_of_xml "body" c in
+                Ok { Meta.c_params; c_mods; c_body })
+              (Xml.childs "constructor" x)
+          in
+          let* td_methods =
+            map_result
+              (fun m ->
+                let* m_name = attr "name" m in
+                let* ret_s = attr "return" m in
+                let* m_return =
+                  match Ty.of_string ret_s with
+                  | Some ty -> Ok ty
+                  | None -> Error (Printf.sprintf "bad return type %S" ret_s)
+                in
+                let* m_params = params_of_xml m in
+                let* m_mods = mods_of_xml m in
+                let* m_body = body_of_xml "body" m in
+                Ok { Meta.m_name; m_params; m_return; m_mods; m_body })
+              (Xml.childs "method" x)
+          in
+          Ok
+            {
+              Meta.td_name = name;
+              td_namespace;
+              td_guid;
+              td_kind;
+              td_super;
+              td_interfaces;
+              td_fields;
+              td_ctors;
+              td_methods;
+              td_assembly;
+            }
+      | Some other -> Error (Printf.sprintf "expected <%s>, got <%s>" root other)
+      | None -> Error "expected an element"
+
+    let of_xml x =
+      match Xml.tag x with
+      | Some "assembly" ->
+          let* name = attr "name" x in
+          let* version_s = attr "version" x in
+          let* version =
+            match int_of_string_opt version_s with
+            | Some v -> Ok v
+            | None -> Error "bad version"
+          in
+          let* requires = map_result (attr "name") (Xml.childs "requires" x) in
+          let* classes = map_result class_of_xml (Xml.childs "class" x) in
+          Ok
+            {
+              Assembly.asm_name = name;
+              asm_version = version;
+              asm_classes = classes;
+              asm_requires = requires;
+            }
+      | Some other -> Error (Printf.sprintf "expected <assembly>, got <%s>" other)
+      | None -> Error "expected an element"
+
+    let of_string s =
+      match Pti_xml.Digest_attr.of_string s with
+      | Error (`Syntax e) -> Error (Format.asprintf "%a" Xml.pp_error e)
+      | Error `Mismatch -> Error "corrupt assembly: digest mismatch"
+      | Ok x -> of_xml x
+  end
+
+  module Envelope = struct
+    open Env
+    module B64 = Pti_util.Base64
+
+    let attr name x =
+      match Xml.attr name x with
+      | Some v -> Ok v
+      | None -> Error (Malformed (Printf.sprintf "missing attribute %S" name))
+
+    let ( let* ) = Result.bind
+
+    let rec map_result f = function
+      | [] -> Ok []
+      | x :: rest ->
+          let* y = f x in
+          let* ys = map_result f rest in
+          Ok (y :: ys)
+
+    let entry_of_elt e =
+      let* te_name = attr "name" e in
+      let* guid_s = attr "guid" e in
+      let* te_guid =
+        match Guid.of_string guid_s with
+        | Some g -> Ok g
+        | None -> Error (Malformed (Printf.sprintf "bad guid %S" guid_s))
+      in
+      let* te_assembly = attr "assembly" e in
+      let* te_download_path = attr "downloadPath" e in
+      (* Optional: absent on envelopes from pre-evolution senders. *)
+      let* te_version =
+        match Xml.attr "version" e with
+        | None -> Ok 0
+        | Some s -> (
+            match int_of_string_opt s with
+            | Some v when v >= 0 -> Ok v
+            | _ -> Error (Malformed (Printf.sprintf "bad version %S" s)))
+      in
+      Ok { te_name; te_guid; te_assembly; te_download_path; te_version }
+
+    let payload_of_xml x =
+      let* payload_elt =
+        match Xml.child "payload" x with
+        | Some p -> Ok p
+        | None -> Error (Malformed "missing <payload>")
+      in
+      let* encoding = attr "encoding" payload_elt in
+      match encoding with
+      | "soap" -> (
+          match
+            List.filter
+              (function Xml.Element _ -> true | _ -> false)
+              (Xml.children payload_elt)
+          with
+          | [ inner ] -> Ok (Psoap inner)
+          | _ -> Error (Malformed "soap payload expects one element"))
+      | "binary" -> (
+          match B64.decode (Xml.text_content payload_elt) with
+          | Some b -> Ok (Pbinary b)
+          | None -> Error (Malformed "bad base64 payload"))
+      | other -> Error (Malformed (Printf.sprintf "unknown encoding %S" other))
+
+    let of_xml x =
+      match Xml.tag x with
+      | Some "envelope" ->
+          let* env_types = map_result entry_of_elt (Xml.childs "type" x) in
+          let* env_payload = payload_of_xml x in
+          let t = { env_types; env_payload } in
+          (* An envelope written before digests existed (no attribute) is
+             accepted as-is; a present digest must match the recomputed one. *)
+          let* () =
+            match Xml.attr "digest" x with
+            | None -> Ok ()
+            | Some d when String.equal d (digest t) -> Ok ()
+            | Some _ -> Error (Corrupt "envelope digest mismatch")
+          in
+          Ok t
+      | Some other ->
+          Error (Malformed (Printf.sprintf "expected <envelope>, got <%s>" other))
+      | None -> Error (Malformed "expected an element")
+
+    let of_string s =
+      match Xml.parse s with
+      | Error e -> Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
+      | Ok x -> of_xml x
+  end
+
+  let td_of_xml_string s =
+    match Pti_xml.Digest_attr.of_string s with
+    | Error (`Syntax e) -> Error (Format.asprintf "%a" Xml.pp_error e)
+    | Error `Mismatch -> Error "corrupt type description: digest mismatch"
+    | Ok x ->
+        Result.map Td.of_class
+          (Assembly_xml.class_of_xml ~root:"typeDescription" x)
 end
 
 (* Encoding a graph writes the bytes the reference writes and lists the
@@ -936,6 +1354,263 @@ let prop_decoding_under_mutation =
         (Reference.Bin_ser.decode walk_registry mutated)
         (Bin.decode walk_registry mutated))
 
+(* ------------- the XML readers under structural mutation ----------- *)
+
+(* An assembly whose code holds every expression form, every member
+   kind and every declared type form the class codec writes. *)
+let every_form =
+  let open Expr in
+  let body =
+    Seq
+      [
+        null; int 42; str "a<b&c"; bool true; Const (Cfloat 2.5);
+        Const (Cchar 'q'); This; Var "x";
+        Let ("t", int 1, Binop (Add, Var "t", int 2)); Assign ("x", int 9);
+        Field_get (This, "name"); Field_set (This, "name", str "n");
+        Call (This, "m", [ int 1; str "s" ]);
+        Static_call ("f.C", "m", [ int 1 ]); New ("f.C", [ null ]);
+        New_array (Ty.Int, [ int 1; int 2 ]); Index_get (Var "a", int 0);
+        Index_set (Var "a", int 0, int 5); Array_length (Var "a");
+        If (bool true, int 1, int 2); While (bool false, null);
+        Unop (Not, bool false); Unop (Neg, int 3); Throw (str "boom");
+        Try (Throw (int 1), "e", Var "e");
+      ]
+  in
+  Assembly.make ~version:3 ~requires:[ "base" ] ~name:"forms"
+    [
+      Builder.interface_ ~ns:[ "f" ] "I"
+      |> Builder.abstract_method "m" [ ("x", Ty.Int) ] Ty.Int
+      |> Builder.build;
+      Builder.class_ ~ns:[ "f" ] ~super:"f.B" ~interfaces:[ "f.I" ] "C"
+      |> Builder.field "name" Ty.String ~init:(str "n")
+      |> Builder.field "a" (Ty.Array Ty.Int)
+      |> Builder.ctor [ ("n", Ty.String) ]
+           ~body:(Field_set (This, "name", Var "n"))
+      |> Builder.method_ "m" [ ("x", Ty.Int) ] Ty.Int ~body
+      |> Builder.build;
+      Builder.class_ ~ns:[ "f" ] "B" |> Builder.build;
+    ]
+
+(* A parsed document without the digest attribute on its root, which
+   these readers accept unchecked: a mutation then reaches the reader
+   instead of failing the digest. *)
+let parsed_doc s =
+  match Xml.parse s with
+  | Ok (Xml.Element (tag, attrs, cs)) ->
+      Xml.Element (tag, List.filter (fun (k, _) -> k <> "digest") attrs, cs)
+  | Ok x -> x
+  | Error e -> Format.kasprintf failwith "%a" Xml.pp_error e
+
+(* The documents mutated, by reader: the every-form assembly first,
+   then workload and demo assemblies; the type descriptions of their
+   classes; envelopes of both codecs, versioned. *)
+let mutation_docs =
+  let asms =
+    [
+      every_form;
+      Workload.family ~index:3 ~flavor:Workload.Trap_arity;
+      Workload.family ~index:7 ~flavor:Workload.Conformant;
+      Demo.news_assembly ();
+    ]
+  in
+  let envelope codec =
+    Env.make walk_registry ~codec
+      ~version_of:(fun ~assembly:_ -> 2)
+      ~download_path:(fun ~assembly -> "asm://h/" ^ assembly)
+      (random_graph 7)
+  in
+  [
+    ( `Assembly,
+      List.map (fun a -> parsed_doc (Pti_serial.Assembly_xml.to_string a)) asms
+    );
+    ( `Tdesc,
+      List.concat_map
+        (fun a ->
+          List.map
+            (fun cd -> parsed_doc (Td.to_xml_string (Td.of_class cd)))
+            a.Assembly.asm_classes)
+        asms );
+    ( `Envelope,
+      List.map
+        (fun codec -> parsed_doc (Env.to_string (envelope codec)))
+        [ Env.Binary; Env.Soap ] );
+  ]
+
+(* Both refuse, or both read equal values ([compare], so a nan read
+   from a corrupted float equals itself). *)
+let readers_agree reference fresh =
+  match (reference, fresh) with
+  | Ok a, Ok b -> compare a b = 0
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Whether the reference and the rewrite read the document [s] to the
+   same outcome, and whether the rewrite reads a value. A reader that
+   raises fails the test that called it. *)
+let read_both kind s =
+  let agree reference fresh =
+    (readers_agree reference fresh, Result.is_ok fresh)
+  in
+  match kind with
+  | `Assembly ->
+      agree
+        (Reference.Assembly_xml.of_string s)
+        (Pti_serial.Assembly_xml.of_string s)
+  | `Tdesc -> agree (Reference.td_of_xml_string s) (Td.of_xml_string s)
+  | `Envelope -> agree (Reference.Envelope.of_string s) (Env.of_string s)
+
+(* The elements of a document, in document order. *)
+let rec elements_of = function
+  | Xml.Element (_, _, cs) as x -> x :: List.concat_map elements_of cs
+  | _ -> []
+
+(* The document with [f] applied to its [k]th element. *)
+let at_nth k f x =
+  let n = ref (-1) in
+  let rec go = function
+    | Xml.Element (tag, attrs, cs) ->
+        incr n;
+        if !n = k then f tag attrs cs
+        else Xml.Element (tag, attrs, List.map go cs)
+    | other -> other
+  in
+  go x
+
+(* Attribute values of every kind the readers parse. *)
+let values =
+  [| ""; "x"; "0"; "1"; "-1"; "-7"; "256"; "true"; "false"; "nan";
+     "0x1p+1"; "int"; "string"; "object"; "int[]"; "a.B"; "public";
+     "private"; "class"; "interface"; "+"; "!"; "99999999999999999999";
+     "00000000-0000-0000-0000-000000000000"; "soap"; "binary"; "AAAA" |]
+
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
+
+(* One structural mutation of the element [tag attrs cs]: drop or
+   rename an attribute, corrupt its value, delete, duplicate or reorder
+   a child, or rename the tag. Names are drawn from the document's own
+   [tags] and attribute [names], so a renamed tag or attribute is often
+   one the reader knows. An element without attributes gets its tag
+   renamed instead, one without children an attribute added. *)
+let mutate_element rng ~tags ~names tag attrs cs =
+  let either name f = if Random.State.bool rng then f () else name ^ "x" in
+  let some_value () = pick rng (Array.to_list values) in
+  let on_attr f =
+    match attrs with
+    | [] -> Xml.Element (either tag (fun () -> pick rng tags), attrs, cs)
+    | _ ->
+        let k = Random.State.int rng (List.length attrs) in
+        let edit i a = if i = k then f a else [ a ] in
+        Xml.Element (tag, List.concat (List.mapi edit attrs), cs)
+  in
+  let on_child f =
+    match cs with
+    | [] -> Xml.Element (tag, (pick rng names, some_value ()) :: attrs, cs)
+    | _ ->
+        let i = Random.State.int rng (List.length cs) in
+        Xml.Element (tag, attrs, f i (List.nth cs i))
+  in
+  match Random.State.int rng 7 with
+  | 0 -> on_attr (fun _ -> [])
+  | 1 -> on_attr (fun (k, v) -> [ (either k (fun () -> pick rng names), v) ])
+  | 2 -> on_attr (fun (k, v) -> [ (k, either v some_value) ])
+  | 3 -> on_child (fun i _ -> List.filteri (fun j _ -> j <> i) cs)
+  | 4 ->
+      let twice i j d = if j = i then [ d; d ] else [ d ] in
+      on_child (fun i _ -> List.concat (List.mapi (twice i) cs))
+  | 5 ->
+      on_child (fun i c ->
+          let j = Random.State.int rng (List.length cs) in
+          let d = List.nth cs j in
+          List.mapi (fun k e -> if k = i then d else if k = j then c else e) cs)
+  | _ -> Xml.Element (either tag (fun () -> pick rng tags), attrs, cs)
+
+(* The [seed]th mutated document, of one to three mutations, read by
+   both: its kind and {!read_both}'s answer. *)
+let mutated_read seed =
+  let rng = Random.State.make [| seed |] in
+  let kind, docs = pick rng mutation_docs in
+  let doc = pick rng docs in
+  let elements = elements_of doc in
+  let names_of f = List.sort_uniq compare (List.concat_map f elements) in
+  let tags = names_of (function Xml.Element (t, _, _) -> [ t ] | _ -> [])
+  and names =
+    names_of (function Xml.Element (_, a, _) -> List.map fst a | _ -> [])
+  in
+  let mutated = ref doc in
+  for _ = 0 to Random.State.int rng 2 do
+    mutated :=
+      at_nth
+        (Random.State.int rng (List.length (elements_of !mutated)))
+        (mutate_element rng ~tags ~names)
+        !mutated
+  done;
+  (kind, read_both kind (Xml.to_string !mutated))
+
+let prop_xml_readers_under_mutation =
+  QCheck.Test.make ~name:"xml readers under mutation agree with the reference"
+    ~count:20_000 QCheck.int
+    (fun seed -> fst (snd (mutated_read seed)))
+
+(* The mutations reach the readers: of each kind of document, some
+   mutated copies still read and some are refused. *)
+let test_xml_mutations_reach_readers () =
+  let outcomes = Hashtbl.create 6 in
+  let count key = Option.value ~default:0 (Hashtbl.find_opt outcomes key) in
+  for seed = 0 to 599 do
+    let kind, (_, ok) = mutated_read seed in
+    Hashtbl.replace outcomes (kind, ok) (1 + count (kind, ok))
+  done;
+  List.iter
+    (fun (kind, what) ->
+      let read = count (kind, true) and refused = count (kind, false) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d read, %d refused" what read refused)
+        true
+        (read >= 30 && refused >= 30))
+    [ (`Assembly, "assemblies"); (`Tdesc, "type descriptions");
+      (`Envelope, "envelopes") ]
+
+(* Every attribute of the every-form assembly, of its classes' type
+   descriptions and of both envelopes set to each of [values], one at
+   a time: the rewrite reads each copy as the reference does. *)
+let test_xml_readers_every_value () =
+  let first kind n =
+    List.filteri (fun i _ -> i < n) (List.assoc kind mutation_docs)
+    |> List.map (fun d -> (kind, d))
+  in
+  let docs =
+    first `Assembly 1
+    @ first `Tdesc (List.length every_form.Assembly.asm_classes)
+    @ first `Envelope 2
+  in
+  let reads = ref 0 in
+  let set j v tag attrs cs =
+    let edit i (n, old) = (n, if i = j then v else old) in
+    Xml.Element (tag, List.mapi edit attrs, cs)
+  in
+  List.iter
+    (fun (kind, doc) ->
+      List.iteri
+        (fun k e ->
+          let attrs = match e with Xml.Element (_, a, _) -> a | _ -> [] in
+          List.iteri
+            (fun j _ ->
+              Array.iter
+                (fun v ->
+                  incr reads;
+                  let s = Xml.to_string (at_nth k (set j v) doc) in
+                  if not (fst (read_both kind s)) then
+                    Alcotest.failf
+                      "element %d, attribute %d = %S: the readers disagree" k
+                      j v)
+                values)
+            attrs)
+        (elements_of doc))
+    docs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d documents read" !reads)
+    true (!reads > 1000)
+
 let () =
   Alcotest.run "properties"
     [
@@ -956,6 +1631,11 @@ let () =
           Alcotest.test_case "decoding matches the reference" `Quick
             test_decoding_matches_reference;
           QCheck_alcotest.to_alcotest prop_decoding_under_mutation;
+          QCheck_alcotest.to_alcotest prop_xml_readers_under_mutation;
+          Alcotest.test_case "xml mutations reach the readers" `Quick
+            test_xml_mutations_reach_readers;
+          Alcotest.test_case "every attribute value read as before" `Quick
+            test_xml_readers_every_value;
         ] );
       ( "conformance",
         [
