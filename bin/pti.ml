@@ -1158,8 +1158,8 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile"
-       ~doc:"Compile a definition-language source into assembly XML (the \
-             code-download wire format).")
+       ~doc:"Compile a definition-language source into assembly XML, an \
+             artifact to read and diff; peers ship code as PTIA frames.")
     Term.(ret (const run $ file $ output))
 
 (* ------------------------------- run -------------------------------- *)

@@ -4,7 +4,7 @@ module Guid = Pti_util.Guid
 module S = Pti_util.Strutil
 module Td = Pti_typedesc.Type_description
 module Assembly = Pti_cts.Assembly
-module Assembly_xml = Pti_serial.Assembly_xml
+module Assembly_bin = Pti_serial.Assembly_bin
 module Peer = Pti_core.Peer
 module Repository = Pti_core.Repository
 
@@ -268,7 +268,7 @@ let push_missing_chain_entries t ~dst (m : Digest.msg) =
   List.iter
     (fun asm ->
       Peer.send_gossip t.peer ~dst ~kind:"chain-replica"
-        ~body:(Assembly_xml.to_string asm))
+        ~body:(Assembly_bin.to_string asm))
     (chain_entries_missing_from t m.Digest.g_chains)
 
 let send_gossip t ~dst ~kind body =
@@ -314,7 +314,7 @@ let on_gossip t ~src ~kind ~body =
   | "replica" -> (
       (* A factor-k placement push: serve the bytes under our own path
          (we need not load the code to mirror it). *)
-      match Assembly_xml.of_string body with
+      match Assembly_bin.of_string body with
       | Error e -> Log.warn (fun f -> f "[%s] bad replica from %s: %s" t.addr src e)
       | Ok asm ->
           let name = asm.Assembly.asm_name in
@@ -327,7 +327,7 @@ let on_gossip t ~src ~kind ~body =
          content digest, so replays and races converge. The chain merge
          is order-free — entries arrive newest-first or oldest-first
          yield the same chain. *)
-      match Assembly_xml.of_string body with
+      match Assembly_bin.of_string body with
       | Error e ->
           Log.warn (fun f -> f "[%s] bad chain-replica from %s: %s" t.addr src e)
       | Ok asm ->
@@ -432,7 +432,7 @@ let publish t asm =
     (fun dst ->
       Log.debug (fun f -> f "[%s] replicating %s to %s" t.addr name dst);
       Peer.send_gossip t.peer ~dst ~kind:"replica"
-        ~body:(Assembly_xml.to_string asm);
+        ~body:(Assembly_bin.to_string asm);
       (* The push is assumed to land; gossip repairs the record if the
          mirror never materialises. *)
       learn_path t ~path:(Repository.path_for ~host:dst ~assembly:name)
@@ -461,7 +461,7 @@ let publish_cas ?expect t asm =
               f "[%s] replicating %s v%d to %s" t.addr name
                 ve.Repository.ve_version dst);
           Peer.send_gossip t.peer ~dst ~kind:"chain-replica"
-            ~body:(Assembly_xml.to_string ve.Repository.ve_assembly))
+            ~body:(Assembly_bin.to_string ve.Repository.ve_assembly))
         replicas;
       Ok ve
 

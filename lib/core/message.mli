@@ -10,7 +10,8 @@ type t =
       tdescs : string list;
           (** Inlined type descriptions — empty under the optimistic
               protocol, populated by the eager baseline. *)
-      assemblies : string list;  (** Inlined code — eager baseline only. *)
+      assemblies : string list;
+          (** Inlined code as [PTIA] frames — eager baseline only. *)
     }
   | Obj_batch of { frame : string }
       (** Several coalesced [Obj_msg] payloads (plus opportunistic
@@ -32,6 +33,9 @@ type t =
       (** [None]: the queried host does not know the type either. *)
   | Asm_request of { path : string; token : int }
   | Asm_reply of { path : string; assembly : string option; token : int }
+      (** [assembly]: the code as a sealed [PTIA] frame
+          ({!Pti_serial.Assembly_bin}); [None] when the host does not
+          serve [path]. *)
   | Invoke_request of {
       target : int;  (** Exported object id on the destination host. *)
       meth : string;  (** Actual-side method name (translated by caller). *)

@@ -7,7 +7,7 @@ module Config = Pti_conformance.Config
 module Mapping = Pti_conformance.Mapping
 module Proxy = Pti_proxy.Dynamic_proxy
 module Envelope = Pti_serial.Envelope
-module Assembly_xml = Pti_serial.Assembly_xml
+module Assembly_bin = Pti_serial.Assembly_bin
 module Ht = Pti_serial.Handle_table
 module Bf = Pti_serial.Batch_frame
 module S = Pti_util.Strutil
@@ -885,7 +885,7 @@ let process_envelope t ~from (env : Envelope.t) tdescs assemblies =
     tdescs;
   List.iter
     (fun s ->
-      match Assembly_xml.of_string s with
+      match Assembly_bin.of_string s with
       | Ok asm -> ignore (try_load t ~name:"?" asm)
       | Error reason -> log_event t (Load_failed { assembly = "?"; reason }))
     assemblies;
@@ -1148,14 +1148,14 @@ let handle t ~src msg =
           else k None)
   | Message.Asm_request { path; token } ->
       let assembly =
-        Option.map Assembly_xml.to_string (Repository.find t.sh.sh_repo ~path)
+        Option.map Assembly_bin.to_string (Repository.find t.sh.sh_repo ~path)
       in
       send t ~dst:src (Message.Asm_reply { path; assembly; token })
   | Message.Asm_reply { assembly; token; _ } ->
       (* Corrupt assembly bytes: reject and let the failover pipeline
          retry this path / move to the next mirror. *)
       complete t t.asm_conts ~token ~from:src ~what:"assembly"
-        ~parse:Assembly_xml.of_string assembly ~on_corrupt:(fun k () -> k None)
+        ~parse:Assembly_bin.of_string assembly ~on_corrupt:(fun k () -> k None)
   | Message.Invoke_request { target; meth; args; token } ->
       handle_invoke t ~from:src ~target ~meth ~args ~token
   | Message.Invoke_reply { token; result; error } -> (
@@ -1684,7 +1684,7 @@ let send_value t ~dst value =
           List.filter_map
             (fun a ->
               Option.map
-                (fun (_, asm) -> Assembly_xml.to_string asm)
+                (fun (_, asm) -> Assembly_bin.to_string asm)
                 (Repository.find_by_name t.sh.sh_repo a))
             asm_names
         in

@@ -26,7 +26,7 @@ type t = {
 let create () =
   { by_path = Hashtbl.create 8; chains = Hashtbl.create 8; subs = [] }
 
-let digest_of asm = Fnv.hash_hex (Pti_serial.Assembly_xml.to_string asm)
+let digest_of asm = Fnv.hash_hex (Pti_serial.Assembly_bin.to_string asm)
 
 let path_for ~host ~assembly = Printf.sprintf "asm://%s/%s" host assembly
 

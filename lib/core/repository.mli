@@ -6,7 +6,7 @@
 
     The store is {e versioned and content-addressed}: every assembly a
     name has ever resolved to lives on that name's version chain, keyed by
-    the FNV-1a digest of its canonical XML bytes. {!publish_cas} extends a
+    the FNV-1a digest of its PTIA frame. {!publish_cas} extends a
     chain by compare-and-set over the head digest — concurrent publishers
     cannot silently lose each other's update — and {!resolve} answers a
     pinned ([Version]/[Digest]) or [Latest] lookup, so mirrors can serve
@@ -57,8 +57,8 @@ type cas_error =
           [head] is the digest actually at the head ([None] = empty). *)
 
 val digest_of : Pti_cts.Assembly.t -> string
-(** FNV-1a 64-bit hex over the canonical XML serialization — the content
-    address used everywhere a version is named. Injective on canonical
+(** FNV-1a 64-bit hex over the assembly's sealed [PTIA] frame — the
+    content address used everywhere a version is named. Injective on canonical
     bytes up to hash collision; the chain additionally stores the bytes,
     so equal digests with different content would be caught on merge. *)
 

@@ -32,39 +32,6 @@ let load reg t = List.iter (Registry.register reg) t.asm_classes
 let upgrade reg t = List.iter (Registry.upgrade reg) t.asm_classes
 let shadow reg t = List.iter (Registry.shadow reg) t.asm_classes
 
-let class_size cd =
-  let ty_size ty = String.length (Ty.to_string ty) in
-  let param_size p =
-    String.length p.Meta.param_name + ty_size p.Meta.param_ty
-  in
-  let body_size = function None -> 0 | Some e -> 8 * Expr.size e in
-  let field f =
-    String.length f.Meta.f_name + ty_size f.Meta.f_ty + 4
-    + body_size f.Meta.f_init
-  in
-  let meth m =
-    String.length m.Meta.m_name
-    + List.fold_left (fun a p -> a + param_size p) 0 m.Meta.m_params
-    + ty_size m.Meta.m_return + 4 + body_size m.Meta.m_body
-  in
-  let ctor c =
-    List.fold_left (fun a p -> a + param_size p) 0 c.Meta.c_params
-    + 4 + body_size c.Meta.c_body
-  in
-  String.length (Meta.qualified_name cd)
-  + 16 (* guid *)
-  + (match cd.Meta.td_super with None -> 0 | Some s -> String.length s)
-  + List.fold_left (fun a i -> a + String.length i) 0 cd.Meta.td_interfaces
-  + List.fold_left (fun a f -> a + field f) 0 cd.Meta.td_fields
-  + List.fold_left (fun a m -> a + meth m) 0 cd.Meta.td_methods
-  + List.fold_left (fun a c -> a + ctor c) 0 cd.Meta.td_ctors
-  + 32 (* framing *)
-
-let size_bytes t =
-  String.length t.asm_name + 8
-  + List.fold_left (fun a n -> a + String.length n + 2) 0 t.asm_requires
-  + List.fold_left (fun a cd -> a + class_size cd) 0 t.asm_classes
-
 let external_dependencies t =
   let own = List.map (fun cd -> Meta.qualified_name cd) t.asm_classes in
   let is_own n = List.exists (fun o -> S.equal_ci o n) own in

@@ -37,11 +37,5 @@ val shadow : Registry.t -> t -> unit
     whatever newer revision holds them — loading an {e older} revision
     than the live one. @raise Registry.Duplicate on a GUID collision. *)
 
-val size_bytes : t -> int
-(** Approximate on-the-wire size: metadata surface plus body node counts.
-    The network simulator charges assembly downloads by this — assemblies
-    must dwarf type descriptions, which is what makes the optimistic
-    protocol worthwhile. *)
-
 val external_dependencies : t -> string list
 (** Qualified type names referenced but not defined by this assembly. *)

@@ -104,24 +104,6 @@ and pp_args ppf = function
 
 let to_string e = Format.asprintf "%a" pp e
 
-let rec size = function
-  | Const _ | This | Var _ -> 1
-  | Let (_, a, b) | While (a, b) -> 1 + size a + size b
-  | Assign (_, a) | Field_get (a, _) | Array_length a | Unop (_, a)
-  | Throw a ->
-      1 + size a
-  | Field_set (a, _, b) | Index_get (a, b) | Binop (_, a, b)
-  | Try (a, _, b) ->
-      1 + size a + size b
-  | Call (o, _, args) -> 1 + size o + sum args
-  | Static_call (_, _, args) | New (_, args) -> 1 + sum args
-  | New_array (_, items) -> 1 + sum items
-  | Index_set (a, i, v) -> 1 + size a + size i + size v
-  | If (a, b, c) -> 1 + size a + size b + size c
-  | Seq es -> 1 + sum es
-
-and sum es = List.fold_left (fun acc e -> acc + size e) 0 es
-
 let int i = Const (Cint i)
 let str s = Const (Cstring s)
 let bool b = Const (Cbool b)

@@ -67,9 +67,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val size : t -> int
-(** Node count; used to charge assembly transfer bytes proportionally. *)
-
 (** {1 Convenience constructors} *)
 
 val int : int -> t

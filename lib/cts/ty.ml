@@ -1,3 +1,5 @@
+module S = Pti_util.Strutil
+
 type t =
   | Void
   | Bool
@@ -33,7 +35,8 @@ let rec compare a b =
   | Array x, Array y -> compare x y
   | _ -> Stdlib.compare (rank a) (rank b)
 
-let rec to_string = function
+(* The element's keyword or name, and the rank above it. *)
+let rec name = function
   | Void -> "void"
   | Bool -> "bool"
   | Int -> "int"
@@ -41,25 +44,56 @@ let rec to_string = function
   | String -> "string"
   | Char -> "char"
   | Named n -> n
-  | Array e -> to_string e ^ "[]"
+  | Array e -> name e
 
-let rec of_string s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n = 0 then None
-  else if n >= 2 && String.sub s (n - 2) 2 = "[]" then
-    match of_string (String.sub s 0 (n - 2)) with
-    | Some e -> Some (Array e)
-    | None -> None
-  else
-    match String.lowercase_ascii s with
-    | "void" -> Some Void
-    | "bool" | "boolean" -> Some Bool
-    | "int" | "int32" | "int64" -> Some Int
-    | "float" | "double" -> Some Float
-    | "string" -> Some String
-    | "char" -> Some Char
-    | _ -> Some (Named s)
+let rec rank acc = function Array e -> rank (acc + 1) e | _ -> acc
+
+(* One allocation for an array reference. *)
+let to_string t =
+  match rank 0 t with
+  | 0 -> name t
+  | r ->
+      let n = name t in
+      let len = String.length n in
+      let b = Bytes.make (len + (2 * r)) ']' in
+      Bytes.blit_string n 0 b 0 len;
+      for i = 0 to r - 1 do Bytes.set b (len + (2 * i)) '[' done;
+      Bytes.unsafe_to_string b
+
+let max_rank = 1024
+
+let keywords =
+  [ ("void", Void); ("bool", Bool); ("boolean", Bool); ("int", Int);
+    ("int32", Int); ("int64", Int); ("float", Float); ("double", Float);
+    ("string", String); ("char", Char) ]
+
+(* The [len] bytes of [s] from [lo], compared in place. *)
+let rec element s lo len = function
+  | (k, t) :: _ when len = String.length k && S.equal_ci_sub s lo k 0 len -> t
+  | _ :: rest -> element s lo len rest
+  | [] -> Named (if len = String.length s then s else String.sub s lo len)
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec trim_right s lo hi =
+  if hi > lo && is_space s.[hi - 1] then trim_right s lo (hi - 1) else hi
+
+(* One scan: trim, then peel "[]" pairs, and the blanks before each, off
+   the right end. *)
+let of_string s =
+  let lo = ref 0 in
+  while !lo < String.length s && is_space s.[!lo] do incr lo done;
+  let lo = !lo in
+  let hi = ref (trim_right s lo (String.length s)) and r = ref 0 in
+  while
+    !r <= max_rank && !hi - lo >= 2 && s.[!hi - 1] = ']' && s.[!hi - 2] = '['
+  do
+    incr r;
+    hi := trim_right s lo (!hi - 2)
+  done;
+  let rec wrap r e = if r = 0 then e else wrap (r - 1) (Array e) in
+  if !hi = lo || !r > max_rank then None
+  else Some (wrap !r (element s lo (!hi - lo) keywords))
 
 let of_string_exn s =
   match of_string s with

@@ -24,9 +24,13 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** Wire rendering: primitives by keyword, arrays with a ["[]"] suffix. *)
 
+val max_rank : int
+(** 1 024: the deepest array rank {!of_string} reads. *)
+
 val of_string : string -> t option
-(** Inverse of {!to_string}; [None] on malformed input (e.g. dangling
-    ["[]"]). *)
+(** Inverse of {!to_string}, in one scan of its input; [None] on
+    malformed input (e.g. dangling ["[]"]) and on a rank above
+    {!max_rank}. *)
 
 val of_string_exn : string -> t
 

@@ -1,8 +1,9 @@
 (** Byte-level corruption of protocol messages.
 
     Only payload-bearing fields are mangled — object envelopes, batch
-    frames, handle-bind frames, type description replies, assembly
-    replies and gossip bodies. Requests carry no integrity digest;
+    frames, handle-bind frames, type description replies (XML or PTID),
+    assembly replies (PTIA frames) and gossip bodies (digests and
+    replica pushes). Requests carry no integrity digest;
     flipping a [type_name] in flight would manifest as an undetectable
     failed lookup rather than a detectable corruption, which is not the
     property under test. *)

@@ -46,8 +46,9 @@ module Writer = struct
     Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));
     t.len <- t.len + 1
 
+  (* [v] read as unsigned: a zigzag encoding may set the top bit. *)
   let rec varint_loop t v =
-    if v < 0x80 then u8 t v
+    if v land lnot 0x7f = 0 then u8 t v
     else begin
       u8 t (0x80 lor (v land 0x7f));
       varint_loop t (v lsr 7)
@@ -57,13 +58,7 @@ module Writer = struct
     if v < 0 then invalid_arg "Writer.varint: negative";
     varint_loop t v
 
-  let zigzag t v =
-    let encoded = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
-    (* The shift may overflow for extreme values; mask to a non-negative
-       encoding domain by using Int64 when needed is overkill here — object
-       graphs carry human-scale integers. Guard anyway. *)
-    if encoded < 0 then invalid_arg "Writer.zigzag: magnitude too large"
-    else varint t encoded
+  let zigzag t v = varint_loop t ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
   let f64 t v =
     reserve t 8;

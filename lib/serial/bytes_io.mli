@@ -6,14 +6,15 @@
 
 (** {2 Sealed frames}
 
-    Five binary formats share one outer layout:
+    Six binary formats share one outer layout:
 
     {v magic | 8-byte FNV-1a of body (big-endian) | body v}
 
     PTIE (handle-encoded envelopes), PTIF (batch frames), PTIH
-    (handle-bind frames), PTID (binary type descriptions) and PTIB
-    (binary payloads). The checksum covers the literal body, so wire
-    damage is caught before any structure is parsed. *)
+    (handle-bind frames), PTID (binary type descriptions), PTIA
+    (assemblies: code with its bodies) and PTIB (binary payloads). The
+    checksum covers the literal body, so wire damage is caught before
+    any structure is parsed. *)
 
 val seal : magic:string -> string -> string
 (** [seal ~magic body] renders the frame, writing its bytes once. An
@@ -53,7 +54,7 @@ module Writer : sig
   (** Unsigned LEB128; value must be >= 0. *)
 
   val zigzag : t -> int -> unit
-  (** Signed (zigzag) LEB128. *)
+  (** Signed (zigzag) LEB128, for every [int]. *)
 
   val f64 : t -> float -> unit
   val string : t -> string -> unit

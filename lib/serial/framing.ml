@@ -10,27 +10,34 @@
    place; it lives here so every producer agrees on the prefix
    encoding.
 
-   Also home to the varint-counted string-list helpers [Batch_frame]
-   and the wire codecs share, with the same bound on absurd counts. *)
+   Also home to the varint-counted list helpers [Batch_frame] and the
+   wire codecs share, with the same bound on counts. *)
 
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
 let max_list = 100_000
 
-let write_string_list w l =
+let write_list w f l =
   W.varint w (List.length l);
-  List.iter (W.string w) l
+  List.iter (f w) l
+
+let write_string_list w l = write_list w W.string l
 
 (* Explicit recursion: the element reader is effectful, so evaluation
    order must be the wire order. *)
 let rec read_n r f acc k =
   if k = 0 then List.rev acc else read_n r f (f r :: acc) (k - 1)
 
-let read_list r f =
+(* A list's count. Every element takes at least one byte, so a count
+   above the bytes left is refused before anything is read. *)
+let read_count r =
   let n = R.varint r in
-  if n < 0 || n > max_list then failwith "bad list length";
-  read_n r f [] n
+  if n < 0 || n > max_list || n > R.remaining r then
+    failwith "bad list length";
+  n
+
+let read_list r f = read_n r f [] (read_count r)
 
 let read_string_list r = read_list r R.string
 

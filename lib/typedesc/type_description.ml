@@ -230,34 +230,21 @@ let size_bytes t = Xml.size_bytes (to_xml t)
    ([Bytes_io.seal], magic [PTID]). *)
 
 module Bytes_io = Pti_serial.Bytes_io
+module Framing = Pti_serial.Framing
+module Members = Pti_serial.Assembly_bin
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
 let binary_magic = "PTID\x01"
 
-let w_mods w (m : Meta.member_mods) =
-  W.string w (Meta.visibility_to_string m.Meta.visibility);
-  W.bool w m.Meta.static;
-  W.bool w m.Meta.virtual_
-
-let w_ty w ty = W.string w (Ty.to_string ty)
-
-let w_params w ps =
-  W.varint w (List.length ps);
-  List.iter
-    (fun p ->
-      W.string w p.pd_name;
-      w_ty w p.pd_ty)
-    ps
-
-let w_list w f l =
-  W.varint w (List.length l);
-  List.iter (f w) l
+let pd_name p = p.pd_name
+let pd_ty p = p.pd_ty
+let param pd_name pd_ty = { pd_name; pd_ty }
 
 let to_binary_string t =
   let w = W.sealed ~magic:binary_magic () in
   W.string w t.ty_name;
-  w_list w W.string t.ty_namespace;
+  Framing.write_string_list w t.ty_namespace;
   W.string w (Guid.to_string t.ty_guid);
   W.string w (Meta.kind_to_string t.ty_kind);
   W.string w t.ty_assembly;
@@ -266,24 +253,24 @@ let to_binary_string t =
   | Some s ->
       W.bool w true;
       W.string w s);
-  w_list w W.string t.ty_interfaces;
-  w_list w
+  Framing.write_string_list w t.ty_interfaces;
+  Framing.write_list w
     (fun w f ->
       W.string w f.fd_name;
-      w_ty w f.fd_ty;
-      w_mods w f.fd_mods)
+      Members.write_ty w f.fd_ty;
+      Members.write_mods w f.fd_mods)
     t.ty_fields;
-  w_list w
+  Framing.write_list w
     (fun w c ->
-      w_params w c.cd_params;
-      w_mods w c.cd_mods)
+      Members.write_params w pd_name pd_ty c.cd_params;
+      Members.write_mods w c.cd_mods)
     t.ty_ctors;
-  w_list w
+  Framing.write_list w
     (fun w m ->
       W.string w m.md_name;
-      w_params w m.md_params;
-      w_ty w m.md_return;
-      w_mods w m.md_mods)
+      Members.write_params w pd_name pd_ty m.md_params;
+      Members.write_ty w m.md_return;
+      Members.write_mods w m.md_mods)
     t.ty_methods;
   W.seal w
 
@@ -291,53 +278,36 @@ let is_binary s = String.starts_with ~prefix:binary_magic s
 
 (* Readers mirror the writers above, in wire order; [Failure] on a field
    that does not parse, [R.Underflow] on truncation. *)
-let parsed what of_string s =
-  match of_string s with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "bad %s %S" what s)
-
-let r_ty r = parsed "type" Ty.of_string (R.string r)
-
-let r_mods r =
-  let visibility = parsed "visibility" Meta.visibility_of_string (R.string r) in
-  let static = R.bool r in
-  let virtual_ = R.bool r in
-  { Meta.visibility; static; virtual_ }
-
-let r_param r =
-  let pd_name = R.string r in
-  let pd_ty = r_ty r in
-  { pd_name; pd_ty }
-
-let r_list = Pti_serial.Framing.read_list
+let parsed = Members.parsed
+let r_list = Framing.read_list
 
 let of_binary_body r =
   let ty_name = R.string r in
-  let ty_namespace = r_list r R.string in
+  let ty_namespace = Framing.read_string_list r in
   let ty_guid = parsed "guid" Guid.of_string (R.string r) in
   let ty_kind = parsed "kind" Meta.kind_of_string (R.string r) in
   let ty_assembly = R.string r in
   let ty_super = if R.bool r then Some (R.string r) else None in
-  let ty_interfaces = r_list r R.string in
+  let ty_interfaces = Framing.read_string_list r in
   let ty_fields =
     r_list r (fun r ->
         let fd_name = R.string r in
-        let fd_ty = r_ty r in
-        let fd_mods = r_mods r in
+        let fd_ty = Members.read_ty r in
+        let fd_mods = Members.read_mods r in
         { fd_name; fd_ty; fd_mods })
   in
   let ty_ctors =
     r_list r (fun r ->
-        let cd_params = r_list r r_param in
-        let cd_mods = r_mods r in
+        let cd_params = Members.read_params r param in
+        let cd_mods = Members.read_mods r in
         { cd_params; cd_mods })
   in
   let ty_methods =
     r_list r (fun r ->
         let md_name = R.string r in
-        let md_params = r_list r r_param in
-        let md_return = r_ty r in
-        let md_mods = r_mods r in
+        let md_params = Members.read_params r param in
+        let md_return = Members.read_ty r in
+        let md_mods = Members.read_mods r in
         { md_name; md_params; md_return; md_mods })
   in
   if not (R.at_end r) then failwith "trailing bytes in binary tdesc";

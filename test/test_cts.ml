@@ -43,6 +43,33 @@ let test_ty_of_string_empty () =
   Alcotest.(check bool) "empty rejected" true (Ty.of_string "" = None);
   Alcotest.(check bool) "dangling [] rejected" true (Ty.of_string "[]" = None)
 
+let array_string rank =
+  "int" ^ String.concat "" (List.init rank (fun _ -> "[]"))
+
+(* A type string is read in one scan: the 80 003-byte reference of rank
+   40 000 is refused at the rank bound without a string per level. *)
+let test_ty_rank_bounded () =
+  let deep = array_string 40_000 in
+  let t0 = Unix.gettimeofday () in
+  let before = Gc.minor_words () in
+  let result = Ty.of_string deep in
+  let words = Gc.minor_words () -. before in
+  let seconds = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "rank 40 000 refused" true (result = None);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words (at most 1 000 000)" words)
+    true (words <= 1e6);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f ms (at most 50)" (seconds *. 1000.))
+    true (seconds < 0.05);
+  let top = array_string Ty.max_rank in
+  (match Ty.of_string top with
+  | Some ty ->
+      Alcotest.(check string) "rank 1 024 round trip" top (Ty.to_string ty)
+  | None -> Alcotest.fail "rank 1 024 refused");
+  Alcotest.(check bool) "rank 1 025 refused" true
+    (Ty.of_string (array_string (Ty.max_rank + 1)) = None)
+
 (* ------------------------------- meta ------------------------------ *)
 
 let test_validate_rejects () =
@@ -662,19 +689,20 @@ let test_assembly () =
   Alcotest.(check bool) "find_class" true
     (Assembly.find_class asm Demo.news_person <> None);
   Alcotest.(check bool) "self-contained" true
-    (Assembly.external_dependencies asm = []);
-  Alcotest.(check bool) "size positive" true (Assembly.size_bytes asm > 0)
+    (Assembly.external_dependencies asm = [])
 
 let test_assembly_size_dwarfs_tdesc () =
   (* The economics of the optimistic protocol: code on the wire is much
-     heavier than a description on the wire. *)
+     heavier than a description on the wire, binary frame against binary
+     frame. *)
   let asm = Demo.news_assembly () in
   let r = Demo.fresh_registry [ asm ] in
   let cd = Registry.find_exn r Demo.news_person in
   let d = Pti_typedesc.Type_description.of_class cd in
-  let asm_wire = String.length (Pti_serial.Assembly_xml.to_string asm) in
+  let asm_wire = String.length (Pti_serial.Assembly_bin.to_string asm) in
   Alcotest.(check bool) "asm >> tdesc" true
-    (asm_wire > 2 * Pti_typedesc.Type_description.size_bytes d)
+    (asm_wire
+    > 2 * String.length (Pti_typedesc.Type_description.to_binary_string d))
 
 let () =
   Alcotest.run "cts"
@@ -685,6 +713,7 @@ let () =
           Alcotest.test_case "named ci equality" `Quick
             test_ty_case_insensitive_named;
           Alcotest.test_case "malformed" `Quick test_ty_of_string_empty;
+          Alcotest.test_case "rank bounded" `Quick test_ty_rank_bounded;
         ] );
       ( "meta",
         [

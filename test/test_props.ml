@@ -1249,7 +1249,47 @@ module Reference = struct
     | Ok x ->
         Result.map Td.of_class
           (Assembly_xml.class_of_xml ~root:"typeDescription" x)
+
+  (* The type-reference parser as it was before it read in one scan. *)
+  let rec ty_of_string s =
+    let s = String.trim s in
+    let n = String.length s in
+    if n = 0 then None
+    else if n >= 2 && String.sub s (n - 2) 2 = "[]" then
+      match ty_of_string (String.sub s 0 (n - 2)) with
+      | Some e -> Some (Ty.Array e)
+      | None -> None
+    else
+      match String.lowercase_ascii s with
+      | "void" -> Some Ty.Void
+      | "bool" | "boolean" -> Some Ty.Bool
+      | "int" | "int32" | "int64" -> Some Ty.Int
+      | "float" | "double" -> Some Ty.Float
+      | "string" -> Some Ty.String
+      | "char" -> Some Ty.Char
+      | _ -> Some (Ty.Named s)
 end
+
+(* Strings over [int], [Foo], blanks and brackets, ending in up to 1 000
+   "[]" pairs: at most 1 024 brackets, so every rank the reference reads
+   is within the bound. *)
+let type_string_gen =
+  let open QCheck.Gen in
+  let token = oneofl [ "int"; "Foo"; "INT"; " "; "\t"; "["; "]"; "[]" ] in
+  let pair = oneofl [ "[]"; "[] "; " []" ] in
+  map2
+    (fun prefix pairs -> String.concat "" (prefix @ pairs))
+    (list_size (int_bound 12) token)
+    (frequency
+       [
+         (4, list_size (int_bound 4) pair);
+         (1, list_size (int_bound 1000) pair);
+       ])
+
+let prop_ty_of_string_unchanged =
+  QCheck.Test.make ~name:"type strings read as before" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") type_string_gen)
+    (fun s -> Ty.of_string s = Reference.ty_of_string s)
 
 (* Encoding a graph writes the bytes the reference writes and lists the
    same classes; every envelope over it, binary or SOAP, versioned or
@@ -1611,11 +1651,188 @@ let test_xml_readers_every_value () =
     (Printf.sprintf "%d documents read" !reads)
     true (!reads > 1000)
 
+(* ------------------ sealed binary frames, hostile edits ------------- *)
+
+module Bio = Pti_serial.Bytes_io
+module Abin = Pti_serial.Assembly_bin
+
+(* Every flavor of workload family at both schema revisions, the
+   interest assembly and [every_form]. *)
+let frame_assemblies =
+  every_form :: Workload.interest_assembly ()
+  :: List.concat_map
+       (fun flavor ->
+         List.map
+           (fun version -> Workload.family_v ~version ~index:3 ~flavor)
+           [ 1; 2 ])
+       Workload.[ Conformant; Trap_missing; Trap_arity; Trap_fieldtype; Typo 2 ]
+
+(* The layout of a class as PTID writes it and, with [bodies], as PTIA
+   does: [str] steps over a length-prefixed string, [list] over a
+   counted list. *)
+let walk_class ~bodies r ~str ~list =
+  let module R = Bio.Reader in
+  let byte () = ignore (R.u8 r) in
+  let mods () = str (); byte (); byte () in
+  let params () = list (fun () -> str (); str ()) in
+  let rec expr tag =
+    let e () = expr (R.u8 r) in
+    match tag with
+    | 1 | 7 -> ()
+    | 2 | 6 -> byte ()
+    | 3 -> ignore (R.zigzag r)
+    | 4 -> ignore (R.f64 r)
+    | 5 | 8 -> str ()
+    | 9 -> str (); e (); e ()
+    | 10 -> str (); e ()
+    | 11 -> e (); str ()
+    | 12 | 26 -> e (); str (); e ()
+    | 13 -> e (); str (); list e
+    | 14 -> str (); str (); list e
+    | 15 | 16 -> str (); list e
+    | 17 | 21 -> e (); e ()
+    | 18 | 20 -> e (); e (); e ()
+    | 19 | 25 -> e ()
+    | 22 -> list e
+    | 23 -> byte (); e (); e ()
+    | 24 -> byte (); e ()
+    | t -> Alcotest.failf "walker: tag %d" t
+  in
+  let body () = if bodies then match R.u8 r with 0 -> () | t -> expr t in
+  str (); list str; str (); str (); str ();
+  if R.bool r then str ();
+  list str;
+  list (fun () -> str (); str (); mods (); body ());
+  list (fun () -> params (); mods (); body ());
+  list (fun () -> str (); params (); str (); mods (); body ())
+
+let walk_assembly r ~str ~list =
+  str ();
+  ignore (Bio.Reader.zigzag r);
+  list str;
+  list (fun () -> walk_class ~bodies:true r ~str ~list)
+
+(* The body offset of every count and length in a frame's body. *)
+let count_offsets walk body =
+  let r = Bio.Reader.create body in
+  let marks = ref [] in
+  let mark () = marks := Bio.Reader.pos r :: !marks in
+  let str () = mark (); ignore (Bio.Reader.skip_string r) in
+  let list f = mark (); for _ = 1 to Bio.Reader.varint r do f () done in
+  walk r ~str ~list;
+  if not (Bio.Reader.at_end r) then Alcotest.fail "walker stopped short";
+  List.rev !marks
+
+(* Each kind of hostile edit of a sealed frame: every truncation and
+   every count or length raised past the bytes left, both resealed, and
+   every single-byte flip left unsealed. *)
+let hostile_edits ~magic ~walk frame =
+  let header = String.length magic + 8 in
+  let body = String.sub frame header (String.length frame - header) in
+  let n = String.length body in
+  let inflate at =
+    let r = Bio.Reader.create ~pos:at body in
+    ignore (Bio.Reader.varint r);
+    let w = Bio.Writer.create () in
+    Bio.Writer.varint w (n + 1);
+    let rest = Bio.Reader.pos r in
+    Bio.seal ~magic
+      (String.concat ""
+         [ String.sub body 0 at; Bio.Writer.contents w;
+           String.sub body rest (n - rest) ])
+  in
+  let flip i mask =
+    let b = Bytes.of_string frame in
+    Bytes.set b i (Char.chr (Char.code frame.[i] lxor mask));
+    Bytes.to_string b
+  in
+  [
+    ( "truncation",
+      List.init n (fun k -> Bio.seal ~magic (String.sub body 0 k)) );
+    ("inflated count", List.map inflate (count_offsets walk body));
+    ( "byte flip",
+      List.concat_map
+        (fun mask -> List.init (String.length frame) (fun i -> flip i mask))
+        [ 0x01; 0x80; 0xff ] );
+  ]
+
+(* Every edit is an [Error], none raises, and each decode allocates at
+   most 16 words per input byte. *)
+let refuses_hostile_edits ~what ~magic ~walk decode frame =
+  if Result.is_error (decode frame) then Alcotest.failf "%s: not decoded" what;
+  List.iter
+    (fun (kind, edits) ->
+      if edits = [] then Alcotest.failf "%s: no %s" what kind;
+      List.iteri
+        (fun i edited ->
+          let before = Gc.minor_words () in
+          let result =
+            try decode edited
+            with e ->
+              Alcotest.failf "%s, %s %d raised %s" what kind i
+                (Printexc.to_string e)
+          in
+          let words = Gc.minor_words () -. before in
+          if Result.is_ok result then
+            Alcotest.failf "%s, %s %d decoded" what kind i;
+          if words > 16. *. float (String.length edited) then
+            Alcotest.failf "%s, %s %d: %.0f words for %d bytes" what kind i
+              words (String.length edited))
+        edits)
+    (hostile_edits ~magic ~walk frame)
+
+(* Random byte replacements inside [every_form]'s frame, resealed: the
+   tags, operators, counts and type strings they garble reach the
+   decoder, which may read a different assembly but never raises and
+   stays within 16 words per input byte. *)
+let prop_resealed_assembly_mutations =
+  let magic = "PTIA\x01" in
+  let frame = Abin.to_string every_form in
+  let header = String.length magic + 8 in
+  let body = String.sub frame header (String.length frame - header) in
+  QCheck.Test.make ~name:"resealed assembly mutations never raise" ~count:2000
+    QCheck.(
+      list_of_size Gen.(1 -- 3)
+        (pair (int_bound (String.length body - 1)) (int_bound 255)))
+    (fun edits ->
+      let b = Bytes.of_string body in
+      List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
+      let s = Bio.seal ~magic (Bytes.to_string b) in
+      let before = Gc.minor_words () in
+      match Abin.of_string s with
+      | Ok _ | Error _ ->
+          Gc.minor_words () -. before <= 16. *. float (String.length s)
+      | exception _ -> false)
+
+let test_hostile_assembly_frames () =
+  List.iter
+    (fun (a : Assembly.t) ->
+      let frame = Abin.to_string a in
+      (match Abin.of_string frame with
+      | Ok a' when compare a a' = 0 -> ()
+      | _ -> Alcotest.failf "%s: no round trip" a.asm_name);
+      refuses_hostile_edits ~what:a.asm_name ~magic:"PTIA\x01"
+        ~walk:walk_assembly Abin.of_string frame)
+    frame_assemblies
+
+let test_hostile_description_frames () =
+  List.iter
+    (fun (a : Assembly.t) ->
+      List.iter
+        (fun cd ->
+          let d = Td.of_class cd in
+          refuses_hostile_edits ~what:(Td.qualified_name d) ~magic:"PTID\x01"
+            ~walk:(walk_class ~bodies:false)
+            Td.of_binary_string (Td.to_binary_string d))
+        a.asm_classes)
+    frame_assemblies
+
 let () =
   Alcotest.run "properties"
     [
       ( "fuzz",
         [
+          QCheck_alcotest.to_alcotest prop_ty_of_string_unchanged;
           QCheck_alcotest.to_alcotest prop_xml_parser_total;
           QCheck_alcotest.to_alcotest prop_xml_parser_on_mutated_document;
           QCheck_alcotest.to_alcotest prop_bin_decoder_total;
@@ -1625,6 +1842,14 @@ let () =
         ] );
       ( "envelope",
         [ QCheck_alcotest.to_alcotest prop_envelope_lists_walk_classes ] );
+      ( "hostile frames",
+        [
+          Alcotest.test_case "PTIA edits refused" `Quick
+            test_hostile_assembly_frames;
+          Alcotest.test_case "PTID edits refused" `Quick
+            test_hostile_description_frames;
+          QCheck_alcotest.to_alcotest prop_resealed_assembly_mutations;
+        ] );
       ( "reference",
         [
           QCheck_alcotest.to_alcotest prop_encodings_and_digests_unchanged;

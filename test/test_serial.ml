@@ -668,31 +668,32 @@ let test_codec_allocation () =
 
 (* --------------------------- assembly codec ------------------------ *)
 
+(* One expression of every form the codecs write. *)
+let every_expr =
+  [
+    E.null; E.int 42; E.str "a<b&c"; E.bool true;
+    E.Const (E.Cfloat 2.5); E.Const (E.Cchar 'q'); E.This; E.Var "x";
+    E.Let ("t", E.int 1, E.Binop (E.Add, E.Var "t", E.int 2));
+    E.Assign ("x", E.int 9);
+    E.Field_get (E.This, "name");
+    E.Field_set (E.This, "name", E.str "n");
+    E.Call (E.This, "m", [ E.int 1; E.str "s" ]);
+    E.Static_call ("a.B", "m", [ E.int 1 ]);
+    E.New ("a.B", [ E.null ]);
+    E.New_array (Ty.Int, [ E.int 1; E.int 2 ]);
+    E.Index_get (E.Var "a", E.int 0);
+    E.Index_set (E.Var "a", E.int 0, E.int 5);
+    E.Array_length (E.Var "a");
+    E.If (E.bool true, E.int 1, E.int 2);
+    E.While (E.bool false, E.null);
+    E.Seq [ E.int 1; E.int 2 ];
+    E.Unop (E.Not, E.bool false);
+    E.Unop (E.Neg, E.int 3);
+    E.Throw (E.str "boom");
+    E.Try (E.Throw (E.int 1), "e", E.Var "e");
+  ]
+
 let test_expr_xml_roundtrip () =
-  let exprs =
-    [
-      E.null; E.int 42; E.str "a<b&c"; E.bool true;
-      E.Const (E.Cfloat 2.5); E.Const (E.Cchar 'q'); E.This; E.Var "x";
-      E.Let ("t", E.int 1, E.Binop (E.Add, E.Var "t", E.int 2));
-      E.Assign ("x", E.int 9);
-      E.Field_get (E.This, "name");
-      E.Field_set (E.This, "name", E.str "n");
-      E.Call (E.This, "m", [ E.int 1; E.str "s" ]);
-      E.Static_call ("a.B", "m", [ E.int 1 ]);
-      E.New ("a.B", [ E.null ]);
-      E.New_array (Ty.Int, [ E.int 1; E.int 2 ]);
-      E.Index_get (E.Var "a", E.int 0);
-      E.Index_set (E.Var "a", E.int 0, E.int 5);
-      E.Array_length (E.Var "a");
-      E.If (E.bool true, E.int 1, E.int 2);
-      E.While (E.bool false, E.null);
-      E.Seq [ E.int 1; E.int 2 ];
-      E.Unop (E.Not, E.bool false);
-      E.Unop (E.Neg, E.int 3);
-      E.Throw (E.str "boom");
-      E.Try (E.Throw (E.int 1), "e", E.Var "e");
-    ]
-  in
   List.iter
     (fun e ->
       match Axml.expr_of_xml (Axml.expr_to_xml e) with
@@ -700,7 +701,7 @@ let test_expr_xml_roundtrip () =
           Alcotest.(check string) "expr roundtrip" (E.to_string e)
             (E.to_string e')
       | Error msg -> Alcotest.failf "expr codec failed: %s" msg)
-    exprs
+    every_expr
 
 let test_assembly_xml_roundtrip () =
   List.iter
@@ -1377,6 +1378,132 @@ let test_assembly_expression_depth_bounded () =
   | Ok _ -> Alcotest.fail "an expression past the depth limit decoded"
   | Error _ -> ()
 
+(* ------------------------- assembly frames ------------------------- *)
+
+module Abin = Pti_serial.Assembly_bin
+
+(* An assembly whose one method has [body], in a class whose other
+   members carry none. *)
+let body_assembly body =
+  Assembly.make ~name:"deep"
+    [
+      Builder.class_ ~ns:[ "deep" ] ~assembly:"deep" "C"
+      |> Builder.field "f" Ty.Int
+      |> Builder.method_ "m" [ ("x", Ty.Int) ] Ty.Int ~body
+      |> Builder.build;
+    ]
+
+(* Every expression form, with integers at both ends of their range and
+   a float that is not a number, reads back as it was written; so does
+   every demo assembly, and its code still runs. *)
+let test_assembly_frame_roundtrip () =
+  let extremes =
+    E.Seq
+      [ E.int max_int; E.int min_int; E.int (-1); E.Const (E.Cfloat nan);
+        E.Const (E.Cchar '\255') ]
+  in
+  List.iter
+    (fun asm ->
+      match Abin.of_string (Abin.to_string asm) with
+      | Ok asm' ->
+          Alcotest.(check bool) asm.Assembly.asm_name true
+            (compare asm asm' = 0)
+      | Error m -> Alcotest.failf "%s: %s" asm.Assembly.asm_name m)
+    ([ Demo.news_assembly (); Demo.social_assembly ();
+       Demo.printer_assembly (); Demo.trap_assembly ();
+       body_assembly (E.Seq (extremes :: every_expr)) ]);
+  let asm' =
+    match Abin.of_string (Abin.to_string (Demo.news_assembly ())) with
+    | Ok a -> a
+    | Error m -> Alcotest.failf "parse: %s" m
+  in
+  let r = Demo.fresh_registry [ asm' ] in
+  let p = Demo.make_news_person r ~name:"Wire" ~age:1 in
+  match Eval.call r p "greet" [] with
+  | Value.Vstring s -> Alcotest.(check string) "greet" "Hello, Wire" s
+  | _ -> Alcotest.fail "greet failed after roundtrip"
+
+(* [levels] nested nodes: [Throw] around [This]. *)
+let nested_body levels =
+  let rec go k e = if k = 1 then e else go (k - 1) (E.Throw e) in
+  go levels E.This
+
+let test_assembly_frame_nesting_bounded () =
+  let outcome levels =
+    let frame = Abin.to_string (body_assembly (nested_body levels)) in
+    match Abin.of_string frame with
+    | Ok _ -> "ok"
+    | Error _ -> "refused"
+  in
+  let max_depth = Pti_serial.Payload.max_depth in
+  Alcotest.(check string) "max_depth levels" "ok" (outcome max_depth);
+  Alcotest.(check string) "one more" "refused" (outcome (max_depth + 1))
+
+(* A sealed 1 MB frame whose method body nests 10^6 [Throw]s: the tags
+   are written by hand, where the marker string's bytes stood. *)
+let test_deep_assembly_frame_refused_cheaply () =
+  let magic = "PTIA\x01" in
+  let header = String.length magic + 8 in
+  let marker = "@@deep@@" in
+  let frame = Abin.to_string (body_assembly (E.str marker)) in
+  let body = String.sub frame header (String.length frame - header) in
+  let encoded = "\005\008" ^ marker in
+  let at =
+    let rec find i =
+      if String.sub body i (String.length encoded) = encoded then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let rest = at + String.length encoded in
+  let throws n =
+    Bio.seal ~magic
+      (String.concat ""
+         [ String.sub body 0 at; String.make n '\025'; "\007";
+           String.sub body rest (String.length body - rest) ])
+  in
+  (match Abin.of_string (throws (Pti_serial.Payload.max_depth - 1)) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "max_depth levels written by hand: %s" m);
+  let deep = throws 1_000_000 in
+  let t0 = Unix.gettimeofday () in
+  let before = Gc.minor_words () in
+  let result = Abin.of_string deep in
+  let words = Gc.minor_words () -. before in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (match result with
+  | Error m ->
+      Alcotest.(check string) "refused at the bound"
+        "bad assembly frame: code nested deeper than 1024" m
+  | Ok _ -> Alcotest.fail "10^6 nested expressions decoded");
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated (at most 100 000)" words)
+    true (words <= 100_000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.1f ms (at most 500)" (seconds *. 1000.))
+    true (seconds < 0.5)
+
+(* On family 7's assembly: the frame is a quarter of the XML, and each
+   side allocates a fraction of the XML codec's 5 075 words (266 and
+   1 217 measured). *)
+let test_assembly_frame_allocation () =
+  let asm = family7 () in
+  let s = Abin.to_string asm in
+  let enc = minor_words_of (fun () -> Abin.to_string asm) in
+  let dec = minor_words_of (fun () -> Abin.of_string s) in
+  let xml = String.length (Axml.to_string asm) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes (at most a third of the XML's %d)"
+       (String.length s) xml)
+    true
+    (3 * String.length s <= xml);
+  Alcotest.(check bool)
+    (Printf.sprintf "to_string allocates %.0f words (at most 300)" enc)
+    true (enc <= 300.);
+  Alcotest.(check bool)
+    (Printf.sprintf "of_string allocates %.0f words (at most 1 340)" dec)
+    true (dec <= 1340.)
+
 (* --------------------------- batch frames -------------------------- *)
 
 let test_batch_frame_roundtrip () =
@@ -1604,6 +1731,15 @@ let () =
           Alcotest.test_case "allocation" `Quick test_assembly_codec_allocation;
           Alcotest.test_case "expression depth bounded" `Quick
             test_assembly_expression_depth_bounded;
+        ] );
+      ( "assembly-frame",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_assembly_frame_roundtrip;
+          Alcotest.test_case "nesting bounded" `Quick
+            test_assembly_frame_nesting_bounded;
+          Alcotest.test_case "deep frame refused cheaply" `Quick
+            test_deep_assembly_frame_refused_cheaply;
+          Alcotest.test_case "allocation" `Quick test_assembly_frame_allocation;
         ] );
       ( "envelope",
         [
