@@ -1842,7 +1842,7 @@ let () =
         ] );
       ( "envelope",
         [ QCheck_alcotest.to_alcotest prop_envelope_lists_walk_classes ] );
-      ( "hostile frames",
+      ( "frames",
         [
           Alcotest.test_case "PTIA edits refused" `Quick
             test_hostile_assembly_frames;
