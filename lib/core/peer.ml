@@ -269,8 +269,12 @@ let release_handle_tables t =
 
 let run t = Transport.run t.tr
 
+(* Whether debug messages are reported: each is built only then, so
+   switched off a message costs a branch, not a closure. *)
+let debugging () = Logs.Src.level log_src = Some Logs.Debug
+
 let log_event t e =
-  Log.debug (fun m -> m "[%s] %a" t.addr pp_event e);
+  if debugging () then Log.debug (fun m -> m "[%s] %a" t.addr pp_event e);
   Ring.push t.event_log e;
   Metrics.incr
     (match e with
@@ -398,7 +402,8 @@ let fresh_token t =
   k
 
 let send t ~dst msg =
-  Log.debug (fun m -> m "[%s] -> %s: %s" t.addr dst (Message.describe msg));
+  if debugging () then
+    Log.debug (fun m -> m "[%s] -> %s: %s" t.addr dst (Message.describe msg));
   (* [Message.describe] includes subprotocol tokens, so concurrently
      pending deliveries get distinguishable event labels — the model
      checker's sleep sets identify events by label. Only the simulator
@@ -1042,7 +1047,8 @@ let handle_invoke t ~from ~target ~meth ~args ~token =
 (* ---------------------------------------------------------------- *)
 
 let handle t ~src msg =
-  Log.debug (fun m -> m "[%s] <- %s: %s" t.addr src (Message.describe msg));
+  if debugging () then
+    Log.debug (fun m -> m "[%s] <- %s: %s" t.addr src (Message.describe msg));
   match msg with
   | Message.Obj_msg { envelope; tdescs; assemblies } ->
       handle_envelope t ~from:src envelope tdescs assemblies
@@ -1667,9 +1673,11 @@ let send_value t ~dst value =
            the transitive closure their assemblies bundle anyway. *)
         let names = Envelope.required_classes env in
         let descs =
-          List.filter_map
-            (fun n -> Option.map Td.to_xml_string (local_desc t n))
-            names
+          let render =
+            if t.tdesc_binary then Td.to_binary_string
+            else fun d -> Td.to_xml_string d
+          in
+          List.filter_map (fun n -> Option.map render (local_desc t n)) names
         in
         let asm_names =
           List.filter_map

@@ -4,18 +4,32 @@ exception Runtime_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
+(* A local is a mutable binding; [this] is [static] in a static
+   context. *)
+type local = { name : string; mutable value : Value.value }
+
 type env = {
   reg : Registry.t;
-  this : Value.value option;
-  mutable locals : (string * Value.value ref) list;
+  this : Value.value;
+  mutable locals : local list;
 }
 
-let lookup env name =
-  match
-    List.find_opt (fun (n, _) -> S.equal_ci n name) env.locals
-  with
-  | Some (_, r) -> r
-  | None -> fail "unbound variable %S" name
+let static = Value.Vobj { Value.oid = -1; cls = ""; keys = [||]; slots = [||] }
+
+let rec lookup name = function
+  | [] -> fail "unbound variable %S" name
+  | l :: rest -> if S.equal_ci l.name name then l else lookup name rest
+
+let rec bind params args =
+  match (params, args) with
+  | p :: ps, v :: vs -> { name = p.Meta.param_name; value = v } :: bind ps vs
+  | _ -> []
+
+(* The slot of field [f] in [o], or a runtime error. *)
+let field o f =
+  match Value.slot_of o f with
+  | -1 -> fail "no field %S on %s" f o.Value.cls
+  | i -> i
 
 let as_obj = function
   | Value.Vobj o -> o
@@ -133,7 +147,7 @@ let rec construct_impl reg qname args =
           match f.Meta.f_init with
           | None -> ()
           | Some init ->
-              let v = eval_impl reg ~this:(Some self) ~locals:[] init in
+              let v = eval_impl reg self [] init in
               Value.set_field o f.Meta.f_name v)
         c.Meta.td_fields)
     chain;
@@ -151,12 +165,7 @@ let rec construct_impl reg qname args =
       match ctor.Meta.c_body with
       | None -> ()
       | Some body ->
-          let locals =
-            List.map2
-              (fun p v -> (p.Meta.param_name, v))
-              ctor.Meta.c_params args
-          in
-          ignore (eval_impl reg ~this:(Some self) ~locals body)));
+          ignore (eval_impl reg self (bind ctor.Meta.c_params args) body)));
   self
 
 and call_impl reg recv name args =
@@ -164,22 +173,15 @@ and call_impl reg recv name args =
   | Value.Vproxy p -> p.Value.px_invoke name args
   | Value.Vobj o -> (
       let cd =
-        match Registry.find reg o.Value.cls with
-        | Some cd -> cd
-        | None -> fail "receiver class %S not loaded" o.Value.cls
+        try Registry.find_exn reg o.Value.cls
+        with Not_found -> fail "receiver class %S not loaded" o.Value.cls
       in
       match Registry.find_method reg cd name (List.length args) with
-      | Some (_, m) -> (
+      | Some m -> (
           match m.Meta.m_body with
           | None ->
               fail "method %s.%s has no body" o.Value.cls m.Meta.m_name
-          | Some body ->
-              let locals =
-                List.map2
-                  (fun p v -> (p.Meta.param_name, v))
-                  m.Meta.m_params args
-              in
-              eval_impl reg ~this:(Some recv) ~locals body)
+          | Some body -> eval_impl reg recv (bind m.Meta.m_params args) body)
       | None -> (
           match builtin_call recv name args with
           | Some v -> v
@@ -209,15 +211,9 @@ and call_static_impl reg qname name args =
   | Some m -> (
       match m.Meta.m_body with
       | None -> fail "static method %s.%s has no body" qname name
-      | Some body ->
-          let locals =
-            List.map2 (fun p v -> (p.Meta.param_name, v)) m.Meta.m_params args
-          in
-          eval_impl reg ~this:None ~locals body)
+      | Some body -> eval_impl reg static (bind m.Meta.m_params args) body)
 
-and eval_impl reg ~this ~locals expr =
-  let env = { reg; this; locals = List.map (fun (n, v) -> (n, ref v)) locals } in
-  eval_in env expr
+and eval_impl reg this locals expr = eval_in { reg; this; locals } expr
 
 and eval_in env expr =
   let open Value in
@@ -228,32 +224,28 @@ and eval_in env expr =
   | Expr.Const (Expr.Cfloat f) -> Vfloat f
   | Expr.Const (Expr.Cstring s) -> Vstring s
   | Expr.Const (Expr.Cchar c) -> Vchar c
-  | Expr.This -> (
-      match env.this with
-      | Some v -> v
-      | None -> fail "no `this` in a static context")
-  | Expr.Var v -> !(lookup env v)
+  | Expr.This ->
+      if env.this == static then fail "no `this` in a static context"
+      else env.this
+  | Expr.Var v -> (lookup v env.locals).value
   | Expr.Let (v, e1, e2) ->
       let bound = eval_in env e1 in
       let saved = env.locals in
-      env.locals <- (v, ref bound) :: env.locals;
+      env.locals <- { name = v; value = bound } :: env.locals;
       let result = eval_in env e2 in
       env.locals <- saved;
       result
   | Expr.Assign (v, e1) ->
       let value = eval_in env e1 in
-      lookup env v := value;
+      (lookup v env.locals).value <- value;
       value
-  | Expr.Field_get (oe, f) -> (
+  | Expr.Field_get (oe, f) ->
       let o = as_obj (eval_in env oe) in
-      match Value.get_field o f with
-      | Some v -> v
-      | None -> fail "no field %S on %s" f o.cls)
+      o.slots.(field o f)
   | Expr.Field_set (oe, f, ve) ->
       let o = as_obj (eval_in env oe) in
       let v = eval_in env ve in
-      if Value.get_field o f = None then fail "no field %S on %s" f o.cls;
-      Value.set_field o f v;
+      o.slots.(field o f) <- v;
       v
   | Expr.Call (oe, m, args) ->
       let recv = eval_in env oe in
@@ -308,7 +300,7 @@ and eval_in env expr =
   | Expr.Try (body, var, handler) -> (
       let run_handler v =
         let saved = env.locals in
-        env.locals <- (var, ref v) :: env.locals;
+        env.locals <- { name = var; value = v } :: env.locals;
         let result = eval_in env handler in
         env.locals <- saved;
         result
@@ -320,16 +312,18 @@ and eval_in env expr =
 
 (* Public boundary: an uncaught user throw becomes a runtime error, the
    way an unhandled exception crosses out of the platform. *)
-let convert_throws f =
-  try f ()
-  with User_throw v ->
-    fail "unhandled exception: %s" (Value.to_string v)
+let unhandled v = fail "unhandled exception: %s" (Value.to_string v)
 
-let construct reg qname args = convert_throws (fun () -> construct_impl reg qname args)
-let call reg recv name args = convert_throws (fun () -> call_impl reg recv name args)
+let construct reg qname args =
+  try construct_impl reg qname args with User_throw v -> unhandled v
+
+let call reg recv name args =
+  try call_impl reg recv name args with User_throw v -> unhandled v
 
 let call_static reg qname name args =
-  convert_throws (fun () -> call_static_impl reg qname name args)
+  try call_static_impl reg qname name args with User_throw v -> unhandled v
 
 let eval reg ~this ~locals expr =
-  convert_throws (fun () -> eval_impl reg ~this ~locals expr)
+  let this = Option.value this ~default:static in
+  let locals = List.map (fun (name, value) -> { name; value }) locals in
+  try eval_impl reg this locals expr with User_throw v -> unhandled v

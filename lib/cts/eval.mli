@@ -3,7 +3,10 @@
     Invocation here is the baseline cost the paper measures in §7.1: a
     direct call resolves the method on the receiver's runtime class and
     evaluates its body; a proxied call additionally goes through the proxy's
-    dispatch closure. *)
+    dispatch closure. A call looks its class and method up by name and a
+    body reads and writes fields by name, all compared in place: a call
+    allocates its environment, the option {!Registry.find_method}
+    returns, and one mutable binding per parameter or local. *)
 
 exception Runtime_error of string
 (** Any dynamic failure: unknown method/field, arity mismatch, type error in

@@ -1,8 +1,16 @@
 module S = Pti_util.Strutil
 module Guid = Pti_util.Guid
 
+(* Qualified names, compared and hashed case-insensitively in place. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = S.equal_ci
+  let hash = S.hash_ci
+end)
+
 type t = {
-  by_name : (string, Meta.class_def) Hashtbl.t;  (* key: lowercased qname *)
+  by_name : Meta.class_def Names.t;
   by_guid : (Guid.t, Meta.class_def) Hashtbl.t;
   (* Changes whenever a name is bound to another class, which is what a
      layout's super chain depends on. Drawn from one process-wide
@@ -16,27 +24,24 @@ let stamps = Atomic.make 0
 let fresh_stamp () = Atomic.fetch_and_add stamps 1
 
 let create () =
-  { by_name = Hashtbl.create 64; by_guid = Hashtbl.create 64;
+  { by_name = Names.create 64; by_guid = Hashtbl.create 64;
     stamp = fresh_stamp () }
 
-let bind_name t k cd =
-  Hashtbl.replace t.by_name k cd;
+let bind_name t cd =
+  Names.replace t.by_name (Meta.qualified_name cd) cd;
   t.stamp <- fresh_stamp ()
-
-let key cd = String.lowercase_ascii (Meta.qualified_name cd)
 
 let register t cd =
   (match Meta.validate cd with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Registry.register: " ^ msg));
-  let k = key cd in
-  match Hashtbl.find_opt t.by_name k with
+  match Names.find_opt t.by_name (Meta.qualified_name cd) with
   | Some existing when existing = cd -> ()
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None ->
       if Hashtbl.mem t.by_guid cd.Meta.td_guid then
         raise (Duplicate (Meta.qualified_name cd));
-      bind_name t k cd;
+      bind_name t cd;
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* Live schema evolution: the new definition takes over the qualified
@@ -51,10 +56,9 @@ let upgrade t cd =
   | Some existing when existing = cd -> ()
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None -> ());
-  let k = key cd in
-  (match Hashtbl.find_opt t.by_name k with
+  (match Names.find_opt t.by_name (Meta.qualified_name cd) with
   | Some bound when bound == cd -> ()
-  | _ -> bind_name t k cd);
+  | _ -> bind_name t cd);
   Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* The downgrade-safe counterpart: make the definition reachable by GUID
@@ -71,7 +75,7 @@ let shadow t cd =
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None ->
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd;
-      if not (Hashtbl.mem t.by_name (key cd)) then bind_name t (key cd) cd
+      if not (Names.mem t.by_name (Meta.qualified_name cd)) then bind_name t cd
 
 (* [String.lowercase_ascii], without a copy of a name that has no
    uppercase letter. *)
@@ -81,19 +85,20 @@ let rec has_upper s i =
 
 let lc s = if has_upper s 0 then String.lowercase_ascii s else s
 
-let find t name = Hashtbl.find_opt t.by_name (String.lowercase_ascii name)
+let find t name =
+  match Names.find t.by_name name with
+  | cd -> Some cd
+  | exception Not_found -> None
 
-let find_exn t name =
-  match find t name with Some cd -> cd | None -> raise Not_found
-
+let find_exn t name = Names.find t.by_name name
 let find_by_guid t guid = Hashtbl.find_opt t.by_guid guid
-let mem t name = find t name <> None
+let mem t name = Names.mem t.by_name name
 let mem_guid t guid = Hashtbl.mem t.by_guid guid
-let all t = Hashtbl.fold (fun _ cd acc -> cd :: acc) t.by_name []
-let cardinal t = Hashtbl.length t.by_name
+let all t = Names.fold (fun _ cd acc -> cd :: acc) t.by_name []
+let cardinal t = Names.length t.by_name
 
 let copy t =
-  { by_name = Hashtbl.copy t.by_name; by_guid = Hashtbl.copy t.by_guid;
+  { by_name = Names.copy t.by_name; by_guid = Hashtbl.copy t.by_guid;
     stamp = fresh_stamp () }
 
 let rec chain_from t seen cd acc =
@@ -108,7 +113,8 @@ let rec chain_from t seen cd acc =
         | Some super -> chain_from t (k :: seen) super (super :: acc))
 
 let super_chain t cd =
-  if cd.Meta.td_super = None then [] else chain_from t [ key cd ] cd []
+  if cd.Meta.td_super = None then []
+  else chain_from t [ String.lowercase_ascii (Meta.qualified_name cd) ] cd []
 
 let all_interfaces t cd =
   let seen = Hashtbl.create 8 in
@@ -136,9 +142,6 @@ let supertypes t cd = super_chain t cd @ all_interfaces t cd
 exception Found
 exception Spent
 
-(* [Hashtbl.find] on the lowercased name: [Not_found] when unbound. *)
-let bound t name = Hashtbl.find t.by_name (lc name)
-
 (* Walks the edges [supertypes] follows, depth first, and raises [Found]
    at a name equal to [super] that resolves (a name resolves to the class
    whose qualified name it equals, up to case). Each class or interface
@@ -151,7 +154,7 @@ let rec up t super cd fuel =
   match cd.Meta.td_super with
   | None -> fuel
   | Some name -> (
-      match bound t name with
+      match find_exn t name with
       | exception Not_found -> fuel
       | c -> if S.equal_ci name super then raise Found else up t super c fuel)
 
@@ -159,7 +162,7 @@ and across t super names fuel =
   match names with
   | [] -> fuel
   | name :: rest -> (
-      match bound t name with
+      match find_exn t name with
       | exception Not_found -> across t super rest fuel
       | c ->
           if S.equal_ci name super then raise Found;
@@ -170,7 +173,7 @@ and across t super names fuel =
 let is_subtype t ~sub ~super =
   S.equal_ci sub super
   ||
-  match bound t sub with
+  match find_exn t sub with
   | exception Not_found -> false
   | cd -> (
       (* An acyclic graph without shared ancestors visits each supertype
@@ -183,23 +186,27 @@ let is_subtype t ~sub ~super =
             (fun c -> S.equal_ci (Meta.qualified_name c) super)
             (supertypes t cd))
 
+let rec declared name arity = function
+  | [] -> raise Not_found
+  | m :: rest ->
+      if Meta.arity m = arity && S.equal_ci m.Meta.m_name name then m
+      else declared name arity rest
+
 (* Every class the walk can reach is bound by name, so an acyclic chain
    has at most [cardinal t] superclasses: the counter ends a cyclic one
    without the visited set [super_chain] allocates. *)
-let find_method t cd name arity =
-  let matches m =
-    S.equal_ci m.Meta.m_name name && Meta.arity m = arity
-  in
-  let rec go budget cd =
-    match List.find_opt matches cd.Meta.td_methods with
-    | Some m -> Some (cd, m)
-    | None -> (
-        match cd.Meta.td_super with
-        | Some s when budget > 0 -> (
-            match find t s with None -> None | Some sc -> go (budget - 1) sc)
-        | _ -> None)
-  in
-  go (cardinal t) cd
+let rec method_in t name arity budget cd =
+  match declared name arity cd.Meta.td_methods with
+  | m -> Some m
+  | exception Not_found -> (
+      match cd.Meta.td_super with
+      | Some s when budget > 0 -> (
+          match find_exn t s with
+          | sc -> method_in t name arity (budget - 1) sc
+          | exception Not_found -> None)
+      | _ -> None)
+
+let find_method t cd name arity = method_in t name arity (cardinal t) cd
 
 type layout = {
   ly_name : string;
@@ -208,6 +215,7 @@ type layout = {
   ly_tys : Ty.t array;
   ly_supers : string array;
   ly_stamp : int;
+  ly_defaults : Value.value array;
 }
 
 (* Insertion sort of the keys, carrying their types along: a class
@@ -281,16 +289,14 @@ let layout t cd =
              (chain @ ifaces))
   in
   { ly_name = Meta.qualified_name cd; ly_lineage = lineage; ly_keys = keys;
-    ly_tys = tys; ly_supers = supers; ly_stamp = t.stamp }
+    ly_tys = tys; ly_supers = supers; ly_stamp = t.stamp;
+    ly_defaults = Array.map Value.default_of tys }
 
 let stamp t = t.stamp
 
 let instantiate ly =
-  let fields = Hashtbl.create 8 in
-  for i = 0 to Array.length ly.ly_keys - 1 do
-    Hashtbl.replace fields ly.ly_keys.(i) (Value.default_of ly.ly_tys.(i))
-  done;
-  { Value.oid = Value.fresh_oid (); cls = ly.ly_name; fields }
+  { Value.oid = Value.fresh_oid (); cls = ly.ly_name; keys = ly.ly_keys;
+    slots = Array.copy ly.ly_defaults }
 
 let fresh_object t cd =
   let ly = layout t cd in

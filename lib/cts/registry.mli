@@ -37,7 +37,10 @@ val shadow : t -> Meta.class_def -> unit
     @raise Invalid_argument if {!Meta.validate} fails. *)
 
 val find : t -> string -> Meta.class_def option
-(** Case-insensitive qualified-name lookup. *)
+(** Case-insensitive qualified-name lookup. The name is hashed and
+    compared case-insensitively where it lies, so a lookup allocates
+    only the option it returns; {!mem} and {!find_exn} share it and
+    allocate nothing. *)
 
 val find_exn : t -> string -> Meta.class_def
 (** @raise Not_found *)
@@ -71,13 +74,14 @@ val is_subtype : t -> sub:string -> super:string -> bool
     times over) is settled on those two lists. *)
 
 val find_method : t -> Meta.class_def -> string -> int ->
-  (Meta.class_def * Meta.method_def) option
+  Meta.method_def option
 (** [find_method t cd name arity] resolves a method by case-insensitive name
     and arity along the superclass chain (virtual dispatch resolution).
     The walk follows at most {!cardinal}[ t] superclass links — more than
     any acyclic chain has — so a class that names itself (or a
     descendant) as its superclass ends the search with [None] instead of
-    looping. The bound costs a counter, not an allocation. *)
+    looping. Names are compared in place and the walk allocates only the
+    option it returns. *)
 
 (** {1 Object layouts} *)
 
@@ -97,6 +101,9 @@ type layout = private {
           supertypes, each once: {!super_chain}, then
           {!all_interfaces}. *)
   ly_stamp : int;  (** The registry's {!stamp} when it was built. *)
+  ly_defaults : Value.value array;
+      (** The default of each key's type ({!Value.default_of}), at the
+          same index: what a new instance holds. *)
 }
 (** A class's field layout, compiled once: what every instance of the
     class holds and what each field may hold. *)
@@ -117,9 +124,9 @@ val stamp : t -> int
     registry's stamp; a cache keeps layouts only while that holds. *)
 
 val instantiate : layout -> Value.obj
-(** A new object of the layout's class holding each of its keys at the
-    default of its type ({!Value.default_of}), under a fresh object
-    id. *)
+(** A new object of the layout's class, under a fresh object id: its
+    key array is the layout's {!ly_keys}, shared, and its slots a copy
+    of {!ly_defaults}. One record and one array. *)
 
 val fresh_object : t -> Meta.class_def -> Value.obj * Meta.class_def list
 (** [fresh_object t cd] is {!instantiate}[ (]{!layout}[ t cd)] and the
@@ -132,9 +139,11 @@ val slot : layout -> string -> pos:int -> len:int -> hint:int -> int
 (** [slot ly src ~pos ~len ~hint] is the index in {!ly_keys} of the
     field named by the [len] bytes of [src] from [pos], compared
     case-insensitively where they lie, or [-1] if the class declares no
-    such field. The search starts at [hint] and wraps around: a decoder
-    reading fields in key order passes the slot after the last one it
-    found and finds each field at its first probe. Allocates nothing.
+    such field: the slot of that field in every {!instantiate}d object
+    of the layout, which a decoder writes directly. The search starts
+    at [hint] and wraps around: a decoder reading fields in key order
+    passes the slot after the last one it found and finds each field at
+    its first probe. Allocates nothing.
     @raise Invalid_argument if the range is not within [src]. *)
 
 (** {1 Value checks} *)

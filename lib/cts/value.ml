@@ -12,7 +12,8 @@ type value =
 and obj = {
   oid : int;
   cls : string;
-  fields : (string, value) Hashtbl.t;
+  keys : string array;
+  slots : value array;
 }
 
 and arr = { elem_ty : Ty.t; items : value array }
@@ -49,10 +50,28 @@ let type_name = function
   | Varr a -> Ty.to_string (Ty.Array a.elem_ty)
   | Vproxy p -> Printf.sprintf "proxy<%s>" p.px_interface
 
-let get_field o name = Hashtbl.find_opt o.fields (String.lowercase_ascii name)
+let make_obj cls fields =
+  let fields = List.sort (fun (a, _) (b, _) -> String.compare a b) fields in
+  let keys = List.map fst fields in
+  if List.length (List.sort_uniq String.compare keys) < List.length keys then
+    invalid_arg "Value.make_obj: a field appears twice";
+  { oid = fresh_oid (); cls; keys = Array.of_list keys;
+    slots = Array.of_list (List.map snd fields) }
+
+let rec find keys name i =
+  if i = Array.length keys then -1
+  else if Pti_util.Strutil.equal_ci keys.(i) name then i
+  else find keys name (i + 1)
+
+let slot_of o name = find o.keys name 0
+
+let get_field o name =
+  match slot_of o name with -1 -> None | i -> Some o.slots.(i)
 
 let set_field o name v =
-  Hashtbl.replace o.fields (String.lowercase_ascii name) v
+  match slot_of o name with
+  | -1 -> invalid_arg ("Value.set_field: no field " ^ name ^ " on " ^ o.cls)
+  | i -> o.slots.(i) <- v
 
 let equal_shallow a b =
   match a, b with
@@ -81,16 +100,12 @@ let equal_deep a b =
         if Hashtbl.mem visited (x.oid, y.oid) then true
         else begin
           Hashtbl.add visited (x.oid, y.oid) ();
+          (* Both key arrays are sorted and hold each key once: equal
+             key sets are equal arrays. *)
           Pti_util.Strutil.equal_ci x.cls y.cls
-          && Hashtbl.length x.fields = Hashtbl.length y.fields
-          && Hashtbl.fold
-               (fun k v acc ->
-                 acc
-                 &&
-                 match Hashtbl.find_opt y.fields k with
-                 | Some w -> go v w
-                 | None -> false)
-               x.fields true
+          && Array.length x.keys = Array.length y.keys
+          && Array.for_all2 String.equal x.keys y.keys
+          && Array.for_all2 go x.slots y.slots
         end
     | Varr x, Varr y ->
         Ty.equal x.elem_ty y.elem_ty
@@ -119,17 +134,11 @@ let pp ppf v =
       | Vchar c -> Format.fprintf ppf "'%c'" c
       | Vobj o ->
           Format.fprintf ppf "%s#%d{" o.cls o.oid;
-          let first = ref true in
-          let bindings =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.fields []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          in
-          List.iter
-            (fun (k, v) ->
-              if not !first then Format.pp_print_string ppf "; ";
-              first := false;
-              Format.fprintf ppf "%s=%a" k (go (depth + 1)) v)
-            bindings;
+          Array.iteri
+            (fun i k ->
+              if i > 0 then Format.pp_print_string ppf "; ";
+              Format.fprintf ppf "%s=%a" k (go (depth + 1)) o.slots.(i))
+            o.keys;
           Format.pp_print_string ppf "}"
       | Varr a ->
           Format.fprintf ppf "[|";

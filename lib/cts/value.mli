@@ -1,9 +1,11 @@
 (** Runtime values of the CTS.
 
-    Objects carry a mutable field table and the qualified name of their
-    runtime class; proxies carry an arbitrary dispatch closure, which is how
-    the dynamic-proxy library interposes on invocation without a circular
-    dependency on the evaluator. *)
+    An object is the layout it was built from: the qualified name of its
+    runtime class, the sorted key array of that class's layout, shared
+    by every instance and never copied, and a value array with each
+    field at its key's index. Proxies carry an arbitrary dispatch
+    closure, which is how the dynamic-proxy library interposes on
+    invocation without a circular dependency on the evaluator. *)
 
 type value =
   | Vnull
@@ -19,7 +21,13 @@ type value =
 and obj = {
   oid : int;  (** Host-unique object id (also used by serializers for refs). *)
   cls : string;  (** Qualified name of the runtime class. *)
-  fields : (string, value) Hashtbl.t;  (** Keys are lowercased field names. *)
+  keys : string array;
+      (** The field names, each once, sorted by [String.compare]: the
+          layout's lowercased keys for an object built from one
+          ([Registry.instantiate]), the names as given for one built by
+          {!make_obj}. The payload encoders write fields in this
+          order. *)
+  slots : value array;  (** [slots.(i)] holds field [keys.(i)]. *)
 }
 
 and arr = { elem_ty : Ty.t; items : value array }
@@ -42,10 +50,25 @@ val type_name : value -> string
 (** Runtime type rendering, e.g. ["demo.Person"], ["int"], ["proxy<I>"],
     for diagnostics. *)
 
+val make_obj : string -> (string * value) list -> obj
+(** [make_obj cls fields]: an object of class [cls] holding exactly
+    [fields], keys kept as given (any case, declared or not) and values
+    unchecked, under a fresh object id. It encodes as an object of that
+    class with those fields.
+    @raise Invalid_argument if a key appears twice. *)
+
+val slot_of : obj -> string -> int
+(** The index of the field [name] in [keys] (compared
+    case-insensitively, in place), or [-1] when the object holds no
+    such field. Allocates nothing. *)
+
 val get_field : obj -> string -> value option
-(** Case-insensitive field read. *)
+(** Case-insensitive field read; allocates only its [Some]. *)
 
 val set_field : obj -> string -> value -> unit
+(** Case-insensitive field write, in place, allocating nothing. An
+    object holds the fields it was built with and no others.
+    @raise Invalid_argument if the object holds no field [name]. *)
 
 val equal_shallow : value -> value -> bool
 (** Primitive equality; objects/arrays/proxies compare by identity. *)

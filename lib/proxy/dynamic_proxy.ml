@@ -4,9 +4,28 @@ module Checker = Pti_conformance.Checker
 module Td = Pti_typedesc.Type_description
 module S = Pti_util.Strutil
 
-type context = { cx_reg : Registry.t; cx_checker : Checker.t }
+(* One interest method of a mapping, compiled: its method map, the
+   actual parameter types as an array, and whether the arguments pass
+   as they come (none permuted, none to coerce). *)
+type entry = { mm : Mapping.method_map; tys : Ty.t array; plain : bool }
 
-let create_context reg checker = { cx_reg = reg; cx_checker = checker }
+(* Compiled mappings, keyed by the mapping itself: the checker hands out
+   one mapping per cached verdict. *)
+module Compiled = Hashtbl.Make (struct
+  type t = Mapping.t
+
+  let equal = ( == )
+  let hash m = Hashtbl.hash m.Mapping.actual
+end)
+
+type context = {
+  cx_reg : Registry.t;
+  cx_checker : Checker.t;
+  cx_compiled : entry array Compiled.t;
+}
+
+let create_context reg checker =
+  { cx_reg = reg; cx_checker = checker; cx_compiled = Compiled.create 16 }
 
 let rec unwrap = function
   | Value.Vproxy p -> unwrap p.Value.px_target
@@ -20,29 +39,63 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Eval.Runtime_error s)) fmt
    context's registry. *)
 let desc_of cx name = Td.registry_resolver cx.cx_reg name
 
+let compile (mm : Mapping.method_map) =
+  let tys = Array.of_list mm.Mapping.mm_actual_param_tys in
+  let named = function Ty.Named _ -> true | _ -> false in
+  { mm; tys;
+    plain =
+      Mapping.is_identity_perm mm.Mapping.mm_perm
+      && not (Array.exists named tys) }
+
+(* A mapping's methods, compiled at the first proxy made from it and
+   kept while its verdict is: the table holds at most as many mappings
+   as the checker holds verdicts, and starts over when full. *)
+let compiled cx mapping =
+  match Compiled.find cx.cx_compiled mapping with
+  | es -> es
+  | exception Not_found ->
+      if
+        Compiled.length cx.cx_compiled
+        >= (Checker.stats cx.cx_checker).Checker.cache_capacity
+      then Compiled.reset cx.cx_compiled;
+      let es = Array.of_list (List.map compile mapping.Mapping.methods) in
+      Compiled.add cx.cx_compiled mapping es;
+      es
+
+let rec find_entry es name arity i =
+  if i = Array.length es then -1
+  else
+    let mm = es.(i).mm in
+    if
+      mm.Mapping.mm_arity = arity
+      && S.equal_ci mm.Mapping.mm_interest_name name
+    then i
+    else find_entry es name arity (i + 1)
+
 let rec wrap cx ~interest ~mapping target =
-  let px_invoke name args = dispatch cx interest mapping target name args in
+  let es = compiled cx mapping in
+  let px_invoke name args = dispatch cx es target name args in
   Value.Vproxy { Value.px_interface = interest; px_target = target; px_invoke }
 
-and dispatch cx _interest mapping target name args =
-  match Mapping.find mapping ~name ~arity:(List.length args) with
-  | None ->
+and dispatch cx es target name args =
+  match find_entry es name (List.length args) 0 with
+  | -1 ->
       (* Optimistic forwarding: identity mappings and weakened-rule proxies
          land here. May raise Runtime_error if the target lacks the
          method — the unsafety the full rules prevent. *)
       Eval.call cx.cx_reg target name args
-  | Some mm ->
-      let permuted = Mapping.permute args mm.Mapping.mm_perm in
-      (* Contravariant side: each argument must be usable as the actual
-         method's parameter type. *)
-      let coerced_args =
-        List.map2
-          (fun ty v -> coerce_ty cx ty v)
-          mm.Mapping.mm_actual_param_tys permuted
+  | i ->
+      let { mm; tys; plain } = es.(i) in
+      (* Contravariant side: each argument, in the actual method's
+         order, must be usable as its parameter type. *)
+      let args =
+        if plain then args
+        else
+          let a = Array.of_list args in
+          List.mapi (fun j k -> coerce_ty cx tys.(j) a.(k))
+            (Array.to_list mm.Mapping.mm_perm)
       in
-      let result =
-        Eval.call cx.cx_reg target mm.Mapping.mm_actual_name coerced_args
-      in
+      let result = Eval.call cx.cx_reg target mm.Mapping.mm_actual_name args in
       (* Covariant side: present the result as the interest return type. *)
       coerce_ty cx mm.Mapping.mm_interest_return result
 
@@ -121,10 +174,11 @@ let wrap_compound cx ~interests target =
       | [] ->
           (* No interest claims the method: optimistic forwarding. *)
           Eval.call cx.cx_reg target name args
-      | (interest, mapping) :: rest -> (
-          match Mapping.find mapping ~name ~arity with
-          | Some _ -> dispatch cx interest mapping target name args
-          | None -> try_mappings rest)
+      | (_, mapping) :: rest ->
+          let es = compiled cx mapping in
+          if find_entry es name arity 0 >= 0 then
+            dispatch cx es target name args
+          else try_mappings rest
     in
     try_mappings interests
   in

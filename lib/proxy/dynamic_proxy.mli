@@ -25,7 +25,18 @@ val wrap : context -> interest:string -> mapping:Pti_conformance.Mapping.t ->
   Value.value -> Value.value
 (** [wrap cx ~interest ~mapping v] presents [v] as [interest]. Identity
     mappings still produce a proxy (uniform invocation path — this is the
-    indirection §7.1 measures), but no translation happens inside. *)
+    indirection §7.1 measures), but no translation happens inside.
+
+    The first proxy made from a mapping compiles it: for each interest
+    method, the actual method's name, the argument permutation as an
+    array, and the types each argument and the result are coerced to. The context
+    keeps the compiled mapping, keyed by the mapping itself (one per
+    verdict the checker caches), and holds at most as many as the
+    checker holds verdicts. A proxied call then finds its method among
+    the compiled ones by name, compared in place, and makes the direct
+    call ({!Pti_cts.Eval.call}) of the actual method: it runs no
+    [Mapping.find], and permutes and coerces only arguments that need
+    it. *)
 
 val wrap_compound : context ->
   interests:(string * Pti_conformance.Mapping.t) list -> Value.value ->

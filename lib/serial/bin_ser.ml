@@ -62,30 +62,14 @@ let reset st =
   st.classes <- []
 
 let intern_name st s =
-  match Hashtbl.find_opt st.names s with
-  | Some i -> W.varint st.w i
-  | None ->
+  match Hashtbl.find st.names s with
+  | i -> W.varint st.w i
+  | exception Not_found ->
       let i = Hashtbl.length st.names in
       Hashtbl.add st.names s i;
       W.varint st.w i;
       (* First occurrence carries the text inline. *)
       W.string st.w s
-
-(* The key order of [keys] as a permutation: a stable insertion sort
-   (an object holds a handful of fields) that moves ints, not keys. *)
-let key_order keys =
-  let n = Array.length keys in
-  let order = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let k = keys.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && String.compare keys.(order.(!j)) k > 0 do
-      order.(!j + 1) <- order.(!j);
-      decr j
-    done;
-    order.(!j + 1) <- i
-  done;
-  order
 
 let rec write st v =
   match Payload.strip v with
@@ -113,11 +97,11 @@ let rec write st v =
         write st a.Value.items.(i)
       done
   | Value.Vobj o -> (
-      match Hashtbl.find_opt st.seen o.Value.oid with
-      | Some id ->
+      match Hashtbl.find st.seen o.Value.oid with
+      | id ->
           W.u8 st.w t_ref;
           W.varint st.w id
-      | None ->
+      | exception Not_found ->
           let id = Hashtbl.length st.seen in
           Hashtbl.add st.seen o.Value.oid id;
           if not (Pti_util.Strutil.mem_ci o.Value.cls st.classes) then
@@ -128,25 +112,13 @@ let rec write st v =
           write_fields st o)
   | Value.Vproxy _ -> assert false
 
-(* The fields in key order. They are gathered last slot first, so
-   bindings of one key (a table filled with [Hashtbl.add]) keep the
-   order a fold consing them onto a list gives, and the sort is
-   stable. *)
+(* The fields, in key order already. *)
 and write_fields st o =
-  let n = Hashtbl.length o.Value.fields in
-  let keys = Array.make n "" and vals = Array.make n Value.Vnull in
-  ignore
-    (Hashtbl.fold
-       (fun k v i ->
-         keys.(i) <- k;
-         vals.(i) <- v;
-         i - 1)
-       o.Value.fields (n - 1));
-  let order = key_order keys in
+  let n = Array.length o.Value.keys in
   W.varint st.w n;
   for i = 0 to n - 1 do
-    intern_name st keys.(order.(i));
-    write st vals.(order.(i))
+    intern_name st o.Value.keys.(i);
+    write st o.Value.slots.(i)
   done
 
 let encode v =
@@ -224,7 +196,7 @@ and read_object b r ty =
       Registry.slot ly src ~pos:names.(2 * f) ~len:names.((2 * f) + 1)
         ~hint:!hint
     in
-    P.set o ly s (read b r (P.declared ly s));
+    P.set o s (read b r (P.declared ly s));
     if s >= 0 then hint := s + 1
   done;
   P.ascend b;

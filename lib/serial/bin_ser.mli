@@ -31,14 +31,12 @@ val encode : Value.value -> string * string list
     target (a proxy is a local artifact; what travels is the real
     object).
 
-    Each object's fields are written in key order, whatever its class
-    declares: undeclared fields travel, missing ones do not; an
-    object's fields are gathered into arrays of its size and sorted as
-    a permutation. The walk works in per-domain scratch (the writer, the
-    interned names, the objects met), reset at the start of every
-    encode, and seals the frame in place: for a small object it
-    allocates little more than the frame, the class list and those
-    arrays. *)
+    Each object's fields are written in the order of its key array,
+    which is sorted: undeclared fields travel, missing ones do not. The
+    walk works in per-domain scratch (the writer, the interned names,
+    the objects met), reset at the start of every encode, and seals the
+    frame in place: for a small object it allocates little more than
+    the frame and the class list. *)
 
 val decode :
   ?resolve:(string -> Meta.class_def option) ->

@@ -254,8 +254,6 @@ let of_string s =
   | Error e -> Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
   | Ok x -> of_xml x
 
-let size_bytes t = String.length (to_string t)
-
 (* ------------------- negotiated type handles ----------------------- *)
 
 (* A handle-encoded envelope replaces repeat type entries with

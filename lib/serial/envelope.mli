@@ -94,8 +94,6 @@ val of_xml : Pti_xml.Xml.t -> (t, error) result
 val to_string : t -> string
 val of_string : string -> (t, error) result
 
-val size_bytes : t -> int
-
 (** {2 Negotiated type handles}
 
     Wire-efficiency layer: after first contact, a type entry on a link

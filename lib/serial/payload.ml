@@ -58,7 +58,7 @@ type t = {
 (* What a released state points to, so that it keeps nothing of its
    last decode: no object, and no registry, resolver or layout cache,
    which would hold their peer. *)
-let no_object = { Value.oid = -1; cls = ""; fields = Hashtbl.create 1 }
+let no_object = { Value.oid = -1; cls = ""; keys = [||]; slots = [||] }
 let nowhere = Registry.create ()
 let unresolved _ = None
 let no_layout = Registry.layout nowhere
@@ -183,12 +183,12 @@ let obj b ~id ty src ~pos ~len =
   (o, ly)
 
 (* The type slot [s] declares ([Registry.slot], -1 for a field the
-   class does not declare), and the write of its value: a field the
-   class does not declare is read and dropped. *)
+   class does not declare), and the write of its value into the object
+   built from that layout: a field the class does not declare is read
+   and dropped. *)
 let declared ly s = if s < 0 then any else ly.Registry.ly_tys.(s)
 
-let set o ly s v =
-  if s >= 0 then Hashtbl.replace o.Value.fields ly.Registry.ly_keys.(s) v
+let set o s v = if s >= 0 then o.Value.slots.(s) <- v
 
 (* The next name, whose text lies in the input at [pos] for [len]
    bytes: its id. *)

@@ -35,17 +35,13 @@ let rec value_to_xml st v =
              of [Xml.elt] evaluate in an unspecified order. *)
           if not (Pti_util.Strutil.mem_ci o.Value.cls st.classes) then
             st.classes <- o.Value.cls :: st.classes;
-          let bindings =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+          let field i k =
+            Xml.elt "field" ~attrs:[ ("name", k) ]
+              [ value_to_xml st o.Value.slots.(i) ]
           in
           Xml.elt "obj"
             ~attrs:[ ("id", string_of_int id); ("type", o.Value.cls) ]
-            (List.map
-               (fun (k, v) ->
-                 Xml.elt "field" ~attrs:[ ("name", k) ]
-                   [ value_to_xml st v ])
-               bindings))
+            (List.mapi field (Array.to_list o.Value.keys)))
   | Value.Vproxy _ -> assert false
 
 let encode_xml v =
@@ -136,7 +132,7 @@ and read_object b ty x fields =
           let s =
             Registry.slot ly name ~pos:0 ~len:(String.length name) ~hint:!hint
           in
-          P.set o ly s (read b (P.declared ly s) (one_child c));
+          P.set o s (read b (P.declared ly s) (one_child c));
           if s >= 0 then hint := s + 1
       | Xml.Element (other, _, _) ->
           P.malformed "unexpected <%s> inside obj" other

@@ -71,8 +71,9 @@ val signature : method_desc -> string
 (** {1 Sizes} *)
 
 val size_bytes : t -> int
-(** Size of the XML rendering — what the simulator charges for a
-    description transfer. *)
+(** Size of the XML rendering, the description's size E2 reports. A
+    transfer is charged the bytes actually sent, PTID or XML
+    ([Message.size]). *)
 
 (** {1 XML codec (§5.2)} *)
 

@@ -41,6 +41,13 @@ let compare_ci a b = compare_ci_from a b 0
 
 let mem_ci s l = List.exists (equal_ci s) l
 
+let hash_ci s =
+  let h = ref 0 in
+  for i = 0 to String.length s - 1 do
+    h := (!h * 31) + Char.code (Char.lowercase_ascii (String.unsafe_get s i))
+  done;
+  !h land max_int
+
 let hex_digits = "0123456789abcdef"
 let hex_digit n = hex_digits.[n]
 

@@ -23,6 +23,10 @@ val compare_ci : string -> string -> int
 val mem_ci : string -> string list -> bool
 (** Whether the list holds a string {!equal_ci} to the first. *)
 
+val hash_ci : string -> int
+(** A non-negative hash of the ASCII-lowercased string, computed in
+    place: {!equal_ci} strings hash equal. Allocates nothing. *)
+
 val hex_digit : int -> char
 (** The lowercase hex digit of a nibble ([0 <= n < 16]). *)
 

@@ -310,6 +310,42 @@ let test_eager_mode_ships_everything () =
   Alcotest.(check bool) "eager object message is heavier" true
     (eager_bytes > 2 * optimistic_obj_bytes)
 
+(* An eager send ships each description as its link reads them: PTID
+   between peers created with binary descriptions, XML between classic
+   peers, the paper's eager baseline. *)
+let test_eager_descriptions_follow_the_link () =
+  let shipped ~tdesc_binary =
+    let net = make_net () in
+    let sender = Peer.create ~mode:Peer.Eager ~tdesc_binary ~net "sender" in
+    let receiver = Peer.create ~mode:Peer.Eager ~tdesc_binary ~net "receiver" in
+    Peer.publish_assembly sender (Demo.social_assembly ());
+    Peer.publish_assembly receiver (Demo.news_assembly ());
+    let tdescs = ref [] in
+    let record ~now:_ ~src:_ ~dst:_ = function
+      | Message.Obj_msg { tdescs = ds; _ } ->
+          tdescs := !tdescs @ ds;
+          None
+      | _ -> None
+    in
+    let module F = Pti_net.Faults in
+    Net.set_fault_hooks net (Some { F.no_hooks with F.fh_corrupt = record });
+    let count = ref 0 in
+    Peer.register_interest receiver ~interest:Demo.news_person
+      (fun ~from:_ _ -> incr count);
+    Peer.send_value sender ~dst:"receiver"
+      (Demo.make_social_person (Peer.registry sender) ~name:"Eve" ~age:9);
+    Net.run net;
+    Alcotest.(check int) "delivered" 1 !count;
+    !tdescs
+  in
+  let is_binary = Pti_typedesc.Type_description.is_binary in
+  let binary = shipped ~tdesc_binary:true in
+  Alcotest.(check bool) "binary descriptions shipped" true
+    (binary <> [] && List.for_all is_binary binary);
+  let classic = shipped ~tdesc_binary:false in
+  Alcotest.(check bool) "classic peers ship XML" true
+    (classic <> [] && not (List.exists is_binary classic))
+
 let test_soap_codec_roundtrip_through_protocol () =
   let net, sender, receiver = two_peers ~codec:Pti_serial.Envelope.Soap () in
   let received = ref None in
@@ -518,8 +554,7 @@ let test_self_supertype_payload_returns () =
     let delivered = ref 0 in
     Peer.register_interest receiver ~interest:Workload.interest_person
       (fun ~from:_ _ -> incr delivered);
-    let fields = Hashtbl.create 1 in
-    if extra then Hashtbl.replace fields "extra" (Value.Vint 1);
+    let fields = if extra then [ ("extra", Value.Vint 1) ] else [] in
     let p =
       Workload.make_person (Peer.registry sender) ~index:3
         ~flavor:Workload.Conformant ~name:"Eve" ~age:3
@@ -527,8 +562,7 @@ let test_self_supertype_payload_returns () =
     (match p with
     | Value.Vobj o ->
         Value.set_field o "home"
-          (Value.Vobj
-             { Value.oid = Value.fresh_oid (); cls = "evil.Loop"; fields })
+          (Value.Vobj (Value.make_obj "evil.Loop" fields))
     | _ -> Alcotest.fail "expected an object");
     Peer.send_value sender ~dst:"receiver" p;
     Net.run net;
@@ -633,13 +667,10 @@ let test_arrays_in_int_array_rejected kind () =
       ]
   in
   let make _ =
-    let fields = Hashtbl.create 1 in
-    Hashtbl.replace fields "points"
-      (Value.Varr
-         { Value.elem_ty = Ty.Int;
-           items =
-             [| Value.Varr { Value.elem_ty = Ty.Int; items = [| Value.Vint 1 |] } |] });
-    Value.Vobj { Value.oid = Value.fresh_oid (); cls = "t.Scores"; fields }
+    let ints = Value.Varr { Value.elem_ty = Ty.Int; items = [| Value.Vint 1 |] } in
+    Value.Vobj
+      (Value.make_obj "t.Scores"
+         [ ("points", Value.Varr { Value.elem_ty = Ty.Int; items = [| ints |] }) ])
   in
   check_rejected "arrays in an int[]"
     (typed_delivery kind ~assemblies:[ scores ] ~installed:[ scores ]
@@ -658,9 +689,7 @@ let test_foreign_home_rejected kind () =
        ~assemblies:(Assembly.make ~name:"evil" [ loop ] :: assemblies)
        ~installed ~interest
        (family3_person_with "home"
-          (Value.Vobj
-             { Value.oid = Value.fresh_oid (); cls = "evil.Loop";
-               fields = Hashtbl.create 1 })))
+          (Value.Vobj (Value.make_obj "evil.Loop" []))))
 
 (* A receiver's cached layout of [lin.Derived] goes stale when an upgrade
    rebinds its superclass's name: the next delivery holds the field the
@@ -1338,6 +1367,8 @@ let () =
             test_primitive_payload_goes_to_sink;
           Alcotest.test_case "self-supertype payload returns" `Quick
             test_self_supertype_payload_returns;
+          Alcotest.test_case "eager tdescs as the link reads" `Quick
+            test_eager_descriptions_follow_the_link;
         ] );
       ( "typed-payloads",
         List.concat_map

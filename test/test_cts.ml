@@ -223,7 +223,7 @@ let test_registry_hierarchy () =
     (Registry.is_subtype r ~sub:"h.Base" ~super:"h.Derived");
   (* Inherited fields, base class first. *)
   let o, lineage = Registry.fresh_object r derived in
-  Alcotest.(check int) "all fields" 2 (Hashtbl.length o.Value.fields);
+  Alcotest.(check int) "all fields" 2 (Array.length o.Value.slots);
   Alcotest.(check (list string)) "lineage" [ "h.Base"; "h.Derived" ]
     (List.map Meta.qualified_name lineage);
   (* A derived field shadows the base field of the same name, whatever
@@ -235,7 +235,7 @@ let test_registry_hierarchy () =
   Registry.register r shadow;
   let o, _ = Registry.fresh_object r shadow in
   Alcotest.(check int) "shadowed field counted once" 1
-    (Hashtbl.length o.Value.fields);
+    (Array.length o.Value.slots);
   Alcotest.(check bool) "derived default" true
     (Value.get_field o "id" = Some (Value.Vstring ""));
   (* Inherited method resolution. *)
@@ -260,6 +260,72 @@ let test_find_method_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "find_method allocates %.0f words (at most 20)" words)
     true (words <= 20.)
+
+(* Workload family 17's Person, loaded, and what each of [n] calls of
+   [f] allocates on average. *)
+let family17 () =
+  let module W = Pti_demo.Workload in
+  let r = Registry.create () in
+  Assembly.load r (W.family ~index:17 ~flavor:W.Conformant);
+  (r, W.person_name ~index:17 ~flavor:W.Conformant)
+
+let words_per_call n f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words what ~at_most words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.1f words (at most %.0f)" what words at_most)
+    true (words <= at_most)
+
+(* A name is hashed and compared where it lies: a lookup in any case
+   allocates at most the option it returns. *)
+let test_find_allocation () =
+  let r, name = family17 () in
+  let mixed = String.uppercase_ascii name in
+  Alcotest.(check bool) "found in any case" true
+    (Registry.find r mixed <> None);
+  check_words "find" ~at_most:2.
+    (words_per_call 1000 (fun () -> Registry.find r mixed))
+
+(* An object is one record and one array over its layout's keys: a field
+   is written in place and read into its option, and an object holds no
+   field it was not built with. *)
+let test_object_allocation () =
+  let r, name = family17 () in
+  let ly = Registry.layout r (Registry.find_exn r name) in
+  check_words "instantiate" ~at_most:12.
+    (words_per_call 1000 (fun () -> Registry.instantiate ly));
+  let o = Registry.instantiate ly in
+  Alcotest.(check bool) "keys shared" true
+    (o.Value.keys == ly.Registry.ly_keys);
+  let v = Value.Vint 7 in
+  check_words "set_field" ~at_most:0.
+    (words_per_call 1000 (fun () -> Value.set_field o "Age" v));
+  check_words "get_field" ~at_most:2.
+    (words_per_call 1000 (fun () -> Value.get_field o "AGE"));
+  Alcotest.(check bool) "read back" true (Value.get_field o "age" = Some v);
+  match Value.set_field o "email" v with
+  | () -> Alcotest.fail "set an undeclared field"
+  | exception Invalid_argument _ -> ()
+
+(* A direct call runs a body compiled at its first call, whose field
+   reads are bound to slots: getName() + getAge() allocates at most 40
+   words. *)
+let test_direct_call_allocation () =
+  let module W = Pti_demo.Workload in
+  let r, _ = family17 () in
+  let p = W.make_person r ~index:17 ~flavor:W.Conformant ~name:"Ann" ~age:30 in
+  let pair () =
+    ignore (Eval.call r p "getName" []);
+    Eval.call r p "getAge" []
+  in
+  Alcotest.(check bool) "reads back" true (pair () = Value.Vint 30);
+  check_words "getName() + getAge()" ~at_most:40. (words_per_call 1000 pair)
 
 (* A layout lists each declared or inherited field once, by lowercased
    key in sorted order, with its most derived type, whose default an
@@ -335,7 +401,7 @@ let test_admits () =
       B.class_ ~ns:[ "a" ] "Sub" ~super:"a.Base" |> B.build;
     ];
   let obj cls =
-    Value.Vobj { Value.oid = Value.fresh_oid (); cls; fields = Hashtbl.create 1 }
+    Value.Vobj (Value.make_obj cls [])
   in
   let arr t = Value.Varr { Value.elem_ty = t; items = [||] } in
   let admits ty v = Registry.admits r (Ty.of_string_exn ty) v in
@@ -733,6 +799,8 @@ let () =
             test_registry_copy_isolated;
           Alcotest.test_case "find_method allocation" `Quick
             test_find_method_allocation;
+          Alcotest.test_case "find allocation" `Quick test_find_allocation;
+          Alcotest.test_case "object allocation" `Quick test_object_allocation;
           Alcotest.test_case "layout compiles fields" `Quick
             test_layout_compiles_fields;
           Alcotest.test_case "layout stamp" `Quick test_layout_stamp;
@@ -753,6 +821,8 @@ let () =
           Alcotest.test_case "virtual dispatch" `Quick test_virtual_dispatch;
           Alcotest.test_case "builtins" `Quick test_builtin_methods;
           Alcotest.test_case "exceptions" `Quick test_exceptions;
+          Alcotest.test_case "direct call allocation" `Quick
+            test_direct_call_allocation;
         ] );
       ( "introspect",
         [

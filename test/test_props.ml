@@ -301,9 +301,7 @@ let graph_classes v =
           Hashtbl.add seen_obj o.Value.oid ();
           if not (List.exists (Pti_util.Strutil.equal_ci o.Value.cls) !found)
           then found := o.Value.cls :: !found;
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.iter (fun (_, v) -> go v)
+          Array.iter go o.Value.slots
         end
   in
   go v;
@@ -354,10 +352,13 @@ let walk_fields =
    fields its class declares or inherits, now and then in another case,
    each holding a value of its declared type seven times in eight and
    anything otherwise, and carries up to two undeclared fields. Field
-   names are not in insertion order. *)
+   names are not in insertion order. An object holds the fields it is
+   built with, and values point at objects: the fields are drawn twice
+   from one state, first to learn each object's keys, then to set
+   them. *)
 let random_graph seed =
-  let rng = Random.State.make [| seed |] in
-  let int n = Random.State.int rng n in
+  let rng = ref (Random.State.make [| seed |]) in
+  let int n = Random.State.int !rng n in
   let pick a = a.(int (Array.length a)) in
   let spellings =
     [|
@@ -369,11 +370,7 @@ let random_graph seed =
   let n = 1 + int 6 in
   let kinds = Array.init n (fun _ -> int 3) in
   let objs =
-    Array.map
-      (fun k ->
-        { Value.oid = Value.fresh_oid (); cls = pick spellings.(k);
-          fields = Hashtbl.create 4 })
-      kinds
+    Array.map (fun k -> Value.make_obj (pick spellings.(k)) []) kinds
   in
   let obj () = Value.Vobj objs.(int n) in
   let rec proxy_to depth target =
@@ -433,19 +430,33 @@ let random_graph seed =
         Value.Varr { Value.elem_ty = e; items = Array.init (int 4) (fun _ -> typed e) }
     | _ -> prim ty
   in
+  let fill set =
+    Array.iteri
+      (fun k _ ->
+        List.iter
+          (fun (key, ty) ->
+            if int 3 > 0 then
+              set k
+                (if int 6 = 0 then String.uppercase_ascii key else key)
+                (if int 8 = 0 then any () else typed ty))
+          walk_fields.(kinds.(k));
+        for _ = 1 to int 3 do
+          set k (pick [| "zz"; "extra"; "q1" |]) (any ())
+        done)
+      objs
+  in
+  let start = Random.State.copy !rng in
+  let keys = Array.map (fun _ -> ref []) objs in
+  fill (fun k key _ ->
+      if not (List.mem key !(keys.(k))) then keys.(k) := key :: !(keys.(k)));
   Array.iteri
     (fun k o ->
-      List.iter
-        (fun (key, ty) ->
-          if int 3 > 0 then
-            Hashtbl.replace o.Value.fields
-              (if int 6 = 0 then String.uppercase_ascii key else key)
-              (if int 8 = 0 then any () else typed ty))
-        walk_fields.(kinds.(k));
-      for _ = 1 to int 3 do
-        Hashtbl.replace o.Value.fields (pick [| "zz"; "extra"; "q1" |]) (any ())
-      done)
+      objs.(k) <-
+        Value.make_obj o.Value.cls
+          (List.map (fun key -> (key, Value.Vnull)) !(keys.(k))))
     objs;
+  rng := start;
+  fill (fun k key v -> Value.set_field objs.(k) key v);
   match int 5 with
   | 0 -> objects ()
   | 1 -> proxy 2
@@ -687,7 +698,8 @@ module Reference = struct
               W.varint st.w id;
               intern_name st o.Value.cls;
               let bindings =
-                Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
+                List.combine (Array.to_list o.Value.keys)
+                  (Array.to_list o.Value.slots)
                 |> List.sort (fun (a, _) (b, _) -> String.compare a b)
               in
               W.varint st.w (List.length bindings);
@@ -729,8 +741,7 @@ module Reference = struct
 
     (* [Value.update_field], which only this decoder called. *)
     let update_field o name v =
-      let k = String.lowercase_ascii name in
-      if Hashtbl.mem o.Value.fields k then Hashtbl.replace o.Value.fields k v
+      if Value.get_field o name <> None then Value.set_field o name v
 
     exception Unknown of string
 
@@ -1712,6 +1723,35 @@ let walk_assembly r ~str ~list =
   list str;
   list (fun () -> walk_class ~bodies:true r ~str ~list)
 
+(* A PTIB payload: [str] steps over a length-prefixed string, [list]
+   over an object's fields or an array's items. A name's first use
+   carries its text. *)
+let walk_payload r ~str ~list =
+  let module R = Bio.Reader in
+  let names = ref 0 in
+  let name () =
+    if R.varint r = !names then begin
+      incr names;
+      str ()
+    end
+  in
+  let rec value () =
+    match R.u8 r with
+    | 0 -> ()
+    | 1 | 5 -> ignore (R.u8 r)
+    | 2 -> ignore (R.zigzag r)
+    | 3 -> ignore (R.f64 r)
+    | 4 -> str ()
+    | 6 ->
+        ignore (R.varint r);
+        name ();
+        list (fun () -> name (); value ())
+    | 7 -> ignore (R.varint r)
+    | 8 -> str (); list value
+    | t -> Alcotest.failf "walker: tag %d" t
+  in
+  value ()
+
 (* The body offset of every count and length in a frame's body. *)
 let count_offsets walk body =
   let r = Bio.Reader.create body in
@@ -1827,6 +1867,49 @@ let test_hostile_description_frames () =
         a.asm_classes)
     frame_assemblies
 
+(* Each family's Person with its home Address and itself as its spouse,
+   so the graph holds a reference back to an object already read,
+   decoded through a layout cache as a peer decodes. *)
+let test_hostile_payload_frames () =
+  List.iter
+    (fun (version, flavor) ->
+      let r = Registry.create () in
+      Assembly.load r (Workload.family_v ~version ~index:3 ~flavor);
+      let name = Workload.person_name ~index:3 ~flavor in
+      let home =
+        Eval.construct r
+          (String.sub name 0 (String.rindex name '.') ^ ".Address")
+          [ Value.Vstring "Main St"; Value.Vstring "Springfield" ]
+      in
+      let p =
+        Workload.make_person r ~index:3 ~flavor ~name:"Ann" ~age:41
+      in
+      (match p with
+      | Value.Vobj o ->
+          Value.set_field o "home" home;
+          Value.set_field o "spouse" p
+      | _ -> Alcotest.fail "not an object");
+      let layouts = Hashtbl.create 4 in
+      let layout cd =
+        match Hashtbl.find_opt layouts cd.Meta.td_guid with
+        | Some ly -> ly
+        | None ->
+            let ly = Registry.layout r cd in
+            Hashtbl.add layouts cd.Meta.td_guid ly;
+            ly
+      in
+      let frame = fst (Bin.encode p) in
+      (match Bin.decode ~layout r frame with
+      | Ok v when Value.equal_deep v p -> ()
+      | _ -> Alcotest.failf "%s v%d: no round trip" name version);
+      refuses_hostile_edits
+        ~what:(Printf.sprintf "%s v%d" name version)
+        ~magic:"PTIB\x02" ~walk:walk_payload (Bin.decode ~layout r) frame)
+    (List.concat_map
+       (fun flavor -> [ (1, flavor); (2, flavor) ])
+       Workload.
+         [ Conformant; Trap_missing; Trap_arity; Trap_fieldtype; Typo 2 ])
+
 let () =
   Alcotest.run "properties"
     [
@@ -1848,6 +1931,8 @@ let () =
             test_hostile_assembly_frames;
           Alcotest.test_case "PTID edits refused" `Quick
             test_hostile_description_frames;
+          Alcotest.test_case "PTIB edits refused" `Quick
+            test_hostile_payload_frames;
           QCheck_alcotest.to_alcotest prop_resealed_assembly_mutations;
         ] );
       ( "reference",

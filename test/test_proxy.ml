@@ -258,6 +258,47 @@ let test_proxy_overhead_exists_but_small () =
   Alcotest.(check bool) "proxy slower than direct" true (tp > td);
   Alcotest.(check bool) "but not absurdly slower" true (tp < td *. 1000.)
 
+(* A proxied call finds its compiled method and calls the actual one:
+   getName() + getAge() through workload family 17's translating proxy
+   allocates at most 48 words. *)
+let test_proxied_call_allocation () =
+  let module W = Pti_demo.Workload in
+  let r = Registry.create () in
+  Assembly.load r (W.family ~index:17 ~flavor:W.Conformant);
+  Assembly.load r (W.interest_assembly ());
+  let resolver = Td.registry_resolver r in
+  let checker = Checker.create ~resolver () in
+  let cx = Proxy.create_context r checker in
+  let actual = W.person_name ~index:17 ~flavor:W.Conformant in
+  let m =
+    match
+      Checker.check checker ~actual:(Option.get (resolver actual))
+        ~interest:(Option.get (resolver W.interest_person))
+    with
+    | Checker.Conformant m -> m
+    | Checker.Not_conformant _ -> Alcotest.fail "family 17 does not conform"
+  in
+  Alcotest.(check bool) "a translating mapping" false m.Mapping.identity;
+  let p =
+    Proxy.wrap cx ~interest:W.interest_person ~mapping:m
+      (W.make_person r ~index:17 ~flavor:W.Conformant ~name:"Ann" ~age:30)
+  in
+  let pair () =
+    ignore (Eval.call r p "getName" []);
+    Eval.call r p "getAge" []
+  in
+  Alcotest.(check bool) "reads back" true (pair () = Value.Vint 30);
+  ignore (Sys.opaque_identity (pair ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (pair ()))
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "getName() + getAge() allocates %.1f words (at most 48)"
+       words)
+    true (words <= 48.)
+
 let () =
   Alcotest.run "proxy"
     [
@@ -290,5 +331,7 @@ let () =
         [
           Alcotest.test_case "overhead sanity" `Quick
             test_proxy_overhead_exists_but_small;
+          Alcotest.test_case "proxied call allocation" `Quick
+            test_proxied_call_allocation;
         ] );
     ]

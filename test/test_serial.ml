@@ -295,11 +295,10 @@ let test_self_supertype_decodes () =
   Registry.register r
     (Builder.class_ ~ns:[ "evil" ] ~assembly:"evil" "Loop" ~super:"evil.Loop"
     |> Builder.field "kept" Ty.Int |> Builder.build);
-  let fields = Hashtbl.create 2 in
-  Hashtbl.replace fields "kept" (Value.Vint 5);
-  Hashtbl.replace fields "extra" (Value.Vint 1);
   let v =
-    Value.Vobj { Value.oid = Value.fresh_oid (); cls = "evil.Loop"; fields }
+    Value.Vobj
+      (Value.make_obj "evil.Loop"
+         [ ("kept", Value.Vint 5); ("extra", Value.Vint 1) ])
   in
   let check codec = function
     | Ok (Value.Vobj o) ->
@@ -352,10 +351,7 @@ let typed_registry () =
     ];
   r
 
-let obj cls fields =
-  let t = Hashtbl.create 8 in
-  List.iter (fun (k, v) -> Hashtbl.replace t k v) fields;
-  Value.Vobj { Value.oid = Value.fresh_oid (); cls; fields = t }
+let obj cls fields = Value.Vobj (Value.make_obj cls fields)
 
 let arr elem_ty items = Value.Varr { Value.elem_ty; items = Array.of_list items }
 
@@ -382,13 +378,12 @@ let test_admitted_values_decode () =
   let same sent got =
     match (sent, got) with
     | Value.Vobj s, Value.Vobj g ->
-        Hashtbl.fold
-          (fun k v ok ->
-            ok
-            && match Value.get_field g k with
-               | Some w -> Value.equal_deep v w
-               | None -> false)
-          s.Value.fields true
+        Array.for_all2
+          (fun k v ->
+            match Value.get_field g k with
+            | Some w -> Value.equal_deep v w
+            | None -> false)
+          s.Value.keys s.Value.slots
     | _ -> Value.equal_deep sent got
   in
   List.iter
@@ -777,9 +772,7 @@ let test_envelope_root_first () =
 let test_envelope_unknown_class_on_sender () =
   let r = reg () in
   let stranger =
-    Value.Vobj
-      { Value.oid = Value.fresh_oid (); cls = "ghost.Type";
-        fields = Hashtbl.create 1 }
+    Value.Vobj (Value.make_obj "ghost.Type" [])
   in
   match
     Env.make r ~codec:Env.Binary ~download_path:(fun ~assembly -> assembly)
